@@ -20,17 +20,24 @@ theta is exposed as a knob: smaller theta means fewer reversals per unit
 time, i.e. a lighter particle.
 
 Positions are stored as doubled integers (x2 = 2x) so half-steps stay
-exact.  Summing amplitudes over all 2**N words with fixed endpoints
-(path_sum_kernel) reproduces N applications of step_field; the kernel is
-deliberately brute-force so it can serve as an independent oracle.
+exact.  A field holds the x2 of its first site and one complex array per
+helicity, sites 2 apart; a step is two array expressions and a one-slot
+shift each way.  evolve() is the one stepping loop, under propagate(), the
+trace and the command line.  Summing amplitudes over all 2**N words with
+fixed endpoints (path_sum_kernel) reproduces N applications of step_field;
+the kernel is deliberately brute-force so it can serve as an independent
+oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+import numpy as np
 
 HELICITIES = ("P", "Q")
 KERNEL_CAP = 24
@@ -85,52 +92,67 @@ class TransferMatrices:
             return math.sqrt(0.5)
         return math.sin(self.theta)
 
-    @property
-    def mat_p(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        return ((complex(self.cos), 1j * self.sin), (0j, 0j))
-
-    @property
-    def mat_q(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        return ((0j, 0j), (1j * self.sin, complex(self.cos)))
-
-    def continue_p(self, s: Spinor) -> complex:
+    def continue_p(self, s: Union[Spinor, SpinorField]) -> Union[complex, np.ndarray]:
         """Amplitude for the next step to be a P step (the P row applied to s)."""
         return self.cos * s.phi_p + 1j * self.sin * s.phi_q
 
-    def continue_q(self, s: Spinor) -> complex:
+    def continue_q(self, s: Union[Spinor, SpinorField]) -> Union[complex, np.ndarray]:
         """Amplitude for the next step to be a Q step."""
         return 1j * self.sin * s.phi_p + self.cos * s.phi_q
 
 
-@dataclass
+@dataclass(eq=False)
 class SpinorField:
     """Spinor amplitudes over lattice sites at one time step.
 
-    Keys of `amplitudes` are doubled positions (x2 = 2x).
+    Site k of the complex arrays phi_p, phi_q sits at the doubled position
+    x2 = x2_lo + 2k (x = x2 / 2).  Any sequences given are stored as arrays.
     """
 
     t: int = 0
-    amplitudes: dict[int, Spinor] = field(default_factory=dict)
+    x2_lo: int = 0
+    phi_p: np.ndarray = ()
+    phi_q: np.ndarray = ()
+
+    def __post_init__(self):
+        self.phi_p = np.asarray(self.phi_p, np.complex128)
+        self.phi_q = np.asarray(self.phi_q, np.complex128)
+        if self.phi_p.ndim != 1 or self.phi_p.shape != self.phi_q.shape:
+            raise ValueError("phi_p and phi_q must be 1-d arrays of equal length")
 
     @classmethod
     def delta(cls, helicity: str = "P", x: Union[int, float, Fraction] = 0) -> "SpinorField":
         """A unit point source with the given arrival helicity."""
         _check_helicity(helicity)
         spinor = Spinor(phi_p=1 + 0j) if helicity == "P" else Spinor(phi_q=1 + 0j)
-        return cls(t=0, amplitudes={_to_x2(x): spinor})
+        return cls(t=0, x2_lo=_to_x2(x), phi_p=[spinor.phi_p], phi_q=[spinor.phi_q])
+
+    def densities(self) -> list[tuple[float, float, float]]:
+        """(x, |phi_p|**2, |phi_q|**2) per site, in ascending x.
+
+        Rounded as abs(z) ** 2 on Python complex (libm hypot, then pow):
+        numpy's own complex abs and squaring differ in the last bit.
+        """
+        abs_p, abs_q = (np.hypot(a.real, a.imag).tolist() for a in (self.phi_p, self.phi_q))
+        pairs = enumerate(zip(abs_p, abs_q))
+        return [((self.x2_lo + 2 * k) / 2, p**2, q**2) for k, (p, q) in pairs]
 
     def norm(self) -> float:
-        return sum(s.norm_sq() for s in self.amplitudes.values())
+        return sum(prob_p + prob_q for _, prob_p, prob_q in self.densities())
 
     def mean_position(self) -> float:
         """Position expectation <x> (in natural units, not doubled)."""
-        return sum(x2 / 2 * s.norm_sq() for x2, s in self.amplitudes.items())
+        return sum(x * (prob_p + prob_q) for x, prob_p, prob_q in self.densities())
 
     def sites(self) -> list[tuple[Fraction, Spinor]]:
-        return [(Fraction(x2, 2), self.amplitudes[x2]) for x2 in sorted(self.amplitudes)]
+        pairs = enumerate(zip(self.phi_p.tolist(), self.phi_q.tolist()))
+        return [(Fraction(self.x2_lo + 2 * k, 2), Spinor(p, q)) for k, (p, q) in pairs]
 
     def spinor_at(self, x: Union[int, float, Fraction]) -> Spinor:
-        return self.amplitudes.get(_to_x2(x), Spinor())
+        k, off_lattice = divmod(_to_x2(x) - self.x2_lo, 2)
+        if off_lattice or not 0 <= k < len(self.phi_p):
+            return Spinor()
+        return Spinor(complex(self.phi_p[k]), complex(self.phi_q[k]))
 
 
 def path_amplitude(word: str, initial_helicity: str, theta: float = math.pi / 4) -> complex:
@@ -153,23 +175,31 @@ def path_amplitude(word: str, initial_helicity: str, theta: float = math.pi / 4)
 
 def step_field(f: SpinorField, tm: TransferMatrices) -> SpinorField:
     """Advance one time step: mix helicities sitewise, then shift by arrival."""
-    out: dict[int, Spinor] = {}
-    for x2, spinor in f.amplitudes.items():
-        to_p = tm.continue_p(spinor)  # particle steps left, arrives at x - 1/2
-        to_q = tm.continue_q(spinor)  # particle steps right, arrives at x + 1/2
-        left = out.get(x2 - 1, Spinor())
-        out[x2 - 1] = Spinor(phi_p=left.phi_p + to_p, phi_q=left.phi_q)
-        right = out.get(x2 + 1, Spinor())
-        out[x2 + 1] = Spinor(phi_p=right.phi_p, phi_q=right.phi_q + to_q)
-    return SpinorField(t=f.t + 1, amplitudes=out)
+    zero = np.zeros(min(len(f.phi_p), 1), np.complex128)  # an empty field stays empty
+    to_p = tm.continue_p(f)  # particle steps left, arrives at x - 1/2
+    to_q = tm.continue_q(f)  # particle steps right, arrives at x + 1/2
+    return SpinorField(
+        t=f.t + 1,
+        x2_lo=f.x2_lo - 1,
+        phi_p=np.concatenate((to_p, zero)),
+        phi_q=np.concatenate((zero, to_q)),
+    )
 
 
-def propagate(initial: SpinorField, steps: int, tm: TransferMatrices) -> SpinorField:
+def evolve(initial: SpinorField, steps: int, tm: TransferMatrices) -> Iterator[SpinorField]:
+    """Yield the field at each time from the initial field through `steps` steps."""
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     current = initial
+    yield current
     for _ in range(steps):
         current = step_field(current, tm)
+        yield current
+
+
+def propagate(initial: SpinorField, steps: int, tm: TransferMatrices) -> SpinorField:
+    for current in evolve(initial, steps, tm):
+        pass
     return current
 
 
@@ -233,9 +263,4 @@ def zitterbewegung_trace(
     """Rows (t, <x>, norm) for each step from the initial field onward."""
     if abs(initial.norm() - 1.0) > 1e-12:
         raise ValueError("initial field must be normalized")
-    rows = [(initial.t, initial.mean_position(), initial.norm())]
-    current = initial
-    for _ in range(steps):
-        current = step_field(current, tm)
-        rows.append((current.t, current.mean_position(), current.norm()))
-    return rows
+    return [(f.t, f.mean_position(), f.norm()) for f in evolve(initial, steps, tm)]

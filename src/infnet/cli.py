@@ -13,7 +13,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -21,40 +20,6 @@ from . import checkerboard, freeparticle, geometry, kinematics, netformat, svg, 
 from .geometry import PairQuantification
 from .netformat import NetworkParseError, ViolationsError
 from .projection import quantify_event
-
-DEFAULT_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-wide knobs shared by the sampling and enumeration commands."""
-
-    seed: int = 0
-    tolerance: float = DEFAULT_TOLERANCE
-    cap: int = freeparticle.DEFAULT_CAP
-    out: Optional[str] = None
-    trace: Optional[str] = None
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.cap > checkerboard.KERNEL_CAP:
-            raise ValueError(f"cap must not exceed {checkerboard.KERNEL_CAP}")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        seed = getattr(args, "seed", 0)
-        env_seed = os.environ.get("INFNET_SEED")
-        if env_seed is not None:
-            seed = int(env_seed)
-        return cls(
-            seed=seed,
-            tolerance=getattr(args, "tolerance", DEFAULT_TOLERANCE),
-            cap=getattr(args, "cap", freeparticle.DEFAULT_CAP),
-            out=getattr(args, "out", None),
-            trace=getattr(args, "trace", None),
-        )
-
 
 def _fmt(value) -> str:
     """Locale-independent full-precision rendering of one number."""
@@ -142,6 +107,14 @@ def _rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _count(text: str) -> int:
+    """argparse type: a non-negative integer (symbols, steps, words)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _pair_from_args(args: argparse.Namespace) -> PairQuantification:
     dp, dq = args.pair
     return PairQuantification(Fraction(dp), Fraction(dq))
@@ -203,8 +176,9 @@ def cmd_kinematics(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
-    words = freeparticle.enumerate_sequences(args.p, args.q, cap=config.cap)
+    if args.cap > checkerboard.KERNEL_CAP:
+        raise ValueError(f"cap must not exceed {checkerboard.KERNEL_CAP}")
+    words = freeparticle.enumerate_sequences(args.p, args.q, cap=args.cap)
     if args.amplitudes is None:
         for word in words:
             print(word)
@@ -222,15 +196,16 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
-    words = freeparticle.sample_sequences(args.steps, args.prob_p, config.seed, args.count)
+    env_seed = os.environ.get("INFNET_SEED")
+    seed = args.seed if env_seed is None else int(env_seed)
+    words = freeparticle.sample_sequences(args.steps, args.prob_p, seed, args.count)
     if args.emit_words:
         for word in words:
             print(word)
     total_p = sum(word.count("P") for word in words)
     total_q = args.steps * args.count - total_p
     dp, dq = total_q, total_p  # crossed light-cone bookkeeping
-    _emit("seed", config.seed)
+    _emit("seed", seed)
     _emit("words", args.count)
     _emit("steps", args.steps)
     _emit("dp", dp)
@@ -243,25 +218,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_propagate(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
     tm = checkerboard.TransferMatrices(args.theta)
-    field = checkerboard.SpinorField.delta(args.initial)
+    initial = checkerboard.SpinorField.delta(args.initial)
     rows = ["t,x,probP,probQ,total"]
     trace_rows = ["t,mean_x,norm"]
-    current = field
-    for step in range(args.steps + 1):
-        if step > 0:
-            current = checkerboard.step_field(current, tm)
-        norm = current.norm()
-        for x, spinor in current.sites():
-            rows.append(
-                f"{current.t},{float(x)!r},{abs(spinor.phi_p) ** 2!r},"
-                f"{abs(spinor.phi_q) ** 2!r},{norm!r}"
-            )
-        trace_rows.append(f"{current.t},{current.mean_position()!r},{norm!r}")
-    _write_text(config.out, "\n".join(rows) + "\n")
-    if config.trace is not None:
-        _write_text(config.trace, "\n".join(trace_rows) + "\n")
+    for field in checkerboard.evolve(initial, args.steps, tm):
+        norm = field.norm()
+        rows += [f"{field.t},{x!r},{p!r},{q!r},{norm!r}" for x, p, q in field.densities()]
+        trace_rows.append(f"{field.t},{field.mean_position()!r},{norm!r}")
+    _write_text(args.out, "\n".join(rows) + "\n")
+    if args.trace is not None:
+        _write_text(args.trace, "\n".join(trace_rows) + "\n")
     return 0
 
 
@@ -336,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kinematics)
 
     p = sub.add_parser("enumerate", help="all influence words with given symbol counts")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=_count, required=True)
+    p.add_argument("--q", type=_count, required=True)
     p.add_argument(
         "--amplitudes",
         nargs="?",
@@ -352,15 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("simulate", help="sample random influence words and report rates")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_count, required=True)
     p.add_argument("--prob-p", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_count, default=1)
     p.add_argument("--emit-words", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("propagate", help="run the lattice propagator from a point source")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_count, required=True)
     p.add_argument("--theta", type=float, default=math.pi / 4)
     p.add_argument("--initial", choices=("P", "Q"), default="P")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")

@@ -1,12 +1,15 @@
-"""Shared fixtures: reference networks and brute-force reachability oracles.
+"""Shared fixtures: reference networks and independent oracles.
 
-The oracles here deliberately avoid the library's bitset closure: they walk
-edge dicts with BFS so that projection and reduction results can be checked
-against an independent path.
+The reachability oracles deliberately avoid the library's bitset closure:
+they walk edge dicts with BFS so that projection and reduction results can
+be checked against an independent path.  The checkerboard kernel oracle
+counts words by their runs instead of stepping a field or enumerating
+words, so it shares no code with infnet.checkerboard.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import pytest
@@ -63,6 +66,50 @@ def brute_backward(net: InfluenceNetwork, x: int, chain_name: str):
         if bfs_reaches(adj, event, x)
     ]
     return max(labels) if labels else None
+
+
+# -- Closed-form checkerboard kernel -------------------------------------------
+
+
+def _split_ways(n: int, runs: int) -> int:
+    """Ways to cut n like symbols into `runs` non-empty runs."""
+    if n == 0:
+        return 1 if runs == 0 else 0
+    return math.comb(n - 1, runs - 1) if runs > 0 else 0
+
+
+def run_count_kernel(initial: str, final: str, dx2: int, steps: int, stay, flip):
+    """Kernel of all `steps`-symbol words from x2 = 0 to x2 = dx2 ending on `final`.
+
+    Each word contributes stay**(steps - R) * (i * flip)**R, where R counts
+    its reversals and the first symbol is compared against `initial`; a P
+    step moves x2 by -1, a Q step by +1.  Returns (real, imag).  The sum
+    runs over run counts, not words (Jacobson & Schulman, J. Phys. A 17,
+    375, 1984): k alternating runs starting with symbol s hold rP P-runs
+    and rQ Q-runs, and C(nP-1, rP-1) * C(nQ-1, rQ-1) words share them, all
+    with R = k - 1 + (s != initial).  Integer stay and flip give an exact
+    Gaussian integer, so any N can be checked exactly.
+    """
+    if steps == 0:
+        return (1, 0) if dx2 == 0 and initial == final else (0, 0)
+    n_q, odd = divmod(steps + dx2, 2)
+    n_p = steps - n_q
+    if odd or n_q < 0 or n_p < 0:
+        return (0, 0)
+    parts = [0, 0]
+    for first, other in (("P", "Q"), ("Q", "P")):
+        for runs in range(1, 2 * min(n_p, n_q) + 2):
+            if (first if runs % 2 else other) != final:
+                continue
+            own, alternate = (runs + 1) // 2, runs // 2
+            r_p, r_q = (own, alternate) if first == "P" else (alternate, own)
+            ways = _split_ways(n_p, r_p) * _split_ways(n_q, r_q)
+            if not ways:
+                continue
+            reversals = runs - 1 + (first != initial)
+            term = ways * stay ** (steps - reversals) * flip**reversals
+            parts[reversals % 2] += -term if reversals % 4 >= 2 else term
+    return tuple(parts)
 
 
 # -- Reference networks -------------------------------------------------------

@@ -239,7 +239,7 @@ def test_criterion_11_oracle_equivalence():
         tm = TransferMatrices(theta)
         for steps in range(13):
             field = propagate(SpinorField.delta("P"), steps, tm)
-            assert all((x2 - steps) % 2 == 0 for x2 in field.amplitudes)
+            assert all((2 * x - steps) % 2 == 0 for x, _ in field.sites())
             for x2 in range(-steps, steps + 1, 2):
                 x = Fraction(x2, 2)
                 spinor = field.spinor_at(x)
@@ -263,7 +263,7 @@ def test_criterion_12_light_cone():
             assert abs(x - x0) <= t - t0
     steps = 40
     field = propagate(SpinorField.delta("P"), steps, TransferMatrices())
-    assert all(abs(x2) <= steps for x2 in field.amplitudes)
+    assert all(abs(2 * x) <= steps for x, _ in field.sites())
 
 
 @report(13, "free-particle fixture validates; every consecutive interval has dp = 0 or dq = 0, exact")

@@ -6,6 +6,8 @@ Covered claims:
     - path amplitudes factor as cos(theta)**stays * (i sin(theta))**reversals
     - N-fold stepping equals the 2**N-word path sum at every site and
       helicity (the module's core dual route)
+    - the run-counting closed form in conftest agrees with the path sum at
+      N <= 12 and with stepping at N = 256 and, exactly, at N = 1000
     - the one-step continuation probability of a normalized spinor is 1
     - field support stays inside the light cone; <x> traces come out sane
 """
@@ -19,6 +21,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import run_count_kernel
 from infnet import (
     Spinor,
     SpinorField,
@@ -44,6 +47,14 @@ def random_spinor(rng: random.Random) -> Spinor:
     )
 
 
+BASIS = (Spinor(phi_p=1), Spinor(phi_q=1))
+
+
+def transfer_rows(tm: TransferMatrices) -> tuple[tuple[complex, ...], ...]:
+    """The rows of P(theta) and Q(theta) that may be nonzero, by basis spinor."""
+    return tuple(tuple(row(b) for b in BASIS) for row in (tm.continue_p, tm.continue_q))
+
+
 def count_reversals(word: str, initial: str) -> int:
     previous = initial
     reversals = 0
@@ -59,17 +70,14 @@ def count_reversals(word: str, initial: str) -> int:
 
 class TestTransferMatrices:
     def test_default_entries(self):
-        tm = TransferMatrices()
-        assert tm.mat_p == ((ROOT_HALF, 1j * ROOT_HALF), (0j, 0j))
-        assert tm.mat_q == ((0j, 0j), (1j * ROOT_HALF, ROOT_HALF))
+        row_p, row_q = transfer_rows(TransferMatrices())
+        assert row_p == (ROOT_HALF, 1j * ROOT_HALF)
+        assert row_q == (1j * ROOT_HALF, ROOT_HALF)
 
     @pytest.mark.parametrize("theta", THETAS + (0.1, 1.2))
     def test_sum_is_unitary(self, theta):
-        tm = TransferMatrices(theta)
-        total = [
-            [tm.mat_p[0][0] + tm.mat_q[0][0], tm.mat_p[0][1] + tm.mat_q[0][1]],
-            [tm.mat_p[1][0] + tm.mat_q[1][0], tm.mat_p[1][1] + tm.mat_q[1][1]],
-        ]
+        # P(theta) + Q(theta) stacks the two nonzero rows (one channel each)
+        total = transfer_rows(TransferMatrices(theta))
         for i in range(2):
             for j in range(2):
                 gram = sum(total[k][i].conjugate() * total[k][j] for k in range(2))
@@ -78,8 +86,10 @@ class TestTransferMatrices:
     @pytest.mark.parametrize("theta", THETAS)
     def test_one_arrival_channel_per_matrix(self, theta):
         tm = TransferMatrices(theta)
-        assert tm.mat_p[1] == (0j, 0j)
-        assert tm.mat_q[0] == (0j, 0j)
+        for b in BASIS:
+            stepped = step_field(SpinorField(phi_p=[b.phi_p], phi_q=[b.phi_q]), tm)
+            assert stepped.spinor_at(Fraction(-1, 2)) == Spinor(phi_p=tm.continue_p(b))
+            assert stepped.spinor_at(Fraction(1, 2)) == Spinor(phi_q=tm.continue_q(b))
 
     def test_angle_range_enforced(self):
         with pytest.raises(ValueError):
@@ -139,8 +149,8 @@ class TestStepField:
         assert stepped.norm() == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_field_stays_zero(self):
-        stepped = step_field(SpinorField(t=0, amplitudes={}), TransferMatrices())
-        assert stepped.amplitudes == {}
+        stepped = step_field(SpinorField(t=0), TransferMatrices())
+        assert stepped.sites() == []
         assert stepped.t == 1
 
     def test_theta_zero_is_pure_transport(self):
@@ -154,13 +164,11 @@ class TestStepField:
     @pytest.mark.parametrize("theta", THETAS)
     def test_unitary_on_random_fields(self, theta):
         rng = random.Random(77)
-        amplitudes = {}
+        phi_p, phi_q = [], []
         for x2 in range(-6, 7, 2):
-            amplitudes[x2] = Spinor(
-                complex(rng.gauss(0, 1), rng.gauss(0, 1)),
-                complex(rng.gauss(0, 1), rng.gauss(0, 1)),
-            )
-        field = SpinorField(t=0, amplitudes=amplitudes)
+            phi_p.append(complex(rng.gauss(0, 1), rng.gauss(0, 1)))
+            phi_q.append(complex(rng.gauss(0, 1), rng.gauss(0, 1)))
+        field = SpinorField(t=0, x2_lo=-6, phi_p=phi_p, phi_q=phi_q)
         before = field.norm()
         after = step_field(field, TransferMatrices(theta)).norm()
         assert after == pytest.approx(before, rel=1e-12)
@@ -168,7 +176,7 @@ class TestStepField:
     def test_support_stays_in_light_cone(self):
         steps = 30
         field = propagate(SpinorField.delta("P"), steps, TransferMatrices())
-        assert all(abs(x2) <= steps for x2 in field.amplitudes)
+        assert all(abs(2 * x) <= steps for x, _ in field.sites())
 
 
 # == 4. Oracle equivalence ====================================================
@@ -216,6 +224,51 @@ class TestOracleEquivalence:
             )
 
 
+class TestRunCountOracle:
+    """The closed form in conftest against the brute-force path sum and stepping."""
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_matches_path_sum(self, theta):
+        tm = TransferMatrices(theta)
+        for steps in (0, 1, 2, 3, 4, 7, 12):
+            # every site of the right parity, one beyond each edge of the cone
+            for dx2 in range(-steps - 2, steps + 3, 2):
+                for initial in "PQ":
+                    for final in "PQ":
+                        re, im = run_count_kernel(initial, final, dx2, steps, tm.cos, tm.sin)
+                        brute = path_sum_kernel(initial, 0, final, Fraction(dx2, 2), steps, theta)
+                        # both float sums cancel terms of total size <= 2**(N/2)
+                        assert abs(complex(re, im) - brute) <= 1e-14
+
+    # (cos, sin) = (stay, flip) / scale exactly: pi/4 via 2**(-N/2), the
+    # rest are Pythagorean angles, so each kernel is an exact rational.
+    @pytest.mark.parametrize(
+        "stay,flip,hypot,initial", [(1, 1, None, "P"), (3, 4, 5, "Q"), (12, 5, 13, "P")]
+    )
+    def test_matches_propagate_at_256_steps(self, stay, flip, hypot, initial):
+        steps = 256
+        theta = math.pi / 4 if hypot is None else math.atan2(flip, stay)
+        scale = 2 ** (steps // 2) if hypot is None else hypot**steps
+        field = propagate(SpinorField.delta(initial), steps, TransferMatrices(theta))
+        assert len(field.sites()) == steps + 1
+        for x, spinor in field.sites():
+            for final, amplitude in (("P", spinor.phi_p), ("Q", spinor.phi_q)):
+                re, im = run_count_kernel(initial, final, int(2 * x), steps, stay, flip)
+                assert abs(amplitude - complex(re / scale, im / scale)) <= 1e-12
+
+    def test_exact_at_1000_steps(self):
+        steps = 1000
+        for initial in "PQ":
+            field = propagate(SpinorField.delta(initial), steps, TransferMatrices())
+            for x2 in range(-steps, steps + 1, 100):
+                spinor = field.spinor_at(Fraction(x2, 2))
+                for final, amplitude in (("P", spinor.phi_p), ("Q", spinor.phi_q)):
+                    re, im = run_count_kernel(initial, final, x2, steps, 1, 1)
+                    # correctly rounded 2**(-N/2) * (re + i im)
+                    exact = complex(re / 2 ** (steps // 2), im / 2 ** (steps // 2))
+                    assert abs(amplitude - exact) <= 1e-12
+
+
 # == 5. Probability and traces ================================================
 
 
@@ -243,6 +296,10 @@ class TestOneStepProbability:
 
 
 class TestZitterbewegungTrace:
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError):
+            zitterbewegung_trace(SpinorField.delta("P"), -1, TransferMatrices())
+
     def test_first_step_is_balanced(self):
         trace = zitterbewegung_trace(SpinorField.delta("P"), 2, TransferMatrices())
         t, mean_x, norm = trace[1]

@@ -293,6 +293,30 @@ class TestEnumerateCommand:
         assert code == 1
         assert "cap" in err
 
+    def test_cap_above_kernel_cap_exits_one(self, capsys):
+        code, _, err = run_cli(capsys, "enumerate", "--p", "13", "--q", "12", "--cap", "25")
+        assert code == 1
+        assert err.strip() == "cap must not exceed 24"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("propagate", "--steps", "-1"),
+        ("simulate", "--steps", "-1", "--prob-p", "0.5"),
+        ("simulate", "--steps", "3", "--prob-p", "0.5", "--count", "-1"),
+        ("enumerate", "--p", "-1", "--q", "2"),
+        ("enumerate", "--p", "2", "--q", "-1"),
+    ],
+    ids=["propagate-steps", "simulate-steps", "simulate-count", "enumerate-p", "enumerate-q"],
+)
+def test_negative_count_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err
+    assert "Traceback" not in err
+
 
 class TestSimulateCommand:
     def test_deterministic_given_seed(self, capsys):
