@@ -125,7 +125,8 @@ def cmd_interval(args: argparse.Namespace) -> int:
         pair = _pair_from_args(args)
     else:
         if args.file is None or args.a is None or args.b is None:
-            raise ValueError("interval needs either --pair DP DQ or FILE with --a and --b")
+            print("interval needs either --pair DP DQ or FILE with --a and --b", file=sys.stderr)
+            return 2
         net = netformat.load_path(args.file, force=args.force)
         quantified = geometry.quantify_interval(
             net, args.a, args.b, args.chain_p, args.chain_q

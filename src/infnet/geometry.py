@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Union
 
 from .network import ChainRef, InfluenceNetwork
-from .projection import backward_project, forward_project
+from .projection import _resolve, backward_project, forward_project
 
 Number = Union[int, Fraction, float]
 
@@ -121,25 +121,26 @@ def is_coordinated(
     are judged only on the part they can see of each other.
     """
     net.require_finalized()
-    ref_p = net.chain(p.name if isinstance(p, ChainRef) else p)
-    ref_q = net.chain(q.name if isinstance(q, ChainRef) else q)
+    ref_p, ref_q = _resolve(net, p), _resolve(net, q)
     return _projects_consistently(net, ref_p, ref_q) and _projects_consistently(
         net, ref_q, ref_p
     )
 
 
 def _projects_consistently(net, source: ChainRef, target: ChainRef) -> bool:
-    forward = [forward_project(net, e, target) for e in source.events]
-    backward = [backward_project(net, e, target) for e in source.events]
-    n = len(source.events)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if forward[i] is not None and forward[j] is not None:
-                if forward[j] - forward[i] != j - i:
-                    return False
-            if backward[i] is not None and backward[j] is not None:
-                if backward[j] - backward[i] != j - i:
-                    return False
+    """Whether every projected interval keeps its length on target.
+
+    That holds exactly when label minus position takes one value over the
+    source events that project, forward and backward alike.
+    """
+    for project in (forward_project, backward_project):
+        offsets = {
+            label - i
+            for i, e in enumerate(source.events)
+            if (label := project(net, e, target)) is not None
+        }
+        if len(offsets) > 1:
+            return False
     return True
 
 
@@ -157,8 +158,7 @@ def distance(
     event.  Coordination is checked eagerly because the value is only
     endpoint-independent when it holds.
     """
-    ref_p = net.chain(p.name if isinstance(p, ChainRef) else p)
-    ref_q = net.chain(q.name if isinstance(q, ChainRef) else q)
+    ref_p, ref_q = _resolve(net, p), _resolve(net, q)
     if not is_coordinated(net, ref_p, ref_q):
         raise UncoordinatedChainsError(
             f"chains {ref_p.name!r} and {ref_q.name!r} are not coordinated"
@@ -191,8 +191,7 @@ def is_between(
     projection along the way makes the answer False.
     """
     net.require_finalized()
-    ref_p = net.chain(p.name if isinstance(p, ChainRef) else p)
-    ref_q = net.chain(q.name if isinstance(q, ChainRef) else q)
+    ref_p, ref_q = _resolve(net, p), _resolve(net, q)
     for first, second in ((ref_p, ref_q), (ref_q, ref_p)):
         fwd = forward_project(net, x, first)
         bwd_inner = backward_project(net, x, second)
@@ -225,8 +224,7 @@ def quantify_interval(
     backward projections and so can never test as between.
     """
     net.require_finalized()
-    ref_p = net.chain(p.name if isinstance(p, ChainRef) else p)
-    ref_q = net.chain(q.name if isinstance(q, ChainRef) else q)
+    ref_p, ref_q = _resolve(net, p), _resolve(net, q)
     labels = {}
     for event in (a, b):
         for ref in (ref_p, ref_q):

@@ -39,6 +39,12 @@ class ParsedNetwork:
     chain_lines: dict[str, int] = field(default_factory=dict)
 
 
+def _check_ids(lineno: int, ids) -> None:
+    for event in ids:
+        if event < 0:
+            raise NetworkParseError(lineno, f"event ids are non-negative, got {event}")
+
+
 def parse(text: str) -> ParsedNetwork:
     mode = None
     chains: dict[str, list[int]] = {}
@@ -72,6 +78,7 @@ def parse(text: str) -> ParsedNetwork:
                 chains[name] = [int(tok) for tok in members.split()]
             except ValueError:
                 raise NetworkParseError(lineno, f"chain members must be integers: {members.strip()!r}") from None
+            _check_ids(lineno, chains[name])
             chain_lines[name] = lineno
         elif keyword == "influence":
             parts = line[len("influence") :].split("->")
@@ -79,6 +86,7 @@ def parse(text: str) -> ParsedNetwork:
                 source, target = (int(p.strip()) for p in parts)
             except ValueError:
                 raise NetworkParseError(lineno, "expected 'influence <src> -> <dst>'") from None
+            _check_ids(lineno, (source, target))
             influences.append((source, target))
             edge_lines.setdefault((source, target), lineno)
         else:

@@ -3,7 +3,9 @@
 An influence network is a DAG of events together with named *chains*:
 totally ordered event sequences modelling particle or observer world lines.
 Consecutive chain members are linked by a direct influence edge, so any two
-events on a chain are comparable under reachability.
+events on a chain are comparable under reachability.  This holds by
+construction: `add_event` links a new member to its chain's tail and
+`from_parts` inserts every chain link, so no network has a gapped chain.
 
 Two connectivity modes are supported:
 
@@ -119,13 +121,11 @@ class InfluenceNetwork:
         self._index: dict[int, int] = {}
         self._succ: dict[int, set[int]] = {}
         self._pred: dict[int, set[int]] = {}
-        self._edges: set[tuple[int, int]] = set()
         self._chains: dict[str, list[int]] = {}
         self._chains_of: dict[int, list[str]] = {}
         # _reach[i] is a bitmask over event indices strictly reachable from
         # event i through one or more edges (non-reflexive closure).
         self._reach: list[int] = []
-        self._cross_count: dict[int, int] = {}
         self._finalized = False
 
     # -------------------------
@@ -144,7 +144,7 @@ class InfluenceNetwork:
         return tuple(self._ids)
 
     def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self._edges)
+        return frozenset((s, t) for s, targets in self._succ.items() for t in targets)
 
     def chain_names(self) -> list[str]:
         return sorted(self._chains)
@@ -211,13 +211,13 @@ class InfluenceNetwork:
         self._require_event(target)
         if source == target:
             raise CycleError(f"cycle-would-form: self influence at event {source}")
-        if (source, target) in self._edges:
+        if target in self._succ[source]:
             raise DuplicateEdgeError(f"duplicate influence {source} -> {target}")
         if self.influences(target, source):
             raise CycleError(f"cycle-would-form: {target} already influences {source}")
         if self._mode == RESTRICTED and self._is_cross(source, target):
             for end in (source, target):
-                if self._cross_count.get(end, 0) >= 1:
+                if self._cross_degree(end) >= 1:
                     raise DegreeViolationError(
                         f"degree-violation: event {end} already takes part in a cross-chain influence"
                     )
@@ -243,7 +243,7 @@ class InfluenceNetwork:
     def transitive_reduction(self) -> set[tuple[int, int]]:
         """Minimal edge set with the same reachability (Hasse covering edges)."""
         reduced = set()
-        for source, target in self._edges:
+        for source, target in self.edges():
             it = self._index[target]
             redundant = any(
                 mid != target and self._reach[self._index[mid]] >> it & 1
@@ -273,17 +273,6 @@ class InfluenceNetwork:
                         f"chain {name!r} lists an event more than once",
                     )
                 )
-                continue
-            for prev, nxt in zip(members, members[1:]):
-                if (prev, nxt) not in self._edges:
-                    found.append(
-                        Violation(
-                            "postulate-4",
-                            (prev, nxt),
-                            f"chain {name!r}: consecutive events {prev}, {nxt} lack a direct "
-                            "influence edge (members not mutually comparable)",
-                        )
-                    )
 
         if self._mode == RESTRICTED:
             for event in self._ids:
@@ -297,12 +286,8 @@ class InfluenceNetwork:
                             "requires exactly one",
                         )
                     )
-            cross = {e: 0 for e in self._ids}
-            for source, target in self._edges:
-                if self._is_cross(source, target):
-                    cross[source] += 1
-                    cross[target] += 1
-            for event, count in cross.items():
+            for event in self._ids:
+                count = self._cross_degree(event)
                 if count > 1:
                     found.append(
                         Violation(
@@ -325,13 +310,12 @@ class InfluenceNetwork:
         chains: dict[str, Iterable[int]],
         influences: Iterable[tuple[int, int]],
         events: Iterable[int] = (),
-        link_chains: bool = True,
     ) -> "InfluenceNetwork":
         """Build a network from raw parts without per-edge legality checks.
 
-        Chain-consecutive edges are inserted automatically unless
-        link_chains is False.  The result may violate invariants (cycles,
-        degree breaches, gapped chains, ...); run validate() to find out.
+        Chain-consecutive edges are always inserted.  The result may violate
+        other invariants (cycles, degree breaches, repeated chain members,
+        ...); run validate() to find out.
         Used by the file loader, which must be able to represent a broken
         file in order to report on it.
         """
@@ -348,13 +332,12 @@ class InfluenceNetwork:
             net._chains[name] = members
             for event in members:
                 net._chains_of.setdefault(event, []).append(name)
-        if link_chains:
-            for members in chain_lists.values():
-                for prev, nxt in zip(members, members[1:]):
-                    if (prev, nxt) not in net._edges and prev != nxt:
-                        net._insert_edge(prev, nxt)
+        for members in chain_lists.values():
+            for prev, nxt in zip(members, members[1:]):
+                if prev != nxt and nxt not in net._succ[prev]:
+                    net._insert_edge(prev, nxt)
         for source, target in pairs:
-            if (source, target) not in net._edges:
+            if target not in net._succ[source]:
                 net._insert_edge(source, target)
         return net
 
@@ -392,13 +375,13 @@ class InfluenceNetwork:
         b = set(self._chains_of.get(target, ()))
         return not (a & b)
 
+    def _cross_degree(self, event: int) -> int:
+        """Cross-chain edges that start or end at event."""
+        return sum(self._is_cross(event, end) for end in (*self._succ[event], *self._pred[event]))
+
     def _insert_edge(self, source: int, target: int) -> None:
         self._succ[source].add(target)
         self._pred[target].add(source)
-        self._edges.add((source, target))
-        if self._is_cross(source, target):
-            self._cross_count[source] = self._cross_count.get(source, 0) + 1
-            self._cross_count[target] = self._cross_count.get(target, 0) + 1
         # Closure update: any event reaching source now also reaches target
         # and everything beyond it.  Correct even if the edge closes a cycle.
         it = self._index[target]

@@ -7,10 +7,16 @@ themselves, so a chain event with label k is quantified by the symmetric
 pair (k, k).  Events unrelated to the chain in one or both directions have
 the corresponding projection absent; absence is a first-class outcome
 (None), never a sentinel label.
+
+Both projections are found by bisection.  Every network links consecutive
+chain members by an edge (see the network module), so the chain events x
+influences form a suffix and those influencing x form a prefix, even on
+networks with cycles or repeated chain members.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -56,17 +62,11 @@ def _resolve(net: InfluenceNetwork, chain: Union[str, ChainRef]) -> ChainRef:
 def forward_project(
     net: InfluenceNetwork, x: int, chain: Union[str, ChainRef]
 ) -> Optional[int]:
-    """Label of the least event on the chain that x influences, if any.
-
-    Reachability from x is upward-closed along the chain, so the first
-    reachable member is the projection.
-    """
+    """Label of the least event on the chain that x influences, if any."""
     net.require_finalized()
-    ref = _resolve(net, chain)
-    for label, event in enumerate(ref.events, start=1):
-        if net.influences(x, event):
-            return label
-    return None
+    events = _resolve(net, chain).events
+    index = bisect_left(events, True, key=lambda e: net.influences(x, e))
+    return index + 1 if index < len(events) else None
 
 
 def backward_project(
@@ -74,11 +74,9 @@ def backward_project(
 ) -> Optional[int]:
     """Label of the greatest event on the chain that influences x, if any."""
     net.require_finalized()
-    ref = _resolve(net, chain)
-    for label in range(len(ref.events), 0, -1):
-        if net.influences(ref.events[label - 1], x):
-            return label
-    return None
+    events = _resolve(net, chain).events
+    prefix = bisect_left(events, True, key=lambda e: not net.influences(e, x))
+    return prefix or None
 
 
 def quantify_event(

@@ -27,7 +27,7 @@ _ARROW_DEFS = (
 
 
 def _event_depths(net: InfluenceNetwork) -> dict[int, int]:
-    """Longest-path depth of every event; sources sit at depth 0."""
+    """Longest-path depth of every event; sources sit at depth 0, cycles raise."""
     order: list[int] = []
     pending = {e: len(net.predecessors(e)) for e in net.event_ids()}
     ready = sorted(e for e, n in pending.items() if n == 0)
@@ -39,6 +39,9 @@ def _event_depths(net: InfluenceNetwork) -> dict[int, int]:
             if pending[succ] == 0:
                 ready.append(succ)
         ready.sort()
+    stuck = sorted(e for e, n in pending.items() if n)
+    if stuck:
+        raise ValueError(f"cannot draw a cyclic network: events {stuck} have no topological order")
     depth = {e: 0 for e in net.event_ids()}
     for event in order:
         for succ in net.successors(event):

@@ -2,9 +2,10 @@
 
 The reachability oracles deliberately avoid the library's bitset closure:
 they walk edge dicts with BFS so that projection and reduction results can
-be checked against an independent path.  The checkerboard kernel oracle
-counts words by their runs instead of stepping a field or enumerating
-words, so it shares no code with infnet.checkerboard.
+be checked against an independent path, and `pairwise_consistent` is the
+plain all-pairs coordination test over those BFS labels.  The checkerboard
+kernel oracle counts words by their runs instead of stepping a field or
+enumerating words, so it shares no code with infnet.checkerboard.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from collections import deque
 
 import pytest
+from hypothesis import strategies as st
 
 from infnet import InfluenceNetwork
 
@@ -68,6 +70,23 @@ def brute_backward(net: InfluenceNetwork, x: int, chain_name: str):
     return max(labels) if labels else None
 
 
+def pairwise_consistent(net: InfluenceNetwork, source: str, target: str) -> bool:
+    """Whether every pair of source events keeps its label distance on target.
+
+    Compares all O(n^2) pairs of BFS projections, forward and backward;
+    pairs with an absent projection are skipped.
+    """
+    events = net.chain(source).events
+    for brute in (brute_forward, brute_backward):
+        labels = [brute(net, e, target) for e in events]
+        for i in range(len(labels)):
+            for j in range(i + 1, len(labels)):
+                if labels[i] is not None and labels[j] is not None:
+                    if labels[j] - labels[i] != j - i:
+                        return False
+    return True
+
+
 # -- Closed-form checkerboard kernel -------------------------------------------
 
 
@@ -110,6 +129,25 @@ def run_count_kernel(initial: str, final: str, dx2: int, steps: int, stay, flip)
             term = ways * stay ** (steps - reversals) * flip**reversals
             parts[reversals % 2] += -term if reversals % 4 >= 2 else term
     return tuple(parts)
+
+
+# -- Raw network parts ---------------------------------------------------------
+
+
+@st.composite
+def network_parts(draw, max_events: int = 10):
+    """Raw `from_parts` input that need not pass validate().
+
+    Up to three chains over events 0..n-1 may share events and repeat
+    members, and the free edges may close cycles or loop on one event.
+    Returns (chains, edges, n).
+    """
+    n = draw(st.integers(1, max_events))
+    ids = st.integers(0, n - 1)
+    names = "PQR"[: draw(st.integers(1, 3))]
+    chains = {name: draw(st.lists(ids, min_size=1, max_size=n + 2)) for name in names}
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=2 * n))
+    return chains, edges, n
 
 
 # -- Reference networks -------------------------------------------------------

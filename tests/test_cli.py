@@ -139,6 +139,21 @@ class TestValidateCommand:
         assert code == 2
         assert "line 1" in err
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("chain P: 0 -1\n", 1),
+            ("chain P: 0 1\ninfluence 0 -> -1\n", 2),
+        ],
+    )
+    def test_negative_id_is_parse_error(self, capsys, tmp_path, text, line):
+        bad = tmp_path / "negative.net"
+        bad.write_text(text)
+        code, _, err = run_cli(capsys, "validate", str(bad))
+        assert code == 2
+        assert f"line {line}" in err
+        assert "-1" in err
+
     def test_usage_error_exits_two(self, capsys):
         assert main(["validate"]) == 2
         capsys.readouterr()
@@ -197,7 +212,7 @@ class TestGeometryCommands:
 
     def test_interval_needs_arguments(self, capsys):
         code, _, err = run_cli(capsys, "interval")
-        assert code == 1
+        assert code == 2
         assert "pair" in err.lower()
 
     def test_distance(self, capsys):
@@ -386,6 +401,15 @@ class TestOutputCommands:
         text = target.read_text()
         assert text.count("<polyline") == 2
         assert "<line " in text  # cross influences drawn as arrows
+
+    def test_hasse_forced_cyclic_exits_one(self, capsys, tmp_path):
+        target = tmp_path / "cyclic.svg"
+        code, _, err = run_cli(
+            capsys, "hasse", str(DATA / "cyclic.net"), "--force", "--svg", str(target)
+        )
+        assert code == 1
+        assert "cyclic" in err and "[0, 1, 2]" in err
+        assert not target.exists()
 
     def test_hasse_disjoint_chains_has_no_arrows(self, capsys, tmp_path):
         source = tmp_path / "disjoint.net"

@@ -2,6 +2,7 @@
 
 Covered claims:
     - the separation-2 ladder is coordinated; tampered copies are not
+    - is_coordinated agrees with the all-pairs reference on random chain pairs
     - distance is 2 on the ladder and independent of the endpoints chosen
     - intervals quantify as quadruple/pair/scalar, all Fraction-exact
     - decompose splits into symmetric + antisymmetric parts that re-sum
@@ -30,6 +31,8 @@ from infnet import (
     minkowski_scalar,
     quantify_interval,
 )
+
+from conftest import pairwise_consistent
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=99
@@ -60,6 +63,30 @@ class TestCoordination:
     def test_between_events_do_not_disturb_it(self, ladder_between):
         net, _, _ = ladder_between
         assert is_coordinated(net, "P", "Q")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_pairwise_reference(self, data):
+        n_p = data.draw(st.integers(1, 9), label="P length")
+        p = list(range(n_p))
+        if data.draw(st.booleans(), label="ladder"):
+            q = list(range(n_p, 2 * n_p))
+            sep = data.draw(st.integers(0, n_p - 1), label="separation")
+            cross = [(p[i], q[i + sep]) for i in range(n_p - sep)]
+            cross += [(q[i], p[i + sep]) for i in range(n_p - sep)]
+            k = data.draw(st.integers(0, len(cross) - 1), label="shifted edge")
+            source, target = cross[k]
+            chain = p if target in p else q
+            moved = chain.index(target) + data.draw(st.sampled_from([-1, 1]), label="shift")
+            cross[k] = (source, chain[min(max(moved, 0), n_p - 1)])
+        else:
+            n_q = data.draw(st.integers(1, 9), label="Q length")
+            q = list(range(n_p, n_p + n_q))
+            ends = st.sampled_from(p + q)
+            cross = data.draw(st.lists(st.tuples(ends, ends), max_size=8), label="edges")
+        net = InfluenceNetwork.from_parts("general", {"P": p, "Q": q}, cross).finalize()
+        expected = pairwise_consistent(net, "P", "Q") and pairwise_consistent(net, "Q", "P")
+        assert is_coordinated(net, "P", "Q") == expected
 
 
 # == 2. Distance ==============================================================

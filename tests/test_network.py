@@ -6,6 +6,7 @@ Covered claims:
     - influences() is reflexive-transitive and matches a BFS oracle
     - transitive reduction drops exactly the implied edges
     - validate() reports rule names for broken invariants
+    - from_parts links consecutive chain members on any input
     - acyclicity survives random legal edit sequences
 """
 
@@ -26,7 +27,7 @@ from infnet import (
     UnknownEventError,
 )
 
-from conftest import adjacency, bfs_reaches
+from conftest import adjacency, bfs_reaches, network_parts
 
 
 # == 1. Event and chain construction =========================================
@@ -202,11 +203,13 @@ class TestValidate:
     def test_legal_fixture_is_clean(self, two_particles):
         assert two_particles.validate() == []
 
-    def test_chain_gap_is_postulate_4(self):
-        linked = InfluenceNetwork.from_parts("general", {"P": [0, 1]}, [])
-        assert linked.validate() == []
-        gapped = InfluenceNetwork.from_parts("general", {"P": [0, 1]}, [], link_chains=False)
-        assert {v.rule for v in gapped.validate()} == {"postulate-4"}
+    @settings(max_examples=80, deadline=None)
+    @given(network_parts())
+    def test_from_parts_links_every_chain(self, parts):
+        chains, edges, n = parts
+        net = InfluenceNetwork.from_parts("general", chains, edges, events=range(n))
+        links = {(a, b) for members in chains.values() for a, b in zip(members, members[1:])}
+        assert {(a, b) for a, b in links if a != b} <= net.edges()
 
     def test_cycle_reported(self):
         net = InfluenceNetwork.from_parts("general", {}, [(0, 1), (1, 0)], events=[0, 1])

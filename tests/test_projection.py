@@ -4,7 +4,8 @@ Covered claims:
     - chain members project onto themselves (symmetric pair)
     - forward takes the least reachable label, backward the greatest reaching
     - absent projections come back as None, never sentinels
-    - projections agree with a BFS brute-force oracle on random networks
+    - projections agree with a BFS brute-force oracle on random networks,
+      including from_parts networks with cycles and repeated chain members
     - projections are monotone along influence, and forward >= backward
     - interval projection preserves length on coordinated chains
 """
@@ -25,7 +26,7 @@ from infnet import (
     quantify_event,
 )
 
-from conftest import brute_backward, brute_forward
+from conftest import brute_backward, brute_forward, network_parts
 
 
 # == 1. Worked single-chain fixture ==========================================
@@ -146,12 +147,22 @@ def random_chain_nets(draw):
     return net.finalize()
 
 
-@settings(max_examples=60, deadline=None)
-@given(random_chain_nets())
+def forced_part_nets():
+    """Networks the loader builds from any file, --force included."""
+    return network_parts().map(
+        lambda parts: InfluenceNetwork.from_parts(
+            "general", parts[0], parts[1], events=range(parts[2])
+        ).finalize()
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(random_chain_nets(), forced_part_nets()))
 def test_projections_match_bfs_oracle(net):
-    for event in net.event_ids():
-        assert forward_project(net, event, "P") == brute_forward(net, event, "P")
-        assert backward_project(net, event, "P") == brute_backward(net, event, "P")
+    for name in net.chain_names():
+        for event in net.event_ids():
+            assert forward_project(net, event, name) == brute_forward(net, event, name)
+            assert backward_project(net, event, name) == brute_backward(net, event, name)
 
 
 @settings(max_examples=60, deadline=None)
