@@ -62,11 +62,19 @@ def cmd_validate(args: argparse.Namespace) -> int:
         return 0
     for violation in violations:
         hint = ""
-        lines = sorted(
-            parsed.edge_lines[edge]
-            for edge in parsed.edge_lines
-            if set(edge) & set(violation.events)
-        )
+        if violation.rule == "postulate-4":
+            # The repeated-member rule names a chain's members; cite that chain.
+            lines = sorted(
+                line
+                for name, line in parsed.chain_lines.items()
+                if parsed.net.chain(name).events == violation.events
+            )
+        else:
+            lines = sorted(
+                parsed.edge_lines[edge]
+                for edge in parsed.edge_lines
+                if set(edge) & set(violation.events)
+            )
         if lines:
             hint = f" (see line {lines[0]})"
         print(f"{violation}{hint}")

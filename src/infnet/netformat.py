@@ -103,17 +103,13 @@ def loads(text: str) -> InfluenceNetwork:
 
 def dumps(net: InfluenceNetwork) -> str:
     """Canonical text form.  Fully isolated events have no representation."""
-    chain_edges = set()
-    for name in net.chain_names():
-        members = net.chain(name).events
-        chain_edges.update(zip(members, members[1:]))
     covered = set()
     lines = [f"mode {net.mode}"]
     for name in net.chain_names():
         members = net.chain(name).events
         covered.update(members)
         lines.append(f"chain {name}: " + " ".join(str(e) for e in members))
-    for source, target in sorted(net.edges() - chain_edges):
+    for source, target in sorted(net.edges() - net.chain_links()):
         covered.update((source, target))
         lines.append(f"influence {source} -> {target}")
     isolated = [e for e in net.event_ids() if e not in covered]

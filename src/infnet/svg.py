@@ -8,6 +8,8 @@ position across.
 
 from __future__ import annotations
 
+import graphlib
+
 from .freeparticle import SpacetimePath
 from .network import InfluenceNetwork
 
@@ -28,24 +30,15 @@ _ARROW_DEFS = (
 
 def _event_depths(net: InfluenceNetwork) -> dict[int, int]:
     """Longest-path depth of every event; sources sit at depth 0, cycles raise."""
-    order: list[int] = []
-    pending = {e: len(net.predecessors(e)) for e in net.event_ids()}
-    ready = sorted(e for e, n in pending.items() if n == 0)
-    while ready:
-        event = ready.pop(0)
-        order.append(event)
-        for succ in sorted(net.successors(event)):
-            pending[succ] -= 1
-            if pending[succ] == 0:
-                ready.append(succ)
-        ready.sort()
-    stuck = sorted(e for e, n in pending.items() if n)
-    if stuck:
-        raise ValueError(f"cannot draw a cyclic network: events {stuck} have no topological order")
-    depth = {e: 0 for e in net.event_ids()}
+    preds = {e: net.predecessors(e) for e in net.event_ids()}
+    try:
+        order = list(graphlib.TopologicalSorter(preds).static_order())
+    except graphlib.CycleError as exc:
+        cycle = sorted(set(exc.args[1]))
+        raise ValueError(f"cannot draw a cyclic network: events {cycle} lie on a cycle") from None
+    depth: dict[int, int] = {}
     for event in order:
-        for succ in net.successors(event):
-            depth[succ] = max(depth[succ], depth[event] + 1)
+        depth[event] = max((depth[p] + 1 for p in preds[event]), default=0)
     return depth
 
 
@@ -74,10 +67,6 @@ def hasse_svg(net: InfluenceNetwork) -> str:
         return x, y
 
     reduced = net.transitive_reduction()
-    chain_edges = set()
-    for name in names:
-        members = net.chain(name).events
-        chain_edges.update(zip(members, members[1:]))
 
     parts = [_HEADER.format(w=2 * _MARGIN + max(next_col - 1, 0) * _X_SPACING,
                             h=2 * _MARGIN + max_depth * _Y_SPACING)]
@@ -92,7 +81,7 @@ def hasse_svg(net: InfluenceNetwork) -> str:
         )
         x, y = pos(members[0])
         parts.append(f'<text x="{x - 6}" y="{y + 28}" font-size="16">{name}</text>')
-    for source, target in sorted(reduced - chain_edges):
+    for source, target in sorted(reduced - net.chain_links()):
         x1, y1 = pos(source)
         x2, y2 = pos(target)
         parts.append(

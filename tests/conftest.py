@@ -22,21 +22,22 @@ from infnet import InfluenceNetwork
 # -- Brute-force oracles ------------------------------------------------------
 
 
-def bfs_reaches(edges: dict[int, set[int]], source: int, target: int) -> bool:
-    """Reflexive reachability by plain BFS over an adjacency dict."""
-    if source == target:
-        return True
-    seen = set()
+def bfs_descendants(edges: dict[int, set[int]], source: int) -> set[int]:
+    """Events reached from source through one or more edges, by plain BFS."""
+    seen: set[int] = set()
     queue = deque([source])
     while queue:
         node = queue.popleft()
         for nxt in edges.get(node, ()):
-            if nxt == target:
-                return True
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return False
+    return seen
+
+
+def bfs_reaches(edges: dict[int, set[int]], source: int, target: int) -> bool:
+    """Reflexive reachability by plain BFS over an adjacency dict."""
+    return source == target or target in bfs_descendants(edges, source)
 
 
 def adjacency(net: InfluenceNetwork) -> dict[int, set[int]]:

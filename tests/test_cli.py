@@ -1,8 +1,10 @@
 """The text format and the command-line front end.
 
 Covered claims:
-    - parse/dumps round-trip to a canonical form; bad lines carry numbers
-    - validate exits 0/1/2 for clean/violating/unparseable files
+    - parse/dumps round-trip to a canonical form, broken networks included;
+      bad lines carry numbers
+    - validate exits 0/1/2 for clean/violating/unparseable files, on any
+      one-line mutation of a valid file, and cites the breaking record
     - every numeric command reproduces the owning module's output
     - simulate honours --seed and the INFNET_SEED override
     - propagate CSV and SVG outputs are deterministic
@@ -14,12 +16,14 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from infnet import netformat
+from infnet import InfluenceNetwork, netformat
 from infnet.cli import main
 from infnet.netformat import NetworkParseError, ViolationsError
+
+from conftest import network_parts
 
 DATA = Path(__file__).parent / "data"
 
@@ -110,6 +114,22 @@ class TestNetFormat:
         assert reloaded.edges() == net.edges()
         assert reloaded.chain_names() == net.chain_names()
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["general", "restricted"]), network_parts())
+    def test_round_trip_fixed_point_on_raw_parts(self, mode, parts):
+        # No `events` argument, so every event is on a chain or an edge.
+        chains, edges, _ = parts
+        net = InfluenceNetwork.from_parts(mode, chains, edges)
+        text = netformat.dumps(net)
+        reloaded = netformat.loads(text)
+        assert netformat.dumps(reloaded) == text
+        assert reloaded.validate() == net.validate()
+
+    def test_round_trip_keeps_self_loop_on_repeated_member(self):
+        text = "mode general\nchain P: 0 0 1\ninfluence 0 -> 0\n"
+        reloaded = netformat.loads(netformat.dumps(netformat.loads(text)))
+        assert [v.rule for v in reloaded.validate()] == ["cycle-would-form", "postulate-4"]
+
 
 # == 2. validate ==============================================================
 
@@ -157,6 +177,36 @@ class TestValidateCommand:
     def test_usage_error_exits_two(self, capsys):
         assert main(["validate"]) == 2
         capsys.readouterr()
+
+    def test_repeated_chain_member_cites_chain_line(self, capsys, tmp_path):
+        source = tmp_path / "repeat.net"
+        source.write_text("mode general\nchain P: 0 1 0\n")
+        code, out, _ = run_cli(capsys, "validate", str(source))
+        assert code == 1
+        assert "postulate-4: chain 'P' lists an event more than once (see line 2)" in out.splitlines()
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(st.data())
+    def test_mutated_file_exits_with_documented_code(self, capsys, tmp_path, data):
+        lines = (DATA / "ladder.net").read_text().splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        kind = data.draw(st.sampled_from(["drop", "duplicate", "corrupt"]), label="kind")
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            start = data.draw(st.integers(0, len(lines[i])), label="at")
+            cut = data.draw(st.integers(0, 3), label="cut")
+            junk = data.draw(st.text(max_size=8), label="junk")
+            lines[i] = lines[i][:start] + junk + lines[i][start + cut :]
+        source = tmp_path / "mutated.net"
+        source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", str(source))
+        assert code in (0, 1, 2)
+        assert (out + err).strip()
 
 
 # == 3. quantify / interval / distance =======================================

@@ -3,7 +3,9 @@
 Covered claims:
     - add_event appends, links chain tails, and rejects unknown chains
     - add_influence rejects cycles, duplicates, and restricted-degree breaches
-    - influences() is reflexive-transitive and matches a BFS oracle
+    - influences() is reflexive-transitive and matches a BFS oracle, after
+      random add_event/add_influence sequences (rejected attempts included)
+      and on from_parts input in any id order, cyclic input included
     - transitive reduction drops exactly the implied edges
     - validate() reports rule names for broken invariants
     - from_parts links consecutive chain members on any input
@@ -27,7 +29,22 @@ from infnet import (
     UnknownEventError,
 )
 
-from conftest import adjacency, bfs_reaches, network_parts
+from conftest import adjacency, bfs_descendants, bfs_reaches, network_parts
+
+
+def assert_closure_matches_bfs(net: InfluenceNetwork) -> None:
+    """influences(a, b) for every pair, and the events on cycles, against BFS over edges()."""
+    adj = adjacency(net)
+    ids = net.event_ids()
+    cyclic = []
+    for a in ids:
+        below = bfs_descendants(adj, a)
+        if a in below:
+            cyclic.append(a)
+        for b in ids:
+            assert net.influences(a, b) == (a == b or b in below), (a, b)
+    reported = [v.events for v in net.validate() if v.rule == "cycle-would-form"]
+    assert reported == ([tuple(cyclic)] if cyclic else [])
 
 
 # == 1. Event and chain construction =========================================
@@ -152,6 +169,47 @@ class TestInfluences:
         for a in ladder.event_ids():
             for b in ladder.event_ids():
                 assert ladder.influences(a, b) == bfs_reaches(adj, a, b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["general", "restricted"]), st.randoms(use_true_random=False))
+    def test_random_edit_sequences_match_bfs(self, mode, rng):
+        # Up to 150 events; edge attempts land anywhere, so many go into
+        # events that already have successors, and some are rejected.
+        net = InfluenceNetwork(mode)
+        for name in "PQR":
+            net.add_chain(name)
+        for _ in range(rng.randint(2, 150)):
+            net.add_event(rng.choice("PQR") if mode == "restricted" else rng.choice([None, "P", "Q"]))
+            for _ in range(rng.randint(0, 3)):
+                ids = net.event_ids()
+                source, target = rng.choice(ids), rng.choice(ids)
+                if net.edges() and rng.random() < 0.2:
+                    source, target = rng.choice(sorted(net.edges()))[:: rng.choice([1, -1])]
+                try:
+                    net.add_influence(source, target)
+                except (CycleError, DuplicateEdgeError, DegreeViolationError):
+                    pass
+        assert_closure_matches_bfs(net)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_from_parts_in_permuted_id_order_matches_bfs(self, data):
+        # Relabelling by a random permutation puts ids out of influence
+        # order; the raw parts may also hold cycles and repeated members.
+        chains, edges, n = data.draw(network_parts(max_events=40))
+        perm = data.draw(st.permutations(range(n)))
+        chains = {name: [perm[e] for e in members] for name, members in chains.items()}
+        edges = [(perm[a], perm[b]) for a, b in edges]
+        assert_closure_matches_bfs(InfluenceNetwork.from_parts("general", chains, edges, events=range(n)))
+
+    def test_reverse_numbered_ladder_matches_bfs(self):
+        length = 60
+        p = list(range(2 * length - 1, length - 1, -1))
+        q = list(range(length - 1, -1, -1))
+        cross = [(p[i], q[i + 2]) for i in range(length - 2)] + [(q[i], p[i + 2]) for i in range(length - 2)]
+        net = InfluenceNetwork.from_parts("general", {"P": p, "Q": q}, cross)
+        assert net.validate() == []
+        assert_closure_matches_bfs(net)
 
 
 # == 4. Transitive reduction ==================================================
