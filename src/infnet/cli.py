@@ -62,13 +62,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         return 0
     for violation in violations:
         hint = ""
-        if violation.rule == "postulate-4":
-            # The repeated-member rule names a chain's members; cite that chain.
-            lines = sorted(
-                line
-                for name, line in parsed.chain_lines.items()
-                if parsed.net.chain(name).events == violation.events
-            )
+        if violation.chain is not None:
+            lines = [parsed.chain_lines[violation.chain]]
         else:
             lines = sorted(
                 parsed.edge_lines[edge]

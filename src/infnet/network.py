@@ -21,9 +21,10 @@ ancestors of s, and s, into t and walks down from t, stopping at every
 event that already has s as an ancestor, so each event is updated at most
 once and only events that gain bits are touched (Italiano, TCS 48, 1986).
 One algorithm, two feeding orders: `add_event` links an event that has no
-successors yet, and `from_parts` inserts each event's incoming edges in
-topological (Kahn) order (Purdom, BIT 10, 1970), so on acyclic input every
-edge costs one bitset update.  Influence is reflexive by convention: every
+successors yet, and `from_parts` inserts each event's incoming edges in id
+order, so where ids rise with influence (as `add_event` numbers them) every
+edge costs one bitset update.  Files whose ids run against influence still
+load exactly, but each insert then walks the descendants already linked.  Influence is reflexive by convention: every
 event influences itself, which lets chain members project onto themselves
 without special cases downstream.
 
@@ -34,7 +35,6 @@ queries.
 
 from __future__ import annotations
 
-import graphlib
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -107,11 +107,15 @@ class ChainRef:
 
 @dataclass(frozen=True)
 class Violation:
-    """One broken invariant: the rule name plus the offending events."""
+    """One broken invariant: the rule name plus the offending events.
+
+    `chain` names the chain at fault for rules about one chain.
+    """
 
     rule: str
     events: tuple[int, ...]
     detail: str
+    chain: Optional[str] = None
 
     def __str__(self) -> str:
         return f"{self.rule}: {self.detail}"
@@ -281,6 +285,7 @@ class InfluenceNetwork:
                         "postulate-4",
                         tuple(members),
                         f"chain {name!r} lists an event more than once",
+                        name,
                     )
                 )
 
@@ -328,8 +333,7 @@ class InfluenceNetwork:
         run validate() to find out.
         Used by the file loader, which must be able to represent a broken
         file in order to report on it.  Edges go in target by target in
-        topological order, or in id order when the input has a cycle; the
-        closure is the same either way.
+        id order; the closure does not depend on the order.
         """
         net = cls(mode)
         net._chains = {name: list(members) for name, members in chains.items()}
@@ -342,11 +346,7 @@ class InfluenceNetwork:
             incoming.setdefault(target, set()).add(source)
         for event in sorted(incoming):
             net._register_event(event)
-        try:
-            order = list(graphlib.TopologicalSorter(incoming).static_order())
-        except graphlib.CycleError:
-            order = net._ids
-        for target in order:
+        for target in net._ids:
             for source in incoming[target]:
                 net._insert_edge(source, target)
         return net

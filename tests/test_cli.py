@@ -180,10 +180,11 @@ class TestValidateCommand:
 
     def test_repeated_chain_member_cites_chain_line(self, capsys, tmp_path):
         source = tmp_path / "repeat.net"
-        source.write_text("mode general\nchain P: 0 1 0\n")
+        source.write_text("mode general\nchain P: 0 1 0\nchain Q: 0 1 0\n")
         code, out, _ = run_cli(capsys, "validate", str(source))
         assert code == 1
         assert "postulate-4: chain 'P' lists an event more than once (see line 2)" in out.splitlines()
+        assert "postulate-4: chain 'Q' lists an event more than once (see line 3)" in out.splitlines()
 
     @settings(
         max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
