@@ -138,11 +138,11 @@ class SpinorField:
         return [((self.x2_lo + 2 * k) / 2, p**2, q**2) for k, (p, q) in pairs]
 
     def norm(self) -> float:
-        return sum(prob_p + prob_q for _, prob_p, prob_q in self.densities())
+        return norm_of(self.densities())
 
     def mean_position(self) -> float:
         """Position expectation <x> (in natural units, not doubled)."""
-        return sum(x * (prob_p + prob_q) for x, prob_p, prob_q in self.densities())
+        return mean_position_of(self.densities())
 
     def sites(self) -> list[tuple[Fraction, Spinor]]:
         pairs = enumerate(zip(self.phi_p.tolist(), self.phi_q.tolist()))
@@ -153,6 +153,16 @@ class SpinorField:
         if off_lattice or not 0 <= k < len(self.phi_p):
             return Spinor()
         return Spinor(complex(self.phi_p[k]), complex(self.phi_q[k]))
+
+
+def norm_of(densities: list[tuple[float, float, float]]) -> float:
+    """Total probability of a field's densities() rows."""
+    return sum(prob_p + prob_q for _, prob_p, prob_q in densities)
+
+
+def mean_position_of(densities: list[tuple[float, float, float]]) -> float:
+    """Position expectation <x> of a field's densities() rows."""
+    return sum(x * (prob_p + prob_q) for x, prob_p, prob_q in densities)
 
 
 def path_amplitude(word: str, initial_helicity: str, theta: float = math.pi / 4) -> complex:

@@ -16,6 +16,8 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from . import checkerboard, freeparticle, geometry, kinematics, netformat, svg, transforms
 from .geometry import PairQuantification
 from .netformat import NetworkParseError, ViolationsError
@@ -111,7 +113,7 @@ def _rational(text: str) -> Fraction:
 
 
 def _count(text: str) -> int:
-    """argparse type: a non-negative integer (symbols, steps, words)."""
+    """argparse type: a non-negative integer (symbols, steps, words, seeds)."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
@@ -200,13 +202,19 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    seed = args.seed
     env_seed = os.environ.get("INFNET_SEED")
-    seed = args.seed if env_seed is None else int(env_seed)
-    words = freeparticle.sample_sequences(args.steps, args.prob_p, seed, args.count)
-    if args.emit_words:
-        for word in words:
-            print(word)
-    total_p = sum(word.count("P") for word in words)
+    if env_seed is not None:
+        try:
+            seed = _count(env_seed)
+        except (ValueError, argparse.ArgumentTypeError):
+            print(f"INFNET_SEED must be a non-negative integer, got {env_seed!r}", file=sys.stderr)
+            return 2
+    total_p = 0
+    for mask in freeparticle.sample_masks(args.steps, args.prob_p, seed, args.count):
+        total_p += int(np.count_nonzero(mask))
+        if args.emit_words:
+            print("\n".join(freeparticle.decode_words(mask)))
     total_q = args.steps * args.count - total_p
     dp, dq = total_q, total_p  # crossed light-cone bookkeeping
     _emit("seed", seed)
@@ -227,9 +235,11 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     rows = ["t,x,probP,probQ,total"]
     trace_rows = ["t,mean_x,norm"]
     for field in checkerboard.evolve(initial, args.steps, tm):
-        norm = field.norm()
-        rows += [f"{field.t},{x!r},{p!r},{q!r},{norm!r}" for x, p, q in field.densities()]
-        trace_rows.append(f"{field.t},{field.mean_position()!r},{norm!r}")
+        densities = field.densities()
+        norm = checkerboard.norm_of(densities)
+        rows += [f"{field.t},{x!r},{p!r},{q!r},{norm!r}" for x, p, q in densities]
+        mean_x = checkerboard.mean_position_of(densities)
+        trace_rows.append(f"{field.t},{mean_x!r},{norm!r}")
     _write_text(args.out, "\n".join(rows) + "\n")
     if args.trace is not None:
         _write_text(args.trace, "\n".join(trace_rows) + "\n")
@@ -325,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="sample random influence words and report rates")
     p.add_argument("--steps", type=_count, required=True)
     p.add_argument("--prob-p", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--count", type=_count, default=1)
     p.add_argument("--emit-words", action="store_true")
     p.set_defaults(func=cmd_simulate)

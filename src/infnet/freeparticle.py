@@ -16,11 +16,17 @@ an observer chases the signals already heading that way, so it stalls that
 observer's projection and advances the other one.  A word with kP P-steps
 and kQ Q-steps therefore spans dp = kQ on P and dq = kP on Q, giving
 beta = (dp - dq)/(dp + dq) = (kQ - kP)/(kP + kQ).
+
+Random words come from one draw loop, sample_masks(): boolean chunks of
+one seeded stream, True for P.  Totals need only the count of True
+entries; decode_words() turns a chunk into strings, and sample_sequences()
+is that decoding over every chunk.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -131,26 +137,43 @@ def consistent_orderings(p_events: list[int], q_events: list[int]) -> list[str]:
     return out
 
 
-def sample_sequences(n_steps: int, prob_p: float, seed: int, count: int) -> list[str]:
-    """Draw words of i.i.d. symbols, P with probability prob_p; seed-deterministic."""
+def sample_masks(n_steps: int, prob_p: float, seed: int, count: int) -> Iterator[np.ndarray]:
+    """Draw `count` words of i.i.d. symbols as boolean (rows, n_steps) chunks.
+
+    True means P, drawn with probability prob_p.  The chunks are the rows
+    of one seed-deterministic stream, in order; each holds at most
+    2 000 000 symbols but at least one row.  The arguments are checked
+    before anything is drawn.
+    """
     if not 0.0 <= prob_p <= 1.0:
         raise ValueError(f"prob_p must be in [0, 1], got {prob_p}")
     if n_steps < 0 or count < 0:
         raise ValueError("n_steps and count must be non-negative")
     rng = np.random.default_rng(seed)
-    words: list[str] = []
-    if n_steps == 0:
-        return [""] * count
-    rows_per_chunk = max(1, 2_000_000 // n_steps)
+    # Empty words hold no symbols: one chunk carries them all.
+    rows_per_chunk = max(1, 2_000_000 // n_steps) if n_steps else count
     remaining = count
     while remaining > 0:
         rows = min(rows_per_chunk, remaining)
-        mask = rng.random((rows, n_steps)) < prob_p
-        codes = np.where(mask, np.uint8(ord("P")), np.uint8(ord("Q")))
-        text = codes.tobytes().decode("ascii")
-        words.extend(text[i * n_steps : (i + 1) * n_steps] for i in range(rows))
+        yield rng.random((rows, n_steps)) < prob_p
         remaining -= rows
-    return words
+
+
+def decode_words(mask: np.ndarray) -> list[str]:
+    """The words of a boolean (rows, n_steps) chunk, one per row: True is P."""
+    rows, n_steps = mask.shape
+    codes = np.where(mask, np.uint8(ord("P")), np.uint8(ord("Q")))
+    text = codes.tobytes().decode("ascii")
+    return [text[i * n_steps : (i + 1) * n_steps] for i in range(rows)]
+
+
+def sample_sequences(n_steps: int, prob_p: float, seed: int, count: int) -> list[str]:
+    """Draw words of i.i.d. symbols, P with probability prob_p; seed-deterministic."""
+    return [
+        word
+        for mask in sample_masks(n_steps, prob_p, seed, count)
+        for word in decode_words(mask)
+    ]
 
 
 def observer_spans(word: str) -> tuple[int, int]:

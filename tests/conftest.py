@@ -6,6 +6,8 @@ be checked against an independent path, and `pairwise_consistent` is the
 plain all-pairs coordination test over those BFS labels.  The checkerboard
 kernel oracle counts words by their runs instead of stepping a field or
 enumerating words, so it shares no code with infnet.checkerboard.
+`recount_p` recounts sampled P's straight from numpy's stream, in pieces
+that ignore word boundaries, so it shares no chunking with the sampler.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -130,6 +133,25 @@ def run_count_kernel(initial: str, final: str, dx2: int, steps: int, stay, flip)
             term = ways * stay ** (steps - reversals) * flip**reversals
             parts[reversals % 2] += -term if reversals % 4 >= 2 else term
     return tuple(parts)
+
+
+# -- Sampled symbol counts -----------------------------------------------------
+
+
+def recount_p(seed: int, prob_p: float, steps: int, count: int) -> int:
+    """P's among `count` words of `steps` symbols drawn from default_rng(seed).
+
+    Each float64 draw takes one 64-bit word of the stream, so the draws can
+    be taken in flat pieces of any size, across word boundaries, and still
+    be the sampler's draws in the sampler's order.
+    """
+    rng = np.random.default_rng(seed)
+    total_p, left = 0, steps * count
+    while left > 0:
+        take = min(999_983, left)
+        total_p += int(np.count_nonzero(rng.random(take) < prob_p))
+        left -= take
+    return total_p
 
 
 # -- Raw network parts ---------------------------------------------------------

@@ -6,7 +6,11 @@ Covered claims:
     - validate exits 0/1/2 for clean/violating/unparseable files, on any
       one-line mutation of a valid file, and cites the breaking record
     - every numeric command reproduces the owning module's output
-    - simulate honours --seed and the INFNET_SEED override
+    - simulate honours --seed and the INFNET_SEED override; a negative or
+      non-integer seed from either is a usage error
+    - simulate totals match an independent recount of the same draws, across
+      chunk boundaries, and need no word strings; --emit-words prints exactly
+      sample_sequences() ahead of the same totals
     - propagate CSV and SVG outputs are deterministic
 """
 
@@ -19,11 +23,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from infnet import InfluenceNetwork, netformat
+from infnet import InfluenceNetwork, freeparticle, netformat
 from infnet.cli import main
 from infnet.netformat import NetworkParseError, ViolationsError
 
-from conftest import network_parts
+from conftest import network_parts, recount_p
 
 DATA = Path(__file__).parent / "data"
 
@@ -384,7 +388,88 @@ def test_negative_count_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "seed, env_seed, named",
+    [("-1", None, "--seed"), ("0", "-5", "INFNET_SEED"), ("0", "abc", "INFNET_SEED")],
+    ids=["flag-negative", "env-negative", "env-not-integer"],
+)
+def test_bad_seed_is_usage_error(capsys, monkeypatch, seed, env_seed, named):
+    if env_seed is not None:
+        monkeypatch.setenv("INFNET_SEED", env_seed)
+    code, out, err = run_cli(capsys, "simulate", "--steps", "3", "--prob-p", "0.5", "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert named in err
+    assert "non-negative" in err
+    assert "Traceback" not in err
+
+
 class TestSimulateCommand:
+    @pytest.mark.parametrize(
+        "steps, count, prob_p, seed",
+        [
+            (0, 5, 0.3, 1),
+            (7, 0, 0.3, 2),
+            (50, 40, 0.0, 3),
+            (50, 40, 1.0, 4),
+            (997, 5000, 0.37, 5),  # three 2 000 000-symbol chunks
+            (2_000_003, 2, 0.61, 6),  # one row per chunk
+        ],
+        ids=["steps-0", "count-0", "prob-0", "prob-1", "several-chunks", "row-per-chunk"],
+    )
+    def test_totals_match_recount(self, capsys, steps, count, prob_p, seed):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--steps", str(steps), "--prob-p", repr(prob_p),
+            "--seed", str(seed), "--count", str(count),
+        )
+        assert code == 0
+        total_p = recount_p(seed, prob_p, steps, count)
+        lines = out.splitlines()
+        assert lines[:5] == [
+            f"seed {seed}",
+            f"words {count}",
+            f"steps {steps}",
+            f"dp {steps * count - total_p}",
+            f"dq {total_p}",
+        ]
+
+    @pytest.mark.parametrize(
+        "steps, count",
+        [(0, 3), (9, 0), (13, 200_000)],  # the last spans two chunks
+        ids=["steps-0", "count-0", "two-chunks"],
+    )
+    def test_emit_words_prints_the_sample_ahead_of_the_totals(self, capsys, steps, count):
+        args = ("simulate", "--steps", str(steps), "--prob-p", "0.4", "--seed", "5",
+                "--count", str(count))
+        code, plain, _ = run_cli(capsys, *args)
+        assert code == 0
+        code, out, _ = run_cli(capsys, *args, "--emit-words")
+        assert code == 0
+        words = freeparticle.sample_sequences(steps, 0.4, 5, count)
+        assert out == "".join(word + "\n" for word in words) + plain
+        assert f"dq {sum(word.count('P') for word in words)}" in plain.splitlines()
+
+    def test_totals_need_no_word_strings(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate decoded words it does not print")
+
+        monkeypatch.setattr(freeparticle, "sample_sequences", refuse)
+        monkeypatch.setattr(freeparticle, "decode_words", refuse)
+        code, out, _ = run_cli(
+            capsys, "simulate", "--steps", "300", "--prob-p", "0.2", "--seed", "8",
+            "--count", "7000",
+        )
+        assert code == 0
+        assert f"dq {recount_p(8, 0.2, 300, 7000)}" in out.splitlines()
+
+    def test_bad_probability_prints_nothing(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--steps", "5", "--prob-p", "1.5", "--emit-words"
+        )
+        assert code == 1
+        assert out == ""
+        assert "prob_p" in err
+
     def test_deterministic_given_seed(self, capsys):
         args = ("simulate", "--steps", "100", "--prob-p", "0.4", "--seed", "9",
                 "--count", "50")
