@@ -156,13 +156,23 @@ class SpinorField:
 
 
 def norm_of(densities: list[tuple[float, float, float]]) -> float:
-    """Total probability of a field's densities() rows."""
-    return sum(prob_p + prob_q for _, prob_p, prob_q in densities)
+    """Total probability of a field's densities() rows.
+
+    Added left to right in a plain loop, not with sum(), which compensates
+    from Python 3.12 on, so every supported Python prints the same digits.
+    """
+    total = 0
+    for _, prob_p, prob_q in densities:
+        total += prob_p + prob_q
+    return total
 
 
 def mean_position_of(densities: list[tuple[float, float, float]]) -> float:
-    """Position expectation <x> of a field's densities() rows."""
-    return sum(x * (prob_p + prob_q) for x, prob_p, prob_q in densities)
+    """Position expectation <x> of a field's densities() rows, added left to right."""
+    total = 0
+    for x, prob_p, prob_q in densities:
+        total += x * (prob_p + prob_q)
+    return total
 
 
 def path_amplitude(word: str, initial_helicity: str, theta: float = math.pi / 4) -> complex:

@@ -21,6 +21,7 @@ import numpy as np
 from . import checkerboard, freeparticle, geometry, kinematics, netformat, svg, transforms
 from .geometry import PairQuantification
 from .netformat import NetworkParseError, ViolationsError
+from .network import Violation
 from .projection import quantify_event
 
 def _fmt(value) -> str:
@@ -55,6 +56,30 @@ def _write_text(path: Optional[str], text: str) -> None:
 # -------------------------
 
 
+def _cited_line(
+    parsed: netformat.ParsedNetwork,
+    edges_of: dict[int, list[tuple[int, tuple[int, int]]]],
+    violation: Violation,
+) -> Optional[int]:
+    """The source line that breaks the violated rule, where one exists."""
+    net = parsed.net
+    if violation.chain is not None:
+        return parsed.chain_lines[violation.chain]
+    if violation.rule == "cycle-would-form":
+        on_cycle = (line for (s, t), line in parsed.edge_lines.items() if net.influences(t, s))
+        return min(on_cycle, default=None)
+    (event,) = violation.events
+    records = edges_of.get(event, [])
+    if "cross-chain" in violation.detail:
+        # A degree breach: the first cross edge is legal, the second is not.
+        records = [
+            (line, edge)
+            for line, edge in records
+            if not set(net.chains_of(edge[0])) & set(net.chains_of(edge[1]))
+        ][1:]
+    return records[0][0] if records else None
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
         parsed = netformat.parse(handle.read())
@@ -62,18 +87,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if not violations:
         print("ok")
         return 0
+    edges_of: dict[int, list[tuple[int, tuple[int, int]]]] = {}
+    for edge, line in sorted(parsed.edge_lines.items(), key=lambda item: item[1]):
+        for event in set(edge):
+            edges_of.setdefault(event, []).append((line, edge))
     for violation in violations:
-        hint = ""
-        if violation.chain is not None:
-            lines = [parsed.chain_lines[violation.chain]]
-        else:
-            lines = sorted(
-                parsed.edge_lines[edge]
-                for edge in parsed.edge_lines
-                if set(edge) & set(violation.events)
-            )
-        if lines:
-            hint = f" (see line {lines[0]})"
+        line = _cited_line(parsed, edges_of, violation)
+        hint = "" if line is None else f" (see line {line})"
         print(f"{violation}{hint}")
     return 1
 
@@ -187,7 +207,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     words = freeparticle.enumerate_sequences(args.p, args.q, cap=args.cap)
     if args.amplitudes is None:
         for word in words:
-            print(word)
+            print(word or "-")
         return 0
     theta = args.amplitudes
     totals = {"P": 0j, "Q": 0j}
@@ -195,7 +215,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         amplitude = checkerboard.path_amplitude(word, args.initial, theta)
         final = word[-1] if word else args.initial
         totals[final] += amplitude
-        print(f"{word} {_fmt(amplitude)}")
+        print(f"{word or '-'} {_fmt(amplitude)}")
     for final in ("P", "Q"):
         _emit(f"sum_final_{final}", totals[final])
     return 0

@@ -106,7 +106,7 @@ def dumps(net: InfluenceNetwork) -> str:
     covered = set()
     lines = [f"mode {net.mode}"]
     for name in net.chain_names():
-        members = net.chain(name).events
+        members = net._members(name)
         covered.update(members)
         lines.append(f"chain {name}: " + " ".join(str(e) for e in members))
     for source, target in sorted(net.edges() - net.chain_links()):

@@ -24,17 +24,26 @@ One algorithm, two feeding orders: `add_event` links an event that has no
 successors yet, and `from_parts` inserts each event's incoming edges in id
 order, so where ids rise with influence (as `add_event` numbers them) every
 edge costs one bitset update.  Files whose ids run against influence still
-load exactly, but each insert then walks the descendants already linked.  Influence is reflexive by convention: every
-event influences itself, which lets chain members project onto themselves
-without special cases downstream.
+load exactly, but each insert then walks the descendants already linked.
+Influence is reflexive by convention: every event influences itself, which
+lets chain members project onto themselves without special cases
+downstream.
 
 Networks are append-only.  `finalize()` freezes the structure; a finalized
 network is immutable and safe to share across threads for read-only
-queries.
+queries.  It keeps one view per chain, made on first use and never
+invalidated: the `ChainRef` that `chain()` returns, plus the chain's
+forward and backward projection labels of every event, each table built
+from the ancestor bitsets on the first projection that needs it (the
+chain-indexed closure of Jagadish, ACM TODS 15, 1990, computed once rather
+than kept up edge by edge).  Threads racing on a first query share one
+view; each may build the same table, and the copies are equal.  `validate()`, `transitive_reduction()`, `dumps`
+and `hasse_svg` build no view.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -121,6 +130,21 @@ class Violation:
         return f"{self.rule}: {self.detail}"
 
 
+@dataclass
+class _ChainView:
+    """A finalized network's chain plus its projection labels, by event index.
+
+    `forward[i]` is the least label of a chain event that event i
+    influences, `backward[i]` the greatest label of a chain event that
+    influences event i: None where there is none, and None for the whole
+    table until it is first built.
+    """
+
+    ref: ChainRef
+    forward: Optional[list[Optional[int]]] = None
+    backward: Optional[list[Optional[int]]] = None
+
+
 class InfluenceNetwork:
     """Finite poset of influence events with embedded chains."""
 
@@ -138,6 +162,7 @@ class InfluenceNetwork:
         # event i through one or more edges (non-reflexive closure).
         self._anc: list[int] = []
         self._finalized = False
+        self._views: dict[str, _ChainView] = {}
 
     # -------------------------
     # Introspection
@@ -171,9 +196,10 @@ class InfluenceNetwork:
         return name in self._chains
 
     def chain(self, name: str) -> ChainRef:
-        if name not in self._chains:
-            raise UnknownChainError(f"unknown chain {name!r}")
-        return ChainRef(name, tuple(self._chains[name]))
+        """The chain as a view; a finalized network returns the same one each call."""
+        if self._finalized:
+            return self._view(name).ref
+        return ChainRef(name, tuple(self._members(name)))
 
     def chains_of(self, event: int) -> tuple[str, ...]:
         self._require_event(event)
@@ -360,6 +386,64 @@ class InfluenceNetwork:
             return self._index[event]
         except KeyError:
             raise UnknownEventError(f"unknown event {event}") from None
+
+    def _members(self, name: str) -> list[int]:
+        try:
+            return self._chains[name]
+        except KeyError:
+            raise UnknownChainError(f"unknown chain {name!r}") from None
+
+    def _view(self, name: str) -> _ChainView:
+        """The stored view of a chain on a finalized network, made on first use."""
+        self.require_finalized()
+        view = self._views.get(name)
+        if view is None:
+            # setdefault: threads racing to make the view all get the same one.
+            ref = ChainRef(name, tuple(self._members(name)))
+            view = self._views.setdefault(name, _ChainView(ref))
+        return view
+
+    def _forward_labels(self, name: str) -> list[Optional[int]]:
+        """Forward projection label onto a chain of every event, by event index.
+
+        Built on first use by one walk along the chain: the events that
+        influence its k-th member only grow with k, and each event takes
+        the label at which it first appears.
+        """
+        view = self._view(name)
+        if view.forward is None:
+            labels: list[Optional[int]] = [None] * len(self._ids)
+            seen = 0
+            for label, member in enumerate(view.ref.events, 1):
+                i = self._index[member]
+                new = (self._anc[i] | 1 << i) & ~seen
+                seen |= new
+                while new:
+                    j = new.bit_length() - 1
+                    labels[j] = label
+                    new ^= 1 << j
+            view.forward = labels
+        return view.forward
+
+    def _backward_labels(self, name: str) -> list[Optional[int]]:
+        """Backward projection label onto a chain of every event, by event index.
+
+        The chain events that influence x form a prefix, so x's label
+        counts them: the members among x's reflexive ancestors, each
+        weighted by how often the chain lists it.  Exact on cycles and
+        repeated members.
+        """
+        view = self._view(name)
+        if view.backward is None:
+            masks: dict[int, int] = {}
+            for member, times in Counter(view.ref.events).items():
+                masks[times] = masks.get(times, 0) | 1 << self._index[member]
+            view.backward = [
+                sum(times * ((anc | 1 << i) & mask).bit_count() for times, mask in masks.items())
+                or None
+                for i, anc in enumerate(self._anc)
+            ]
+        return view.backward
 
     def _require_mutable(self) -> None:
         if self._finalized:

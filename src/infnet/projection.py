@@ -8,15 +8,15 @@ pair (k, k).  Events unrelated to the chain in one or both directions have
 the corresponding projection absent; absence is a first-class outcome
 (None), never a sentinel label.
 
-Both projections are found by bisection.  Every network links consecutive
-chain members by an edge (see the network module), so the chain events x
-influences form a suffix and those influencing x form a prefix, even on
-networks with cycles or repeated chain members.
+Each projection is one lookup in a per-chain label table that a finalized
+network builds on first use (see the network module).  Every network links
+consecutive chain members by an edge, so the chain events x influences form
+a suffix and those influencing x form a prefix, even on networks with
+cycles or repeated chain members; the tables rest on that.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -55,28 +55,26 @@ class ChainInterval:
             raise ValueError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
 
 
+def _name(chain: Union[str, ChainRef]) -> str:
+    return chain.name if isinstance(chain, ChainRef) else chain
+
+
 def _resolve(net: InfluenceNetwork, chain: Union[str, ChainRef]) -> ChainRef:
-    return net.chain(chain.name if isinstance(chain, ChainRef) else chain)
+    return net.chain(_name(chain))
 
 
 def forward_project(
     net: InfluenceNetwork, x: int, chain: Union[str, ChainRef]
 ) -> Optional[int]:
     """Label of the least event on the chain that x influences, if any."""
-    net.require_finalized()
-    events = _resolve(net, chain).events
-    index = bisect_left(events, True, key=lambda e: net.influences(x, e))
-    return index + 1 if index < len(events) else None
+    return net._forward_labels(_name(chain))[net._require_event(x)]
 
 
 def backward_project(
     net: InfluenceNetwork, x: int, chain: Union[str, ChainRef]
 ) -> Optional[int]:
     """Label of the greatest event on the chain that influences x, if any."""
-    net.require_finalized()
-    events = _resolve(net, chain).events
-    prefix = bisect_left(events, True, key=lambda e: not net.influences(e, x))
-    return prefix or None
+    return net._backward_labels(_name(chain))[net._require_event(x)]
 
 
 def quantify_event(

@@ -53,7 +53,7 @@ def hasse_svg(net: InfluenceNetwork) -> str:
     columns: dict[int, int] = {}
     names = net.chain_names()
     for col, name in enumerate(names):
-        for event in net.chain(name).events:
+        for event in net._members(name):
             columns.setdefault(event, col)
     next_col = len(names)
     for event in events:
@@ -72,7 +72,7 @@ def hasse_svg(net: InfluenceNetwork) -> str:
                             h=2 * _MARGIN + max_depth * _Y_SPACING)]
     parts.append(_ARROW_DEFS)
     for name in names:
-        members = net.chain(name).events
+        members = net._members(name)
         if not members:
             continue
         points = " ".join("{},{}".format(*pos(e)) for e in members)

@@ -74,6 +74,28 @@ def brute_backward(net: InfluenceNetwork, x: int, chain_name: str):
     return max(labels) if labels else None
 
 
+def bfs_labels(net: InfluenceNetwork) -> dict[str, dict[int, tuple]]:
+    """(forward, backward) label of every event on every chain, by BFS.
+
+    One BFS per event.  x's forward label is the least label of a chain
+    event that x or a descendant of x is; its backward label is the greatest
+    label of a chain event that has x as itself or a descendant.
+    """
+    adj = adjacency(net)
+    reach = {e: bfs_descendants(adj, e) | {e} for e in net.event_ids()}
+    labels = {}
+    for name in net.chain_names():
+        events = net.chain(name).events
+        labels[name] = {
+            x: (
+                min((k for k, e in enumerate(events, 1) if e in reach[x]), default=None),
+                max((k for k, e in enumerate(events, 1) if x in reach[e]), default=None),
+            )
+            for x in net.event_ids()
+        }
+    return labels
+
+
 def pairwise_consistent(net: InfluenceNetwork, source: str, target: str) -> bool:
     """Whether every pair of source events keeps its label distance on target.
 
@@ -174,6 +196,24 @@ def network_parts(draw, max_events: int = 10):
 
 
 # -- Reference networks -------------------------------------------------------
+
+
+def ladder_parts(length: int, separation: int, slots) -> tuple[dict, list, int]:
+    """Raw parts of a ladder with midway events, the benchmark's geometry-read shape.
+
+    P holds ids 0..L-1 and Q ids L..2L-1; cross edges run p_i -> q_(i+s)
+    and q_i -> p_(i+s).  The midway event at chain time k (one per slot)
+    is wired p_k -> m, q_k -> m, m -> p_(k+s), m -> q_(k+s).
+    Returns (chains, edges, n).
+    """
+    p = list(range(length))
+    q = list(range(length, 2 * length))
+    edges = []
+    for i in range(length - separation):
+        edges += [(p[i], q[i + separation]), (q[i], p[i + separation])]
+    for m, k in enumerate(slots, start=2 * length):
+        edges += [(p[k], m), (q[k], m), (m, p[k + separation]), (m, q[k + separation])]
+    return {"P": p, "Q": q}, edges, 2 * length + len(slots)
 
 
 def build_ladder(length: int = 8, separation: int = 2) -> InfluenceNetwork:

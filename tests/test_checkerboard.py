@@ -10,6 +10,7 @@ Covered claims:
       N <= 12 and with stepping at N = 256 and, exactly, at N = 1000
     - the one-step continuation probability of a normalized spinor is 1
     - field support stays inside the light cone; <x> traces come out sane
+    - norms and <x> add left to right, so every Python prints the same digits
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from infnet import (
     step_field,
     zitterbewegung_trace,
 )
+from infnet.checkerboard import mean_position_of, norm_of
 
 ROOT_HALF = math.sqrt(0.5)
 THETAS = (math.pi / 6, math.pi / 4, math.pi / 3)
@@ -327,3 +329,22 @@ class TestZitterbewegungTrace:
         assert all(abs(v) <= 0.5 + 1e-12 for v in velocities)
         # the velocity trembles instead of settling to a constant
         assert max(velocities) - min(velocities) > 0.05
+
+
+class TestDensitySums:
+    # Ten terms below half an ulp of 1.0: a plain loop drops each of them,
+    # compensated summation (sum() from Python 3.12 on, math.fsum) keeps them.
+    ROWS = [(1, 1.0, 0.0)] + [(1, 1e-16, 0.0)] * 10
+
+    def test_rows_tell_the_two_summations_apart(self):
+        assert math.fsum(p + q for _, p, q in self.ROWS) != 1.0
+
+    def test_norm_adds_left_to_right(self):
+        assert norm_of(self.ROWS) == 1.0
+
+    def test_mean_position_adds_left_to_right(self):
+        assert mean_position_of(self.ROWS) == 1.0
+
+    def test_empty_field_sums_to_int_zero(self):
+        assert norm_of([]) == 0 and type(norm_of([])) is int
+        assert mean_position_of([]) == 0 and type(mean_position_of([])) is int

@@ -4,7 +4,10 @@ Covered claims:
     - parse/dumps round-trip to a canonical form, broken networks included;
       bad lines carry numbers
     - validate exits 0/1/2 for clean/violating/unparseable files, on any
-      one-line mutation of a valid file, and cites the breaking record
+      one-line mutation of a valid file, and cites the breaking record: a
+      repeated member's chain line, the first influence line on a cycle, a
+      degree breach's second cross-edge line
+    - enumerate prints "-" for the empty word
     - every numeric command reproduces the owning module's output
     - simulate honours --seed and the INFNET_SEED override; a negative or
       non-integer seed from either is a usage error
@@ -190,6 +193,31 @@ class TestValidateCommand:
         assert "postulate-4: chain 'P' lists an event more than once (see line 2)" in out.splitlines()
         assert "postulate-4: chain 'Q' lists an event more than once (see line 3)" in out.splitlines()
 
+    def test_cycle_cites_an_influence_line_on_the_cycle(self, capsys, tmp_path):
+        # Line 4's edge leaves the cycle 0 -> 1 -> 2 -> 0; line 5 closes it.
+        source = tmp_path / "cyc.net"
+        source.write_text(
+            "mode general\nchain P: 0 1 2\nchain Q: 3 4\ninfluence 0 -> 3\ninfluence 2 -> 0\n"
+        )
+        code, out, _ = run_cli(capsys, "validate", str(source))
+        assert code == 1
+        assert out.splitlines() == [
+            "cycle-would-form: events on directed cycles: [0, 1, 2] (see line 5)"
+        ]
+
+    def test_degree_breach_cites_the_second_cross_edge(self, capsys, tmp_path):
+        # Event 0's first cross edge (line 4) is legal; the second one is not.
+        source = tmp_path / "degree.net"
+        source.write_text(
+            "mode restricted\nchain P: 0 1\nchain Q: 2 3\ninfluence 0 -> 3\ninfluence 0 -> 2\n"
+        )
+        code, out, _ = run_cli(capsys, "validate", str(source))
+        assert code == 1
+        assert out.splitlines() == [
+            "postulate-3: event 0 takes part in 2 cross-chain influences; "
+            "restricted mode allows one (see line 5)"
+        ]
+
     @settings(
         max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
@@ -338,6 +366,13 @@ class TestEnumerateCommand:
     def test_pair_words(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--p", "1", "--q", "1")
         assert out.split() == ["PQ", "QP"]
+
+    def test_empty_word_prints_a_dash(self, capsys):
+        code, out, _ = run_cli(capsys, "enumerate", "--p", "0", "--q", "0")
+        assert (code, out) == (0, "-\n")
+        code, out, _ = run_cli(capsys, "enumerate", "--p", "0", "--q", "0", "--amplitudes")
+        assert code == 0
+        assert out.splitlines()[0].split() == ["-", "1.0+0.0j"]
 
     def test_amplitude_sums_match_kernel(self, capsys):
         from infnet import path_sum_kernel

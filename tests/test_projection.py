@@ -5,12 +5,19 @@ Covered claims:
     - forward takes the least reachable label, backward the greatest reaching
     - absent projections come back as None, never sentinels
     - projections agree with a BFS brute-force oracle on random networks,
-      including from_parts networks with cycles and repeated chain members
+      including from_parts networks with cycles and repeated chain members,
+      and on ladders with midway events up to the benchmark's L = 256, in
+      both id orders
+    - a finalized network builds a chain's view on the first query that
+      needs it, and reuses it; validate, dumps, hasse and loading build none
     - projections are monotone along influence, and forward >= backward
     - interval projection preserves length on coordinated chains
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -19,14 +26,17 @@ from hypothesis import strategies as st
 from infnet import (
     ChainInterval,
     InfluenceNetwork,
+    UnknownEventError,
     backward_project,
     chain_interval_length,
     forward_project,
     project_interval,
     quantify_event,
 )
+from infnet.netformat import dumps, loads
+from infnet.svg import hasse_svg
 
-from conftest import brute_backward, brute_forward, network_parts
+from conftest import bfs_labels, brute_backward, brute_forward, ladder_parts, network_parts
 
 
 # == 1. Worked single-chain fixture ==========================================
@@ -181,3 +191,94 @@ def test_projection_monotone_and_ordered(net):
                 assert cx.forward <= cy.forward
             if cx.backward is not None and cy.backward is not None:
                 assert cx.backward <= cy.backward
+
+
+# == 4. Oracle at benchmark sizes ============================================
+
+
+@pytest.mark.parametrize("length, separation", [(32, 1), (100, 3), (256, 2)])
+@pytest.mark.parametrize("reverse", [False, True], ids=["id-order", "reverse-ids"])
+def test_ladder_projections_match_bfs_at_benchmark_sizes(length, separation, reverse):
+    chains, edges, n = ladder_parts(length, separation, range(1, length - separation, 8))
+    if reverse:
+        chains = {name: [n - 1 - e for e in members] for name, members in chains.items()}
+        edges = [(n - 1 - s, n - 1 - t) for s, t in edges]
+    net = InfluenceNetwork.from_parts("general", chains, edges).finalize()
+    for name, expected in bfs_labels(net).items():
+        got = {
+            x: (forward_project(net, x, name), backward_project(net, x, name))
+            for x in net.event_ids()
+        }
+        assert got == expected
+
+
+# == 5. Chain views ===========================================================
+
+
+def ladder_file() -> str:
+    chains, edges, _ = ladder_parts(16, 2, [3, 9])
+    return dumps(InfluenceNetwork.from_parts("general", chains, edges).finalize())
+
+
+def test_reading_whole_networks_builds_no_view():
+    net = loads(ladder_file())
+    assert net.is_finalized
+    net.validate()
+    net.transitive_reduction()
+    dumps(net)
+    hasse_svg(net)
+    assert net._views == {}
+
+
+def test_views_are_built_on_first_need_and_reused():
+    net = loads(ladder_file())
+    ref = net.chain("Q")
+    assert net.chain("Q") is ref
+    assert net._views["Q"].forward is None and net._views["Q"].backward is None
+    forward_project(net, 0, "Q")
+    forward_labels = net._views["Q"].forward
+    assert forward_labels is not None and net._views["Q"].backward is None
+    backward_project(net, 0, ref)
+    assert net._views["Q"].forward is forward_labels
+    assert net._views["Q"].backward is not None
+    assert list(net._views) == ["Q"]
+
+
+def test_unknown_event_is_rejected_even_on_an_empty_chain():
+    net = InfluenceNetwork.from_parts("general", {"P": [0], "E": []}, []).finalize()
+    for project in (forward_project, backward_project):
+        for name in ("P", "E"):
+            with pytest.raises(UnknownEventError):
+                project(net, 7, name)
+
+
+def test_threads_racing_on_first_queries_share_one_view():
+    net = loads(ladder_file())
+    expected = bfs_labels(net)
+    seen, errors = [], []
+
+    def work():
+        try:
+            for name in ("P", "Q"):
+                got = {
+                    x: (forward_project(net, x, name), backward_project(net, x, name))
+                    for x in net.event_ids()
+                }
+                assert got == expected[name]
+            seen.append((net.chain("P"), net.chain("Q")))
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(seen) == 8
+    assert all(refs[0] is seen[0][0] and refs[1] is seen[0][1] for refs in seen)
