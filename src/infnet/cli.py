@@ -21,7 +21,6 @@ import numpy as np
 from . import checkerboard, freeparticle, geometry, kinematics, netformat, svg, transforms
 from .geometry import PairQuantification
 from .netformat import NetworkParseError, ViolationsError
-from .network import Violation
 from .projection import quantify_event
 
 def _fmt(value) -> str:
@@ -56,46 +55,14 @@ def _write_text(path: Optional[str], text: str) -> None:
 # -------------------------
 
 
-def _cited_line(
-    parsed: netformat.ParsedNetwork,
-    edges_of: dict[int, list[tuple[int, tuple[int, int]]]],
-    violation: Violation,
-) -> Optional[int]:
-    """The source line that breaks the violated rule, where one exists."""
-    net = parsed.net
-    if violation.chain is not None:
-        return parsed.chain_lines[violation.chain]
-    if violation.rule == "cycle-would-form":
-        on_cycle = (line for (s, t), line in parsed.edge_lines.items() if net.influences(t, s))
-        return min(on_cycle, default=None)
-    (event,) = violation.events
-    records = edges_of.get(event, [])
-    if "cross-chain" in violation.detail:
-        # A degree breach: the first cross edge is legal, the second is not.
-        records = [
-            (line, edge)
-            for line, edge in records
-            if not set(net.chains_of(edge[0])) & set(net.chains_of(edge[1]))
-        ][1:]
-    return records[0][0] if records else None
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        parsed = netformat.parse(handle.read())
-    violations = parsed.net.validate()
-    if not violations:
-        print("ok")
-        return 0
-    edges_of: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for edge, line in sorted(parsed.edge_lines.items(), key=lambda item: item[1]):
-        for event in set(edge):
-            edges_of.setdefault(event, []).append((line, edge))
-    for violation in violations:
-        line = _cited_line(parsed, edges_of, violation)
-        hint = "" if line is None else f" (see line {line})"
-        print(f"{violation}{hint}")
-    return 1
+    try:
+        netformat.load_path(args.file)
+    except ViolationsError as exc:
+        print("\n".join(exc.report))
+        return 1
+    print("ok")
+    return 0
 
 
 def cmd_quantify(args: argparse.Namespace) -> int:
@@ -396,8 +363,7 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except ViolationsError as exc:
-        for violation in exc.violations:
-            print(str(violation), file=sys.stderr)
+        print("\n".join(exc.report), file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)

@@ -8,12 +8,15 @@
 
 Serialization is canonical: one mode line, chains sorted by name, edges
 sorted numerically, chain-implied edges omitted.  parse() keeps the source
-line of every record so callers can point at offending lines.
+line of every record.  load_path() validates what it reads and, unless
+forced, raises ViolationsError with the report `validate` prints: each
+violation citing the line that breaks its rule, from one index per file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .network import GENERAL, RESTRICTED, InfluenceNetwork, Violation
 
@@ -25,18 +28,47 @@ class NetworkParseError(ValueError):
 
 
 class ViolationsError(ValueError):
-    """A parsed file broke network invariants and --force was not given."""
+    """A file broke network invariants without --force; `report` is what validate prints."""
 
-    def __init__(self, violations: list[Violation]):
-        super().__init__("; ".join(str(v) for v in violations))
+    def __init__(self, violations: list[Violation], report: list[str]):
+        super().__init__("; ".join(report))
         self.violations = violations
+        self.report = report
 
 
 @dataclass
 class ParsedNetwork:
+    """A parsed network; `edge_lines` holds each influence's first line, in file order."""
+
     net: InfluenceNetwork
     edge_lines: dict[tuple[int, int], int] = field(default_factory=dict)
     chain_lines: dict[str, int] = field(default_factory=dict)
+
+    def _report(self, violations: list[Violation]) -> list[str]:
+        """Each violation plus the line that breaks its rule, where one exists."""
+        edges_of: dict[int, list[tuple[int, int]]] = {}
+        for edge in self.edge_lines:
+            for event in set(edge):
+                edges_of.setdefault(event, []).append(edge)
+        report = []
+        for violation in violations:
+            line = self._cited_line(edges_of, violation)
+            report.append(str(violation) if line is None else f"{violation} (see line {line})")
+        return report
+
+    def _cited_line(self, edges_of: dict, violation: Violation) -> Optional[int]:
+        """The source line that breaks the violated rule, where one exists."""
+        if violation.chain is not None:
+            return self.chain_lines[violation.chain]
+        if violation.rule == "cycle-would-form":
+            lines = self.edge_lines.items()
+            return next((line for (s, t), line in lines if self.net.influences(t, s)), None)
+        (event,) = violation.events
+        edges = edges_of.get(event, [])
+        if "cross-chain" in violation.detail:
+            # A degree breach: the first cross edge is legal, the second is not.
+            edges = [edge for edge in edges if self.net._is_cross(*edge)][1:]
+        return self.edge_lines[edges[0]] if edges else None
 
 
 def _check_ids(lineno: int, ids) -> None:
@@ -124,8 +156,8 @@ def dumps(net: InfluenceNetwork) -> str:
 def load_path(path: str, force: bool = False) -> InfluenceNetwork:
     """Read and validate a network file; violations abort unless forced."""
     with open(path, "r", encoding="utf-8") as handle:
-        net = loads(handle.read())
-    violations = net.validate()
+        parsed = parse(handle.read())
+    violations = parsed.net.validate()
     if violations and not force:
-        raise ViolationsError(violations)
-    return net
+        raise ViolationsError(violations, parsed._report(violations))
+    return parsed.net

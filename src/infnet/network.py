@@ -27,7 +27,11 @@ edge costs one bitset update.  Files whose ids run against influence still
 load exactly, but each insert then walks the descendants already linked.
 Influence is reflexive by convention: every event influences itself, which
 lets chain members project onto themselves without special cases
-downstream.
+downstream.  The bitsets also answer the order questions: the events on
+cycles are those among their own ancestors (`validate` and `hasse_svg`
+share that test), and sorting events by ancestor count orders an acyclic
+network topologically, which gives `hasse_svg` its depths.  `_is_cross` is
+the one test of whether an edge joins two chains.
 
 Networks are append-only.  `finalize()` freezes the structure; a finalized
 network is immutable and safe to share across threads for read-only
@@ -37,8 +41,9 @@ forward and backward projection labels of every event, each table built
 from the ancestor bitsets on the first projection that needs it (the
 chain-indexed closure of Jagadish, ACM TODS 15, 1990, computed once rather
 than kept up edge by edge).  Threads racing on a first query share one
-view; each may build the same table, and the copies are equal.  `validate()`, `transitive_reduction()`, `dumps`
-and `hasse_svg` build no view.
+view; each may build the same table, and the copies are equal.
+`validate()`, `transitive_reduction()`, `dumps` and `hasse_svg` build no
+view.
 """
 
 from __future__ import annotations
@@ -296,48 +301,31 @@ class InfluenceNetwork:
     def validate(self) -> list[Violation]:
         """Check every structural invariant; violations are data, not errors."""
         found: list[Violation] = []
-
-        cyclic = tuple(e for i, e in enumerate(self._ids) if self._anc[i] >> i & 1)
+        cyclic = self._cyclic()
         if cyclic:
             found.append(
                 Violation("cycle-would-form", cyclic, f"events on directed cycles: {list(cyclic)}")
             )
-
-        for name in sorted(self._chains):
-            members = self._chains[name]
+        for name, members in sorted(self._chains.items()):
             if len(set(members)) != len(members):
-                found.append(
-                    Violation(
-                        "postulate-4",
-                        tuple(members),
-                        f"chain {name!r} lists an event more than once",
-                        name,
-                    )
-                )
-
+                detail = f"chain {name!r} lists an event more than once"
+                found.append(Violation("postulate-4", tuple(members), detail, name))
         if self._mode == RESTRICTED:
             for event in self._ids:
-                homes = self._chains_of.get(event, [])
-                if len(homes) != 1:
-                    found.append(
-                        Violation(
-                            "postulate-3",
-                            (event,),
-                            f"event {event} lies on {len(homes)} chains; restricted mode "
-                            "requires exactly one",
-                        )
+                homes = len(self._chains_of.get(event, ()))
+                if homes != 1:
+                    detail = (
+                        f"event {event} lies on {homes} chains; restricted mode requires exactly one"
                     )
+                    found.append(Violation("postulate-3", (event,), detail))
             for event in self._ids:
                 count = self._cross_degree(event)
                 if count > 1:
-                    found.append(
-                        Violation(
-                            "postulate-3",
-                            (event,),
-                            f"event {event} takes part in {count} cross-chain influences; "
-                            "restricted mode allows one",
-                        )
+                    detail = (
+                        f"event {event} takes part in {count} cross-chain influences; "
+                        "restricted mode allows one"
                     )
+                    found.append(Violation("postulate-3", (event,), detail))
         return found
 
     # -------------------------
@@ -464,14 +452,30 @@ class InfluenceNetwork:
         self._pred[event] = set()
         self._anc.append(0)
 
+    def _cyclic(self) -> tuple[int, ...]:
+        """Events among their own ancestors, i.e. on directed cycles, in id order."""
+        return tuple(e for i, e in enumerate(self._ids) if self._anc[i] >> i & 1)
+
+    def _depths(self) -> dict[int, int]:
+        """Longest-path depth of every event of an acyclic network; sources sit at 0.
+
+        Ancestor count orders events topologically: without cycles an event
+        has strictly more ancestors than each of its predecessors.
+        """
+        depth: dict[int, int] = {}
+        for i in sorted(range(len(self._ids)), key=lambda i: self._anc[i].bit_count()):
+            event = self._ids[i]
+            depth[event] = max((depth[p] + 1 for p in self._pred[event]), default=0)
+        return depth
+
     def _is_cross(self, source: int, target: int) -> bool:
-        a = set(self._chains_of.get(source, ()))
-        b = set(self._chains_of.get(target, ()))
-        return not (a & b)
+        """True when no chain holds both events: a cross-chain influence."""
+        return set(self._chains_of.get(source, ())).isdisjoint(self._chains_of.get(target, ()))
 
     def _cross_degree(self, event: int) -> int:
-        """Cross-chain edges that start or end at event."""
-        return sum(self._is_cross(event, end) for end in (*self._succ[event], *self._pred[event]))
+        """Cross-chain edges that start or end at event, a self-loop counted once."""
+        ends = (*self._succ[event], *(self._pred[event] - {event}))
+        return sum(self._is_cross(event, end) for end in ends)
 
     def _insert_edge(self, source: int, target: int) -> None:
         self._succ[source].add(target)

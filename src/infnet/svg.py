@@ -2,13 +2,14 @@
 
 Pure string generation, no plotting dependency.  Hasse diagrams draw each
 chain as a thick vertical polyline with influence running upward; reduced
-cross-chain influences become arrows.  Path pictures put time upward and
-position across.
+cross-chain influences become arrows.  An event sits at its longest-path
+depth, read from the network's closure, which also names the events on
+cycles when a network cannot be drawn.  Each event takes the column of its
+first chain by name, or one of its own when it is on no chain.  Path
+pictures put time upward and position across.
 """
 
 from __future__ import annotations
-
-import graphlib
 
 from .freeparticle import SpacetimePath
 from .network import InfluenceNetwork
@@ -28,26 +29,17 @@ _ARROW_DEFS = (
 )
 
 
-def _event_depths(net: InfluenceNetwork) -> dict[int, int]:
-    """Longest-path depth of every event; sources sit at depth 0, cycles raise."""
-    preds = {e: net.predecessors(e) for e in net.event_ids()}
-    try:
-        order = list(graphlib.TopologicalSorter(preds).static_order())
-    except graphlib.CycleError as exc:
-        cycle = sorted(set(exc.args[1]))
-        raise ValueError(f"cannot draw a cyclic network: events {cycle} lie on a cycle") from None
-    depth: dict[int, int] = {}
-    for event in order:
-        depth[event] = max((depth[p] + 1 for p in preds[event]), default=0)
-    return depth
-
-
 def hasse_svg(net: InfluenceNetwork) -> str:
     """Hasse diagram of the transitive reduction, influence running upward."""
     events = net.event_ids()
     if not events:
         return _HEADER.format(w=2 * _MARGIN, h=2 * _MARGIN) + "</svg>\n"
-    depth = _event_depths(net)
+    cyclic = net._cyclic()
+    if cyclic:
+        raise ValueError(
+            f"cannot draw a cyclic network: events {list(cyclic)} lie on directed cycles"
+        )
+    depth = net._depths()
     max_depth = max(depth.values())
 
     columns: dict[int, int] = {}

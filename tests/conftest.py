@@ -5,7 +5,8 @@ they walk edge dicts with BFS so that projection and reduction results can
 be checked against an independent path, and `pairwise_consistent` is the
 plain all-pairs coordination test over those BFS labels.  The checkerboard
 kernel oracle counts words by their runs instead of stepping a field or
-enumerating words, so it shares no code with infnet.checkerboard.
+enumerating words, and `fourier_kernel` diagonalizes the step by wave
+number, so neither shares code with infnet.checkerboard.
 `recount_p` recounts sampled P's straight from numpy's stream, in pieces
 that ignore word boundaries, so it shares no chunking with the sampler.
 """
@@ -155,6 +156,28 @@ def run_count_kernel(initial: str, final: str, dx2: int, steps: int, stay, flip)
             term = ways * stay ** (steps - reversals) * flip**reversals
             parts[reversals % 2] += -term if reversals % 4 >= 2 else term
     return tuple(parts)
+
+
+def fourier_kernel(initial: str, theta: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(phi_p, phi_q) at x2 = -steps, -steps + 2, ..., steps after `steps`
+    steps from a unit point source at x2 = 0 with helicity `initial`.
+
+    The field lives on a ring of M >= 2 * steps + 2 doubled sites, wide
+    enough that the light cone never wraps.  A step shifts phi_p one doubled
+    site left and phi_q one right after mixing, so wave number k steps by
+    U(k) = diag(e^{ik}, e^{-ik}) . [[c, i s], [i s, c]]; the field is the
+    inverse FFT of the initial helicity's column of U(k)**steps.
+    """
+    ring = 2 * steps + 2
+    k = 2 * np.pi * np.arange(ring) / ring
+    c, s = math.cos(theta), math.sin(theta)
+    mix = np.array([[c, 1j * s], [1j * s, c]])
+    shift = np.zeros((ring, 2, 2), complex)
+    shift[:, 0, 0], shift[:, 1, 1] = np.exp(1j * k), np.exp(-1j * k)
+    column = np.linalg.matrix_power(shift @ mix, steps)[:, :, "PQ".index(initial)]
+    field = np.fft.ifft(column, axis=0)
+    sites = np.arange(-steps, steps + 1, 2) % ring
+    return field[sites, 0], field[sites, 1]
 
 
 # -- Sampled symbol counts -----------------------------------------------------

@@ -8,6 +8,8 @@ Covered claims:
       helicity (the module's core dual route)
     - the run-counting closed form in conftest agrees with the path sum at
       N <= 12 and with stepping at N = 256 and, exactly, at N = 1000
+    - stepping matches conftest's Fourier-symbol field on every site at
+      N = 1000 and 3000, theta = 0.05, 0.3 and 1.2, both helicities
     - the one-step continuation probability of a normalized spinor is 1
     - field support stays inside the light cone; <x> traces come out sane
     - norms and <x> add left to right, so every Python prints the same digits
@@ -20,9 +22,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import run_count_kernel
+from conftest import fourier_kernel, run_count_kernel
 from infnet import (
     Spinor,
     SpinorField,
@@ -269,6 +272,20 @@ class TestRunCountOracle:
                     # correctly rounded 2**(-N/2) * (re + i im)
                     exact = complex(re / 2 ** (steps // 2), im / 2 ** (steps // 2))
                     assert abs(amplitude - exact) <= 1e-12
+
+
+class TestFourierOracle:
+    """Stepping against conftest's per-wave-number step at any angle and N."""
+
+    @pytest.mark.parametrize("steps", (1000, 3000))
+    @pytest.mark.parametrize("theta", (0.05, 0.3, 1.2))
+    @pytest.mark.parametrize("initial", "PQ")
+    def test_matches_propagate_on_every_site(self, steps, theta, initial):
+        field = propagate(SpinorField.delta(initial), steps, TransferMatrices(theta))
+        phi_p, phi_q = fourier_kernel(initial, theta, steps)
+        assert field.x2_lo == -steps
+        np.testing.assert_allclose(field.phi_p, phi_p, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(field.phi_q, phi_q, rtol=0, atol=1e-12)
 
 
 # == 5. Probability and traces ================================================

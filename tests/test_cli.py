@@ -7,6 +7,9 @@ Covered claims:
       one-line mutation of a valid file, and cites the breaking record: a
       repeated member's chain line, the first influence line on a cycle, a
       degree breach's second cross-edge line
+    - quantify, distance, interval and hasse refuse a file that fails
+      validation with exit 1 and validate's report, line hints included, on
+      stderr; hasse --force draws an invalid but acyclic file by fixed rules
     - enumerate prints "-" for the empty word
     - every numeric command reproduces the owning module's output
     - simulate honours --seed and the INFNET_SEED override; a negative or
@@ -15,11 +18,15 @@ Covered claims:
       chunk boundaries, and need no word strings; --emit-words prints exactly
       sample_sequences() ahead of the same totals
     - propagate CSV and SVG outputs are deterministic
+    - every `infnet` line of the README's command block runs and exits 0
 """
 
 from __future__ import annotations
 
 import math
+import re
+import shlex
+import shutil
 from pathlib import Path
 
 import pytest
@@ -218,6 +225,17 @@ class TestValidateCommand:
             "restricted mode allows one (see line 5)"
         ]
 
+    def test_off_chain_self_loop_is_one_cycle_and_no_chain(self, capsys, tmp_path):
+        source = tmp_path / "loop.net"
+        source.write_text("mode restricted\nchain P: 0 1\nchain Q: 2 3\ninfluence 4 -> 4\n")
+        code, out, _ = run_cli(capsys, "validate", str(source))
+        assert code == 1
+        assert out.splitlines() == [
+            "cycle-would-form: events on directed cycles: [4] (see line 4)",
+            "postulate-3: event 4 lies on 0 chains; restricted mode requires exactly one "
+            "(see line 4)",
+        ]
+
     @settings(
         max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
@@ -240,6 +258,27 @@ class TestValidateCommand:
         code, out, err = run_cli(capsys, "validate", str(source))
         assert code in (0, 1, 2)
         assert (out + err).strip()
+
+
+# The broken files of TestValidateCommand: a repeated member, a cycle, a
+# degree breach.
+BROKEN = {
+    "repeat": "mode general\nchain P: 0 1 0\nchain Q: 0 1 0\n",
+    "cycle": "mode general\nchain P: 0 1 2\nchain Q: 3 4\ninfluence 0 -> 3\ninfluence 2 -> 0\n",
+    "degree": "mode restricted\nchain P: 0 1\nchain Q: 2 3\ninfluence 0 -> 3\ninfluence 0 -> 2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+@pytest.mark.parametrize("command", ["quantify --chain P", "distance", "interval --a 0 --b 1", "hasse"])
+def test_file_commands_print_the_validate_report(capsys, tmp_path, name, command):
+    source = tmp_path / f"{name}.net"
+    source.write_text(BROKEN[name])
+    code, report, _ = run_cli(capsys, "validate", str(source))
+    assert code == 1
+    verb, *options = command.split()
+    code, out, err = run_cli(capsys, verb, str(source), *options)
+    assert (code, out, err) == (1, "", report)
 
 
 # == 3. quantify / interval / distance =======================================
@@ -582,6 +621,29 @@ class TestOutputCommands:
         assert "cyclic" in err and "[0, 1, 2]" in err
         assert not target.exists()
 
+    def test_hasse_forced_acyclic_file_has_a_defined_drawing(self, capsys, tmp_path):
+        # Event 0 breaks the degree rule and 5 is on no chain; 0 -> 4 is
+        # implied by 0 -> 3 -> 4, so it is not drawn.
+        source = tmp_path / "forced.net"
+        source.write_text(
+            "mode restricted\nchain P: 0 1 2\nchain Q: 3 4\n"
+            "influence 0 -> 3\ninfluence 0 -> 4\ninfluence 1 -> 5\n"
+        )
+        assert run_cli(capsys, "hasse", str(source))[0] == 1
+        code, text, _ = run_cli(capsys, "hasse", str(source), "--force")
+        assert code == 0
+        assert text.count("<circle") == 6
+        at = {
+            (int(x) - 9, int(y) - 4): int(event)
+            for x, y, event in re.findall(r'<text x="(\d+)" y="(\d+)" font-size="12">(\d+)<', text)
+        }
+        arrows = re.findall(r'<line x1="(\d+)" y1="(\d+)" x2="(\d+)" y2="(\d+)"', text)
+        drawn = {(at[int(x1), int(y1)], at[int(x2), int(y2)]) for x1, y1, x2, y2 in arrows}
+        assert len(arrows) == 2 and drawn == {(0, 3), (1, 5)}
+        columns = {event: x for (x, _), event in at.items()}
+        assert columns[0] == columns[1] == columns[2] != columns[3] == columns[4]
+        assert columns[5] not in (columns[0], columns[3])
+
     def test_hasse_disjoint_chains_has_no_arrows(self, capsys, tmp_path):
         source = tmp_path / "disjoint.net"
         source.write_text("mode general\nchain A: 0 1 2\nchain B: 3 4\n")
@@ -603,3 +665,26 @@ class TestOutputCommands:
     def test_paths_bad_word_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "paths", "--word", "PXQ")
         assert code == 1
+
+
+# == 7. The README's commands =================================================
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = [block.split("```", 1)[0] for block in readme.split("```sh\n")[1:]]
+    commands = [
+        shlex.split(line, comments=True)
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("infnet ")
+    ]
+    shutil.copy(DATA / "ladder.net", tmp_path / "examples.net")
+    monkeypatch.chdir(tmp_path)
+    assert len(commands) >= 10
+    for argv in commands:
+        code, out, _ = run_cli(capsys, *argv[1:])
+        assert code == 0, argv
+        written = [argv[i + 1] for i, arg in enumerate(argv) if arg in ("--svg", "--out", "--trace")]
+        assert all((tmp_path / path).stat().st_size for path in written), argv
+        assert written or out, argv

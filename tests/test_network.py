@@ -7,7 +7,10 @@ Covered claims:
       random add_event/add_influence sequences (rejected attempts included)
       and on from_parts input in any id order, cyclic input included
     - transitive reduction drops exactly the implied edges
-    - validate() reports rule names for broken invariants
+    - validate() reports rule names for broken invariants; a cross-chain
+      degree counts each incident edge once, a self-loop included
+    - the closure's self bits name the events on cycles, and its ancestor
+      counts order an acyclic network for longest-path depths
     - from_parts links consecutive chain members on any input
     - acyclicity survives random legal edit sequences
 """
@@ -290,6 +293,50 @@ class TestValidate:
     def test_duplicate_chain_member_flagged(self):
         net = InfluenceNetwork.from_parts("general", {"P": [0, 1, 0]}, [])
         assert "postulate-4" in {v.rule for v in net.validate()}
+
+    def test_self_loop_counts_once_toward_the_cross_degree(self):
+        net = InfluenceNetwork.from_parts("restricted", {"P": [0, 1], "Q": [2, 3]}, [(4, 4)])
+        assert [str(v) for v in net.validate()] == [
+            "cycle-would-form: events on directed cycles: [4]",
+            "postulate-3: event 4 lies on 0 chains; restricted mode requires exactly one",
+        ]
+
+    def test_cross_two_cycle_counts_both_edges(self):
+        net = InfluenceNetwork.from_parts(
+            "restricted", {"P": [0, 1], "Q": [2, 3]}, [(0, 2), (2, 0)]
+        )
+        assert [str(v) for v in net.validate()][1:] == [
+            f"postulate-3: event {e} takes part in 2 cross-chain influences; "
+            "restricted mode allows one"
+            for e in (0, 2)
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(network_parts(), st.sampled_from(["restricted", "general"]))
+    def test_cross_degree_matches_a_recount_over_edges(self, parts, mode):
+        chains, edges, n = parts
+        net = InfluenceNetwork.from_parts(mode, chains, edges, events=range(n))
+        homes = {e: {name for name, members in chains.items() if e in members} for e in range(n)}
+        for event in range(n):
+            incident = [(s, t) for s, t in net.edges() if event in (s, t)]
+            assert net._cross_degree(event) == sum(not homes[s] & homes[t] for s, t in incident)
+
+    @settings(max_examples=150, deadline=None)
+    @given(network_parts())
+    def test_closure_finds_cycles_and_depths(self, parts):
+        chains, edges, n = parts
+        net = InfluenceNetwork.from_parts("general", chains, edges, events=range(n))
+        adj = adjacency(net)
+        cyclic = tuple(e for e in range(n) if e in bfs_descendants(adj, e))
+        assert net._cyclic() == cyclic
+        if cyclic:
+            return
+        preds = {e: [s for s, t in net.edges() if t == e] for e in range(n)}
+
+        def longest(e: int) -> int:
+            return max((longest(p) + 1 for p in preds[e]), default=0)
+
+        assert net._depths() == {e: longest(e) for e in range(n)}
 
 
 # == 6. Chain labels ==========================================================
