@@ -35,6 +35,8 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import truediv
 from typing import Union
 
 import numpy as np
@@ -131,11 +133,15 @@ class SpinorField:
         """(x, |phi_p|**2, |phi_q|**2) per site, in ascending x.
 
         Rounded as abs(z) ** 2 on Python complex (libm hypot, then pow):
-        numpy's own complex abs and squaring differ in the last bit.
+        numpy's own complex abs and squaring differ in the last bit.  The
+        square stays Python's pow(|z|, 2) on purpose: glibc's pow(x, 2) is
+        not always x*x, so numpy's square (or x*x) would change the digits
+        that the propagate CSV prints.
         """
         abs_p, abs_q = (np.hypot(a.real, a.imag).tolist() for a in (self.phi_p, self.phi_q))
-        pairs = enumerate(zip(abs_p, abs_q))
-        return [((self.x2_lo + 2 * k) / 2, p**2, q**2) for k, (p, q) in pairs]
+        x2s = range(self.x2_lo, self.x2_lo + 2 * len(abs_p), 2)
+        xs = map(truediv, x2s, repeat(2))
+        return list(zip(xs, map(pow, abs_p, repeat(2)), map(pow, abs_q, repeat(2))))
 
     def norm(self) -> float:
         return norm_of(self.densities())
@@ -283,4 +289,8 @@ def zitterbewegung_trace(
     """Rows (t, <x>, norm) for each step from the initial field onward."""
     if abs(initial.norm() - 1.0) > 1e-12:
         raise ValueError("initial field must be normalized")
-    return [(f.t, f.mean_position(), f.norm()) for f in evolve(initial, steps, tm)]
+    rows = []
+    for f in evolve(initial, steps, tm):
+        densities = f.densities()
+        rows.append((f.t, mean_position_of(densities), norm_of(densities)))
+    return rows

@@ -13,8 +13,10 @@ import argparse
 import math
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
-from typing import Optional
+from itertools import repeat
+from typing import ContextManager, Optional, TextIO
 
 import numpy as np
 
@@ -42,12 +44,16 @@ def _emit(label: str, value) -> None:
     print(f"{label} {_fmt(value)}")
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _open_text(path: Optional[str]) -> ContextManager[TextIO]:
+    """The file at `path` opened for writing, or stdout (left open) when path is None."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        return nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
+
+
+def _write_text(path: Optional[str], text: str) -> None:
+    with _open_text(path) as handle:
+        handle.write(text)
 
 
 # -------------------------
@@ -219,15 +225,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_propagate(args: argparse.Namespace) -> int:
     tm = checkerboard.TransferMatrices(args.theta)
     initial = checkerboard.SpinorField.delta(args.initial)
-    rows = ["t,x,probP,probQ,total"]
+    # Each field is formatted a column at a time.  x_text[x2 + steps] is the
+    # x column's text for doubled position x2; the run never leaves [-steps, steps].
+    x_text = [repr(x2 / 2) for x2 in range(-args.steps, args.steps + 1)]
     trace_rows = ["t,mean_x,norm"]
-    for field in checkerboard.evolve(initial, args.steps, tm):
-        densities = field.densities()
-        norm = checkerboard.norm_of(densities)
-        rows += [f"{field.t},{x!r},{p!r},{q!r},{norm!r}" for x, p, q in densities]
-        mean_x = checkerboard.mean_position_of(densities)
-        trace_rows.append(f"{field.t},{mean_x!r},{norm!r}")
-    _write_text(args.out, "\n".join(rows) + "\n")
+    with _open_text(args.out) as out:
+        out.write("t,x,probP,probQ,total\n")
+        for field in checkerboard.evolve(initial, args.steps, tm):
+            densities = field.densities()
+            norm = checkerboard.norm_of(densities)
+            t, norm_text = str(field.t), repr(norm)
+            start = field.x2_lo + args.steps
+            xs = x_text[start : start + 2 * len(densities) : 2]
+            _, ps, qs = zip(*densities)
+            columns = (repeat(t), xs, map(repr, ps), map(repr, qs), repeat(norm_text))
+            out.write("\n".join(map(",".join, zip(*columns))) + "\n")
+            mean_x = checkerboard.mean_position_of(densities)
+            trace_rows.append(f"{t},{mean_x!r},{norm_text}")
     if args.trace is not None:
         _write_text(args.trace, "\n".join(trace_rows) + "\n")
     return 0

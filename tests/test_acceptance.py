@@ -17,6 +17,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import infnet
@@ -47,6 +48,7 @@ from infnet import (
     step_field,
     transform_rates,
     zigzag_interval_pairs,
+    zitterbewegung_trace,
 )
 from infnet.cli import main
 
@@ -294,3 +296,21 @@ def test_criterion_14_monte_carlo():
     sigma = 2 * math.sqrt(prob_p * (1 - prob_p) / total)
     assert abs(beta_hat - expected) <= 4 * sigma
     assert elapsed < 10.0
+
+
+@report(15, "the trembling of <x> from a point source peaks at 2*theta per step within 2*pi/N, N = 2000, 3 angles, under 20 s")
+def test_criterion_15_zitterbewegung_frequency():
+    # The lattice mass shell cos(omega) = cos(theta) * cos(k) gives omega(0) =
+    # theta, so <x> trembles at twice that.
+    steps = 2000
+    started = time.perf_counter()
+    for theta in (0.05, 0.3, 0.75):
+        rows = zitterbewegung_trace(SpinorField.delta("P"), steps, TransferMatrices(theta))
+        t = np.array([row[0] for row in rows], float)
+        mean_x = np.array([row[1] for row in rows])
+        detrended = mean_x - np.polyval(np.polyfit(t, mean_x, 1), t)
+        spectrum = np.abs(np.fft.rfft(detrended * np.hanning(len(t))))
+        peak = 5 + int(np.argmax(spectrum[5:]))  # past the leakage of the removed trend
+        omega = 2 * math.pi * peak / len(t)
+        assert abs(omega - 2 * theta) <= 2 * math.pi / steps
+    assert time.perf_counter() - started < 20.0

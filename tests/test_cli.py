@@ -6,7 +6,8 @@ Covered claims:
     - validate exits 0/1/2 for clean/violating/unparseable files, on any
       one-line mutation of a valid file, and cites the breaking record: a
       repeated member's chain line, the first influence line on a cycle, a
-      degree breach's second cross-edge line
+      degree breach's second cross-edge line, the second chain line that
+      lists an event on several chains
     - quantify, distance, interval and hasse refuse a file that fails
       validation with exit 1 and validate's report, line hints included, on
       stderr; hasse --force draws an invalid but acyclic file by fixed rules
@@ -17,7 +18,9 @@ Covered claims:
     - simulate totals match an independent recount of the same draws, across
       chunk boundaries, and need no word strings; --emit-words prints exactly
       sample_sequences() ahead of the same totals
-    - propagate CSV and SVG outputs are deterministic
+    - propagate CSV and SVG outputs are deterministic; the field CSV and the
+      trace equal a row-by-row reference read from SpinorField.sites(),
+      through --out/--trace and on stdout
     - every `infnet` line of the README's command block runs and exits 0
 """
 
@@ -33,7 +36,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from infnet import InfluenceNetwork, freeparticle, netformat
+from infnet import (
+    InfluenceNetwork,
+    SpinorField,
+    TransferMatrices,
+    freeparticle,
+    netformat,
+    step_field,
+)
 from infnet.cli import main
 from infnet.netformat import NetworkParseError, ViolationsError
 
@@ -224,6 +234,28 @@ class TestValidateCommand:
             "postulate-3: event 0 takes part in 2 cross-chain influences; "
             "restricted mode allows one (see line 5)"
         ]
+
+    @pytest.mark.parametrize(
+        "chains, homes, line",
+        [
+            ("chain P: 0 1\nchain Q: 0 2\n", 2, 3),
+            ("chain P: 0 1\nchain Q: 2 3\nchain R: 0 4\nchain S: 5 0\n", 3, 4),
+        ],
+        ids=["two-chains", "three-chains"],
+    )
+    def test_event_on_several_chains_cites_its_second_chain_line(
+        self, capsys, tmp_path, chains, homes, line
+    ):
+        # The first chain line that lists event 0 is legal; the next one is not.
+        source = tmp_path / "homes.net"
+        source.write_text("mode restricted\n" + chains)
+        code, out, _ = run_cli(capsys, "validate", str(source))
+        assert code == 1
+        assert out.splitlines() == [
+            f"postulate-3: event 0 lies on {homes} chains; restricted mode requires exactly one "
+            f"(see line {line})"
+        ]
+        assert run_cli(capsys, "quantify", str(source), "--chain", "P") == (1, "", out)
 
     def test_off_chain_self_loop_is_one_cycle_and_no_chain(self, capsys, tmp_path):
         source = tmp_path / "loop.net"
@@ -575,6 +607,43 @@ class TestSimulateCommand:
 # == 6. propagate / hasse / paths =============================================
 
 
+def reference_propagate(steps: int, theta: float, initial: str) -> tuple[str, str]:
+    """The field CSV and the trace of `propagate`, formatted one row at a time.
+
+    Values come from SpinorField.sites(): densities as abs(z) ** 2 on Python
+    complex, norm and <x> summed left to right from 0 in ascending x.
+    """
+    tm = TransferMatrices(theta)
+    field = SpinorField.delta(initial)
+    rows, trace_rows = ["t,x,probP,probQ,total"], ["t,mean_x,norm"]
+    for t in range(steps + 1):
+        if t:
+            field = step_field(field, tm)
+        densities = [(float(x), abs(s.phi_p) ** 2, abs(s.phi_q) ** 2) for x, s in field.sites()]
+        norm = mean_x = 0
+        for x, p, q in densities:
+            norm += p + q
+            mean_x += x * (p + q)
+        rows += [f"{t},{x!r},{p!r},{q!r},{norm!r}" for x, p, q in densities]
+        trace_rows.append(f"{t},{mean_x!r},{norm!r}")
+    return "\n".join(rows) + "\n", "\n".join(trace_rows) + "\n"
+
+
+def first_difference(text: str, expected: str):
+    """None if the texts are equal, else the first differing line (1-based) of each.
+
+    Keeps a failure on a long CSV readable and quick to report.
+    """
+    if text == expected:
+        return None
+    lines, wanted = text.splitlines(keepends=True), expected.splitlines(keepends=True)
+    lines += [""] * (len(wanted) - len(lines))
+    wanted += [""] * (len(lines) - len(wanted))
+    number = next(i for i, (a, b) in enumerate(zip(lines, wanted), 1) if a != b)
+    return number, lines[number - 1], wanted[number - 1]
+
+
+
 class TestOutputCommands:
     def test_propagate_one_step(self, capsys):
         code, out, _ = run_cli(capsys, "propagate", "--steps", "1", "--initial", "P")
@@ -601,6 +670,22 @@ class TestOutputCommands:
         trace = (tmp_path / "a.csv.trace").read_text().splitlines()
         assert trace[0] == "t,mean_x,norm"
         assert len(trace) == 8
+
+    @pytest.mark.parametrize("initial", ["P", "Q"])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, math.pi / 2])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 7, 64, 300])
+    def test_propagate_bytes_match_a_row_by_row_reference(
+        self, capsys, tmp_path, steps, theta, initial
+    ):
+        csv, trace = reference_propagate(steps, theta, initial)
+        argv = ["propagate", "--steps", str(steps), "--theta", repr(theta), "--initial", initial]
+        out, trace_out = tmp_path / "field.csv", tmp_path / "trace.csv"
+        assert run_cli(capsys, *argv, "--out", str(out), "--trace", str(trace_out)) == (0, "", "")
+        assert first_difference(out.read_text(), csv) is None
+        assert first_difference(trace_out.read_text(), trace) is None
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert first_difference(stdout, csv) is None
 
     def test_hasse_svg(self, capsys, tmp_path):
         target = tmp_path / "ladder.svg"
