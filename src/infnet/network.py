@@ -16,15 +16,22 @@ Two connectivity modes are supported:
       connect freely.  Off-chain events are tracked as isolated.
 
 Reachability is kept as per-event ancestor bitsets, so `influences()` is
-O(1) at all times, before and after `finalize()`.  Inserting s -> t ORs the
-ancestors of s, and s, into t and walks down from t, stopping at every
-event that already has s as an ancestor, so each event is updated at most
-once and only events that gain bits are touched (Italiano, TCS 48, 1986).
-One algorithm, two feeding orders: `add_event` links an event that has no
-successors yet, and `from_parts` inserts each event's incoming edges in id
-order, so where ids rise with influence (as `add_event` numbers them) every
-edge costs one bitset update.  Files whose ids run against influence still
-load exactly, but each insert then walks the descendants already linked.
+O(1) after `finalize()`.  Event indices follow ids (`from_parts` registers
+sorted ids, `add_event` appends the next one), and `add_event`,
+`add_influence` and `from_parts` share one insert routine.  While every
+edge runs from a lower index to a higher one, index order is topological,
+so no insert can close a cycle and the closure is deferred: an upward
+insert records the edge and lowers a stale mark to its target's index, and
+the first read after it (`finalize()` included) recomputes the events from
+the mark up to the highest target, in index order, from their
+predecessors.  A network whose ids rise with influence, as `add_event`
+numbers them, thus costs O(1) per edge.  The first edge into a lower
+index, or a self-loop, closes what is pending and switches the network for
+good to the walk: inserting s -> t ORs the ancestors of s, and s, into t
+and walks down from t, stopping at every event that already has s as an
+ancestor, so each event is updated at most once and only events that gain
+bits are touched (Italiano, TCS 48, 1986).  Both give the same exact
+closure, cycles included.
 Influence is reflexive by convention: every event influences itself, which
 lets chain members project onto themselves without special cases
 downstream.  The bitsets also answer the order questions: the events on
@@ -35,7 +42,8 @@ the one test of whether an edge joins two chains.
 
 Networks are append-only.  `finalize()` freezes the structure; a finalized
 network is immutable and safe to share across threads for read-only
-queries.  It keeps one view per chain, made on first use and never
+queries, because `finalize()` brings the closure up to date and no read
+then writes it.  It keeps one view per chain, made on first use and never
 invalidated: the `ChainRef` that `chain()` returns, plus the chain's
 forward and backward projection labels of every event, each table built
 from the ancestor bitsets on the first projection that needs it (the
@@ -164,8 +172,14 @@ class InfluenceNetwork:
         self._chains: dict[str, list[int]] = {}
         self._chains_of: dict[int, list[str]] = {}
         # _anc[i] is a bitmask over the indices of the events that reach
-        # event i through one or more edges (non-reflexive closure).
+        # event i through one or more edges (non-reflexive closure); read it
+        # through _closure().  _upward holds while every edge runs from a
+        # lower index to a higher one; upward inserts then leave _anc stale
+        # from index _stale up to _top, the highest index an edge enters.
         self._anc: list[int] = []
+        self._upward = True
+        self._stale: Optional[int] = None
+        self._top = -1
         self._finalized = False
         self._views: dict[str, _ChainView] = {}
 
@@ -253,13 +267,14 @@ class InfluenceNetwork:
     def add_influence(self, source: int, target: int) -> None:
         """Insert the edge source -> target, rejecting cycles and duplicates."""
         self._require_mutable()
-        self._require_event(source)
-        self._require_event(target)
+        isrc = self._require_event(source)
+        itgt = self._require_event(target)
         if source == target:
             raise CycleError(f"cycle-would-form: self influence at event {source}")
         if target in self._succ[source]:
             raise DuplicateEdgeError(f"duplicate influence {source} -> {target}")
-        if self.influences(target, source):
+        # While index order is topological, an upward edge cannot close a cycle.
+        if not (self._upward and isrc < itgt) and self.influences(target, source):
             raise CycleError(f"cycle-would-form: {target} already influences {source}")
         if self._mode == RESTRICTED and self._is_cross(source, target):
             for end in (source, target):
@@ -271,6 +286,7 @@ class InfluenceNetwork:
 
     def finalize(self) -> "InfluenceNetwork":
         """Freeze the network; further mutation raises FinalizedError."""
+        self._closure()
         self._finalized = True
         return self
 
@@ -284,13 +300,14 @@ class InfluenceNetwork:
         ib = self._require_event(b)
         if ia == ib:
             return True
-        return bool(self._anc[ib] >> ia & 1)
+        return bool(self._closure()[ib] >> ia & 1)
 
     def transitive_reduction(self) -> set[tuple[int, int]]:
         """Minimal edge set with the same reachability (Hasse covering edges)."""
+        closure = self._closure()
         reduced = set()
         for source, target in self.edges():
-            anc = self._anc[self._index[target]]
+            anc = closure[self._index[target]]
             redundant = any(
                 mid != target and anc >> self._index[mid] & 1 for mid in self._succ[source]
             )
@@ -318,8 +335,14 @@ class InfluenceNetwork:
                         f"event {event} lies on {homes} chains; restricted mode requires exactly one"
                     )
                     found.append(Violation("postulate-3", (event,), detail))
-            for event in self._ids:
-                count = self._cross_degree(event)
+            # One pass over the edges: a cross edge counts at both ends, a
+            # self-loop once.
+            degree: Counter[int] = Counter()
+            for source, targets in self._succ.items():
+                for target in targets:
+                    if self._is_cross(source, target):
+                        degree.update({source, target})
+            for event, count in sorted(degree.items()):
                 if count > 1:
                     detail = (
                         f"event {event} takes part in {count} cross-chain influences; "
@@ -347,12 +370,13 @@ class InfluenceNetwork:
         run validate() to find out.
         Used by the file loader, which must be able to represent a broken
         file in order to report on it.  Edges go in target by target in
-        id order; the closure does not depend on the order.
+        id order; the closure does not depend on the order, but where ids
+        rise with influence every edge is upward and costs O(1).
         """
         net = cls(mode)
         net._chains = {name: list(members) for name, members in chains.items()}
         for name, members in net._chains.items():
-            for event in members:
+            for event in dict.fromkeys(members):
                 net._chains_of.setdefault(event, []).append(name)
         incoming: dict[int, set[int]] = {e: set() for e in (*events, *net._chains_of)}
         for source, target in (*net.chain_links(), *influences):
@@ -401,10 +425,11 @@ class InfluenceNetwork:
         view = self._view(name)
         if view.forward is None:
             labels: list[Optional[int]] = [None] * len(self._ids)
+            anc = self._closure()
             seen = 0
             for label, member in enumerate(view.ref.events, 1):
                 i = self._index[member]
-                new = (self._anc[i] | 1 << i) & ~seen
+                new = (anc[i] | 1 << i) & ~seen
                 seen |= new
                 while new:
                     j = new.bit_length() - 1
@@ -429,7 +454,7 @@ class InfluenceNetwork:
             view.backward = [
                 sum(times * ((anc | 1 << i) & mask).bit_count() for times, mask in masks.items())
                 or None
-                for i, anc in enumerate(self._anc)
+                for i, anc in enumerate(self._closure())
             ]
         return view.backward
 
@@ -454,7 +479,8 @@ class InfluenceNetwork:
 
     def _cyclic(self) -> tuple[int, ...]:
         """Events among their own ancestors, i.e. on directed cycles, in id order."""
-        return tuple(e for i, e in enumerate(self._ids) if self._anc[i] >> i & 1)
+        anc = self._closure()
+        return tuple(e for i, e in enumerate(self._ids) if anc[i] >> i & 1)
 
     def _depths(self) -> dict[int, int]:
         """Longest-path depth of every event of an acyclic network; sources sit at 0.
@@ -462,8 +488,9 @@ class InfluenceNetwork:
         Ancestor count orders events topologically: without cycles an event
         has strictly more ancestors than each of its predecessors.
         """
+        anc = self._closure()
         depth: dict[int, int] = {}
-        for i in sorted(range(len(self._ids)), key=lambda i: self._anc[i].bit_count()):
+        for i in sorted(range(len(self._ids)), key=lambda i: anc[i].bit_count()):
             event = self._ids[i]
             depth[event] = max((depth[p] + 1 for p in self._pred[event]), default=0)
         return depth
@@ -477,18 +504,50 @@ class InfluenceNetwork:
         ends = (*self._succ[event], *(self._pred[event] - {event}))
         return sum(self._is_cross(event, end) for end in ends)
 
+    def _closure(self) -> list[int]:
+        """The ancestor bitsets, first brought up to date if upward inserts are pending.
+
+        Every edge then runs upward, so the events below the stale mark
+        are exact, each event's predecessors are recomputed before it, and
+        no event above the top one has a predecessor.
+        """
+        anc = self._anc
+        if self._stale is not None:
+            index, ids, pred = self._index, self._ids, self._pred
+            for i in range(self._stale, self._top + 1):
+                bits = 0
+                for p in pred[ids[i]]:
+                    j = index[p]
+                    bits |= anc[j] | 1 << j
+                anc[i] = bits
+            self._stale = None
+        return anc
+
     def _insert_edge(self, source: int, target: int) -> None:
+        isrc = self._index[source]
+        if self._upward:
+            itgt = self._index[target]
+            if isrc < itgt:
+                self._succ[source].add(target)
+                self._pred[target].add(source)
+                if self._stale is None or itgt < self._stale:
+                    self._stale = itgt
+                self._top = max(self._top, itgt)
+                return
+            # A downward edge or a self-loop: close what is pending, then walk for good.
+            self._closure()
+            self._upward = False
         self._succ[source].add(target)
         self._pred[target].add(source)
         # An event that already has source as an ancestor holds all of
         # `gained` by transitivity, and so does everything below it.  Exact
         # even when the edge closes a cycle: source then gains only itself.
-        isrc = self._index[source]
-        gained = self._anc[isrc] | (1 << isrc)
+        anc = self._anc
+        gained = anc[isrc] | (1 << isrc)
         stack = [target]
         while stack:
             event = stack.pop()
             i = self._index[event]
-            if not self._anc[i] >> isrc & 1:
-                self._anc[i] |= gained
+            if not anc[i] >> isrc & 1:
+                anc[i] |= gained
                 stack.extend(self._succ[event])

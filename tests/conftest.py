@@ -239,6 +239,34 @@ def ladder_parts(length: int, separation: int, slots) -> tuple[dict, list, int]:
     return {"P": p, "Q": q}, edges, 2 * length + len(slots)
 
 
+def restricted_parts(rng, n: int, n_chains: int, prob: float) -> tuple[dict, list, list]:
+    """Parts of a random restricted network, the benchmark's network-build shape.
+
+    Events 0..n-1 are spread over n_chains chains in a shuffled order, so
+    ids rise along every chain.  Each event starts a cross edge with
+    probability `prob` to a later, still free event of another chain
+    within 39 ids; no event takes part in two.  Returns (chains, cross,
+    homes), homes[e] naming event e's chain.
+    """
+    names = [f"C{c:02d}" for c in range(n_chains)]
+    homes = [names[c] for c in range(n_chains) for _ in range(2)]
+    homes += [rng.choice(names) for _ in range(n - len(homes))]
+    rng.shuffle(homes)
+    chains = {name: [e for e in range(n) if homes[e] == name] for name in names}
+    used = [False] * n
+    cross = []
+    for source in range(n):
+        if used[source] or rng.random() >= prob:
+            continue
+        start = source + 1 + rng.randrange(8)
+        for target in range(start, min(n, start + 32)):
+            if not used[target] and homes[target] != homes[source]:
+                cross.append((source, target))
+                used[source] = used[target] = True
+                break
+    return chains, cross, homes
+
+
 def build_ladder(length: int = 8, separation: int = 2) -> InfluenceNetwork:
     """Two coordinated chains P and Q at the given separation.
 

@@ -7,7 +7,8 @@ Covered claims:
       one-line mutation of a valid file, and cites the breaking record: a
       repeated member's chain line, the first influence line on a cycle, a
       degree breach's second cross-edge line, the second chain line that
-      lists an event on several chains
+      lists an event on several chains; a chain that lists an event twice
+      still counts as one of its chains
     - quantify, distance, interval and hasse refuse a file that fails
       validation with exit 1 and validate's report, line hints included, on
       stderr; hasse --force draws an invalid but acyclic file by fixed rules
@@ -256,6 +257,29 @@ class TestValidateCommand:
             f"(see line {line})"
         ]
         assert run_cli(capsys, "quantify", str(source), "--chain", "P") == (1, "", out)
+
+    @pytest.mark.parametrize(
+        "chains, tail",
+        [
+            ("chain P: 0 1 0\n", []),
+            (
+                "chain P: 0 1 0\nchain Q: 0 2\n",
+                ["postulate-3: event 0 lies on 2 chains; restricted mode requires exactly one "
+                 "(see line 3)"],
+            ),
+        ],
+        ids=["one-chain", "second-chain"],
+    )
+    def test_repeated_member_counts_its_chain_once(self, capsys, tmp_path, chains, tail):
+        source = tmp_path / "repeat.net"
+        source.write_text("mode restricted\n" + chains)
+        code, out, _ = run_cli(capsys, "validate", str(source))
+        assert code == 1
+        assert out.splitlines() == [
+            "cycle-would-form: events on directed cycles: [0, 1]",
+            "postulate-4: chain 'P' lists an event more than once (see line 2)",
+            *tail,
+        ]
 
     def test_off_chain_self_loop_is_one_cycle_and_no_chain(self, capsys, tmp_path):
         source = tmp_path / "loop.net"

@@ -8,7 +8,13 @@ Covered claims:
       and on from_parts input in any id order, cyclic input included
     - transitive reduction drops exactly the implied edges
     - validate() reports rule names for broken invariants; a cross-chain
-      degree counts each incident edge once, a self-loop included
+      degree counts each incident edge once, a self-loop included, and an
+      event a chain lists twice lies on that chain once
+    - while ids rise with influence the closure is deferred to the next
+      read, which recomputes from the lowest new target to the highest
+      one; it matches BFS between inserts, after a switch to the walk,
+      and at the benchmark's network-build size, and after finalize()
+      no read writes it
     - the closure's self bits name the events on cycles, and its ancestor
       counts order an acyclic network for longest-path depths
     - from_parts links consecutive chain members on any input
@@ -16,6 +22,8 @@ Covered claims:
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +40,7 @@ from infnet import (
     UnknownEventError,
 )
 
-from conftest import adjacency, bfs_descendants, bfs_reaches, network_parts
+from conftest import adjacency, bfs_descendants, bfs_reaches, network_parts, restricted_parts
 
 
 def assert_closure_matches_bfs(net: InfluenceNetwork) -> None:
@@ -215,6 +223,134 @@ class TestInfluences:
         assert_closure_matches_bfs(net)
 
 
+class _ReadLog(dict):
+    """A dict that records the keys read by subscription, in order."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read: list = []
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
+
+
+class TestDeferredClosure:
+    """While ids rise with influence the closure waits for the next read."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["general", "restricted"]), st.randoms(use_true_random=False))
+    def test_random_upward_builds_match_bfs_between_inserts(self, mode, rng):
+        net = InfluenceNetwork(mode)
+        for name in "PQR":
+            net.add_chain(name)
+        for _ in range(rng.randint(2, 120)):
+            net.add_event(rng.choice("PQR") if mode == "restricted" else rng.choice([None, "P", "Q"]))
+            if len(net.event_ids()) < 2:
+                continue
+            for _ in range(rng.randint(0, 3)):
+                source, target = sorted(rng.sample(net.event_ids(), 2))
+                try:
+                    net.add_influence(source, target)
+                except (DuplicateEdgeError, DegreeViolationError):
+                    continue
+                if rng.random() < 0.5:
+                    a, b = rng.choice([(source, target), tuple(rng.sample(net.event_ids(), 2))])
+                    assert net.influences(a, b) == bfs_reaches(adjacency(net), a, b), (a, b)
+        assert net._upward
+        assert_closure_matches_bfs(net)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_build_turning_downward_partway_matches_bfs(self, rng):
+        net = InfluenceNetwork("general")
+        net.add_chain("P")
+        net.add_event("P")
+        for _ in range(rng.randint(10, 60)):
+            net.add_event(rng.choice([None, "P"]))
+            source, target = sorted(rng.sample(net.event_ids(), 2))
+            if target not in net.successors(source):
+                net.add_influence(source, target)
+        # A fresh event has no ancestors, so its edge down cannot close a cycle.
+        fresh = net.add_event()
+        net.add_influence(fresh, rng.choice(net.event_ids()[:-1]))
+        assert not net._upward
+        for _ in range(rng.randint(0, 60)):
+            if rng.random() < 0.3:
+                net.add_event(rng.choice([None, "P"]))
+            source, target = rng.sample(net.event_ids(), 2)
+            try:
+                net.add_influence(max(source, target), min(source, target))
+            except (CycleError, DuplicateEdgeError):
+                pass
+            a, b = rng.sample(net.event_ids(), 2)
+            assert net.influences(a, b) == bfs_reaches(adjacency(net), a, b), (a, b)
+        assert_closure_matches_bfs(net)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_from_parts_upward_but_for_a_last_cycle_closing_edge_matches_bfs(self, data):
+        # The cycle-closing edge enters a high id, so many upward edges are
+        # still pending when it switches the network to the walk.
+        n = data.draw(st.integers(3, 30), label="events")
+        upward = st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)).filter(lambda e: e[0] < e[1])
+        edges = data.draw(st.lists(upward, max_size=3 * n), label="edges")
+        target = data.draw(st.integers(n // 2, n - 2), label="target")
+        source = data.draw(st.integers(target + 1, n - 1), label="source")
+        chain = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n), label="chain")
+        net = InfluenceNetwork.from_parts(
+            "general", {"P": sorted(chain)}, [*edges, (source, target)], events=range(n)
+        )
+        assert not net._upward
+        assert_closure_matches_bfs(net)
+
+    def test_upward_restricted_build_at_benchmark_size_matches_bfs(self):
+        chains, cross, homes = restricted_parts(random.Random(500), 600, 8, 0.5)
+        net = InfluenceNetwork("restricted")
+        for name in sorted(chains):
+            net.add_chain(name)
+        for home in homes:
+            net.add_event(home)
+        for source, target in cross:
+            net.add_influence(source, target)
+        net.finalize()
+        assert net._upward and len(cross) > 150
+        assert net.validate() == []
+        assert_closure_matches_bfs(net)
+
+    def test_a_read_recomputes_from_the_lowest_new_target_to_the_top_one(self):
+        net = InfluenceNetwork()
+        for _ in range(100):
+            net.add_event()
+        net.add_influence(10, 60)
+        net.add_influence(20, 50)
+        net._pred = log = _ReadLog(net._pred)
+        assert net.influences(20, 50)
+        assert log.read == list(range(50, 61))
+        log.read.clear()
+        assert not net.influences(10, 50)
+        assert log.read == []
+        net.add_influence(50, 99)
+        log.read.clear()
+        assert net.influences(20, 99)
+        assert log.read == [99]
+        net.add_influence(30, 50)
+        log.read.clear()
+        assert net.influences(30, 99)
+        assert log.read == list(range(50, 100))
+
+    def test_finalize_closes_so_reads_write_nothing(self):
+        net = InfluenceNetwork()
+        a, b, c = (net.add_event() for _ in range(3))
+        net.add_influence(a, b)
+        net.add_influence(b, c)
+        before = list(net.finalize()._anc)
+        assert before == [0, 0b1, 0b11]
+        net._pred = log = _ReadLog(net._pred)
+        assert net.influences(a, c) and net._cyclic() == ()
+        assert log.read == [] and net._anc == before
+
+
 # == 4. Transitive reduction ==================================================
 
 
@@ -294,6 +430,15 @@ class TestValidate:
         net = InfluenceNetwork.from_parts("general", {"P": [0, 1, 0]}, [])
         assert "postulate-4" in {v.rule for v in net.validate()}
 
+    def test_repeated_member_lies_on_its_chain_once(self):
+        net = InfluenceNetwork.from_parts("restricted", {"P": [0, 1, 0], "Q": [1, 2]}, [])
+        assert (net.chains_of(0), net.chains_of(1)) == (("P",), ("P", "Q"))
+        assert [str(v) for v in net.validate()] == [
+            "cycle-would-form: events on directed cycles: [0, 1]",
+            "postulate-4: chain 'P' lists an event more than once",
+            "postulate-3: event 1 lies on 2 chains; restricted mode requires exactly one",
+        ]
+
     def test_self_loop_counts_once_toward_the_cross_degree(self):
         net = InfluenceNetwork.from_parts("restricted", {"P": [0, 1], "Q": [2, 3]}, [(4, 4)])
         assert [str(v) for v in net.validate()] == [
@@ -317,9 +462,18 @@ class TestValidate:
         chains, edges, n = parts
         net = InfluenceNetwork.from_parts(mode, chains, edges, events=range(n))
         homes = {e: {name for name, members in chains.items() if e in members} for e in range(n)}
+        recount = {}
         for event in range(n):
             incident = [(s, t) for s, t in net.edges() if event in (s, t)]
-            assert net._cross_degree(event) == sum(not homes[s] & homes[t] for s, t in incident)
+            recount[event] = sum(not homes[s] & homes[t] for s, t in incident)
+            assert net._cross_degree(event) == recount[event]
+        breaches = [str(v) for v in net.validate() if "cross-chain" in v.detail]
+        assert breaches == [
+            f"postulate-3: event {e} takes part in {count} cross-chain influences; "
+            "restricted mode allows one"
+            for e, count in recount.items()
+            if count > 1 and mode == "restricted"
+        ]
 
     @settings(max_examples=150, deadline=None)
     @given(network_parts())
