@@ -61,6 +61,9 @@ class Kinematics:
 
 def rates_from_counts(count: float, dp: Number, dq: Number) -> RatePair:
     """Rates (count/dp, count/dq) for one batch of detections."""
+    # abs(v) < inf is False for nan and the infinities, True for any int or Fraction.
+    if not all(abs(value) < math.inf for value in (count, dp, dq)):
+        raise ValueError(f"count and spans must be finite, got count={count}, dp={dp}, dq={dq}")
     if dp <= 0 or dq <= 0:
         raise ValueError(f"observer spans must be positive, got dp={dp}, dq={dq}")
     if count <= 0:

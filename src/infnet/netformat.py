@@ -88,7 +88,10 @@ def parse(text: str) -> ParsedNetwork:
     edge_lines: dict[tuple[int, int], int] = {}
     chain_lines: dict[str, int] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Only \n, \r\n and \r end a line; splitlines() would also break at
+    # form feeds and other separators a user sees inside a line.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -138,10 +141,17 @@ def loads(text: str) -> InfluenceNetwork:
 
 
 def dumps(net: InfluenceNetwork) -> str:
-    """Canonical text form.  Fully isolated events have no representation."""
+    """Canonical text form.
+
+    Fully isolated events have no representation, and neither has a chain
+    name that parse() would not read back unchanged: an empty one, one
+    with surrounding whitespace, or one holding ':', '#' or a line break.
+    """
     covered = set()
     lines = [f"mode {net.mode}"]
     for name in net.chain_names():
+        if not name or name != name.strip() or any(c in name for c in ":#\r\n"):
+            raise ValueError(f"chain name {name!r} cannot be written in the text format")
         members = net._members(name)
         covered.update(members)
         lines.append(f"chain {name}: " + " ".join(str(e) for e in members))
@@ -159,8 +169,14 @@ def dumps(net: InfluenceNetwork) -> str:
 
 def load_path(path: str, force: bool = False) -> InfluenceNetwork:
     """Read and validate a network file; violations abort unless forced."""
-    with open(path, "r", encoding="utf-8") as handle:
-        parsed = parse(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise NetworkParseError(before.count(b"\n") + 1, f"byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})") from None
+    parsed = parse(text)
     violations = parsed.net.validate()
     if violations and not force:
         raise ViolationsError(violations, parsed._report(violations))

@@ -45,11 +45,12 @@ network is immutable and safe to share across threads for read-only
 queries, because `finalize()` brings the closure up to date and no read
 then writes it.  It keeps one view per chain, made on first use and never
 invalidated: the `ChainRef` that `chain()` returns, plus the chain's
-forward and backward projection labels of every event, each table built
-from the ancestor bitsets on the first projection that needs it (the
-chain-indexed closure of Jagadish, ACM TODS 15, 1990, computed once rather
-than kept up edge by edge).  Threads racing on a first query share one
-view; each may build the same table, and the copies are equal.
+forward and backward projection labels of every event.  The first
+`chain()` call or projection onto a chain builds its view whole from the
+ancestor bitsets (the chain-indexed closure of Jagadish, ACM TODS 15,
+1990, computed once rather than kept up edge by edge).  Threads racing on
+a first query share one view; each may build its own copy, the copies are
+equal, and the first one stored is the one every caller gets.
 `validate()`, `transitive_reduction()`, `dumps` and `hasse_svg` build no
 view.
 """
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 RESTRICTED = "restricted"
 GENERAL = "general"
@@ -143,19 +144,12 @@ class Violation:
         return f"{self.rule}: {self.detail}"
 
 
-@dataclass
-class _ChainView:
-    """A finalized network's chain plus its projection labels, by event index.
-
-    `forward[i]` is the least label of a chain event that event i
-    influences, `backward[i]` the greatest label of a chain event that
-    influences event i: None where there is none, and None for the whole
-    table until it is first built.
-    """
+class _View(NamedTuple):
+    """A finalized network's chain and its projection labels (see `InfluenceNetwork._view`)."""
 
     ref: ChainRef
-    forward: Optional[list[Optional[int]]] = None
-    backward: Optional[list[Optional[int]]] = None
+    forward: list[Optional[int]]
+    backward: list[Optional[int]]
 
 
 class InfluenceNetwork:
@@ -181,7 +175,7 @@ class InfluenceNetwork:
         self._stale: Optional[int] = None
         self._top = -1
         self._finalized = False
-        self._views: dict[str, _ChainView] = {}
+        self._views: dict[str, _View] = {}
 
     # -------------------------
     # Introspection
@@ -405,58 +399,45 @@ class InfluenceNetwork:
         except KeyError:
             raise UnknownChainError(f"unknown chain {name!r}") from None
 
-    def _view(self, name: str) -> _ChainView:
-        """The stored view of a chain on a finalized network, made on first use."""
-        self.require_finalized()
+    def _view(self, name: str) -> _View:
+        """A finalized network's view of a chain, built whole on first use.
+
+        The view is the chain's `ChainRef` and, by event index, the forward
+        and the backward projection label of every event onto it, None
+        where there is none.  The forward labels come from one walk along
+        the chain: the events that influence its k-th member only grow with
+        k, and each event takes the label at which it first appears.  The
+        chain events that influence x form a prefix, so x's backward label
+        counts them: the members among x's reflexive ancestors, each
+        weighted by how often the chain lists it.  Both are exact on cycles
+        and repeated members.
+        """
         view = self._views.get(name)
         if view is None:
-            # setdefault: threads racing to make the view all get the same one.
+            self.require_finalized()
             ref = ChainRef(name, tuple(self._members(name)))
-            view = self._views.setdefault(name, _ChainView(ref))
-        return view
-
-    def _forward_labels(self, name: str) -> list[Optional[int]]:
-        """Forward projection label onto a chain of every event, by event index.
-
-        Built on first use by one walk along the chain: the events that
-        influence its k-th member only grow with k, and each event takes
-        the label at which it first appears.
-        """
-        view = self._view(name)
-        if view.forward is None:
-            labels: list[Optional[int]] = [None] * len(self._ids)
             anc = self._closure()
+            forward: list[Optional[int]] = [None] * len(anc)
             seen = 0
-            for label, member in enumerate(view.ref.events, 1):
+            for label, member in enumerate(ref.events, 1):
                 i = self._index[member]
                 new = (anc[i] | 1 << i) & ~seen
                 seen |= new
                 while new:
                     j = new.bit_length() - 1
-                    labels[j] = label
+                    forward[j] = label
                     new ^= 1 << j
-            view.forward = labels
-        return view.forward
-
-    def _backward_labels(self, name: str) -> list[Optional[int]]:
-        """Backward projection label onto a chain of every event, by event index.
-
-        The chain events that influence x form a prefix, so x's label
-        counts them: the members among x's reflexive ancestors, each
-        weighted by how often the chain lists it.  Exact on cycles and
-        repeated members.
-        """
-        view = self._view(name)
-        if view.backward is None:
             masks: dict[int, int] = {}
-            for member, times in Counter(view.ref.events).items():
+            for member, times in Counter(ref.events).items():
                 masks[times] = masks.get(times, 0) | 1 << self._index[member]
-            view.backward = [
-                sum(times * ((anc | 1 << i) & mask).bit_count() for times, mask in masks.items())
+            backward = [
+                sum(times * ((bits | 1 << i) & mask).bit_count() for times, mask in masks.items())
                 or None
-                for i, anc in enumerate(self._closure())
+                for i, bits in enumerate(anc)
             ]
-        return view.backward
+            # setdefault: threads racing to make the view all get the same one.
+            view = self._views.setdefault(name, _View(ref, forward, backward))
+        return view
 
     def _require_mutable(self) -> None:
         if self._finalized:

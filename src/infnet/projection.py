@@ -67,14 +67,14 @@ def forward_project(
     net: InfluenceNetwork, x: int, chain: Union[str, ChainRef]
 ) -> Optional[int]:
     """Label of the least event on the chain that x influences, if any."""
-    return net._forward_labels(_name(chain))[net._require_event(x)]
+    return net._view(_name(chain)).forward[net._require_event(x)]
 
 
 def backward_project(
     net: InfluenceNetwork, x: int, chain: Union[str, ChainRef]
 ) -> Optional[int]:
     """Label of the greatest event on the chain that influences x, if any."""
-    return net._backward_labels(_name(chain))[net._require_event(x)]
+    return net._view(_name(chain)).backward[net._require_event(x)]
 
 
 def quantify_event(

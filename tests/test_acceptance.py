@@ -314,3 +314,30 @@ def test_criterion_15_zitterbewegung_frequency():
         omega = 2 * math.pi * peak / len(t)
         assert abs(omega - 2 * theta) <= 2 * math.pi / steps
     assert time.perf_counter() - started < 20.0
+
+
+@report(16, "the lattice mass shell at k != 0: phi(k, t+1) + phi(k, t-1) = 2 cos(theta) cos(k/2) phi(k, t), 1e-10, N = 1000, under 10 s")
+def test_criterion_16_mass_shell_off_zero_momentum():
+    # One step acts on the spatial transform as U(k) = diag(e^{ik/2},
+    # e^{-ik/2}) [[cos t, i sin t], [i sin t, cos t]], whose determinant is 1,
+    # so by Cayley-Hamilton every helicity column obeys the three-term
+    # recurrence with trace 2 cos(theta) cos(k/2): cos(omega) = cos(theta)
+    # cos(k/2), the mass shell per doubled site.
+    steps = 1000
+    ks = np.array([0.1, 0.7, 1.9, 3.0])
+    started = time.perf_counter()
+    for theta in (0.05, 0.3, math.pi / 4, 1.2):
+        tm = TransferMatrices(theta)
+        trace = 2 * math.cos(theta) * np.cos(ks / 2)
+        for helicity in ("P", "Q"):
+            field = SpinorField.delta(helicity)
+            spectra = []
+            for _ in range(steps + 1):
+                x = np.arange(len(field.phi_p)) + field.x2_lo / 2
+                phase = np.exp(-1j * np.outer(ks, x))
+                spectra.append(np.stack([phase @ field.phi_p, phase @ field.phi_q], axis=1))
+                field = step_field(field, tm)
+            spectra = np.array(spectra)  # (t, k, helicity column)
+            residual = spectra[2:] + spectra[:-2] - trace[:, None] * spectra[1:-1]
+            assert np.max(np.abs(residual)) <= 1e-10
+    assert time.perf_counter() - started < 10.0

@@ -118,8 +118,7 @@ class TestNetFormat:
     @settings(max_examples=50, deadline=None)
     @given(st.data())
     def test_round_trip_random_networks(self, data):
-        chain_count = data.draw(st.integers(1, 3))
-        names = ["A", "B", "C"][:chain_count]
+        names = data.draw(st.lists(st.text(), min_size=1, max_size=3, unique=True))
         net_events = 0
         chains = {}
         for name in names:
@@ -133,11 +132,26 @@ class TestNetFormat:
         from infnet import InfluenceNetwork
 
         net = InfluenceNetwork.from_parts("general", chains, edges)
-        text = netformat.dumps(net)
+        try:
+            text = netformat.dumps(net)
+        except ValueError as exc:
+            assert any(repr(name) in str(exc) for name in names)
+            return
         reloaded = netformat.loads(text)
         assert netformat.dumps(reloaded) == text
         assert reloaded.edges() == net.edges()
         assert reloaded.chain_names() == net.chain_names()
+
+    @pytest.mark.parametrize("name", [" P", "P ", "a:b", "a#b", "", "x\ny", "x\ry", "\x85P"])
+    def test_chain_names_the_format_cannot_carry_are_refused(self, name):
+        net = InfluenceNetwork.from_parts("general", {"Q": [0], name: [1]}, [])
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            netformat.dumps(net)
+
+    @pytest.mark.parametrize("name", ["P", "a b", "P\x00", "\u00e9t\u00e9", "P\fQ"])
+    def test_chain_names_the_format_carries_round_trip(self, name):
+        net = InfluenceNetwork.from_parts("general", {name: [0, 1]}, [])
+        assert netformat.loads(netformat.dumps(net)).chain(name).events == (0, 1)
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(["general", "restricted"]), network_parts())
@@ -198,6 +212,36 @@ class TestValidateCommand:
         assert code == 2
         assert f"line {line}" in err
         assert "-1" in err
+
+    @pytest.mark.parametrize(
+        "separator", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_only_newlines_end_a_line(self, capsys, tmp_path, separator, newline):
+        source = tmp_path / "separator.net"
+        lines = ["mode general", f"# note{separator} page", "chain P: 0 1", "bogus"]
+        source.write_bytes(newline.join(lines).encode("utf-8"))
+        code, _, err = run_cli(capsys, "validate", str(source))
+        assert code == 2
+        assert err == "parse error: line 4: unknown record 'bogus'\n"
+        source.write_bytes(newline.join(lines[:3]).encode("utf-8"))
+        assert run_cli(capsys, "validate", str(source))[:2] == (0, "ok\n")
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"mode general\nchain P: 0 1\n# caf\xff\n", 3),
+            (b"mode general\r\nchain P: 0 1\r\n# caf\xe9\r\n", 3),
+            (b"mode general\rchain P: 0\x80 1\r", 2),
+            (b"chain P: 0 1 \xe2\x82\n", 1),
+        ],
+    )
+    def test_non_utf8_byte_is_parse_error_at_its_line(self, capsys, tmp_path, data, line):
+        bad = tmp_path / "bytes.net"
+        bad.write_bytes(data)
+        code, _, err = run_cli(capsys, "validate", str(bad))
+        assert code == 2
+        assert err.startswith(f"parse error: line {line}: byte 0x")
 
     def test_usage_error_exits_two(self, capsys):
         assert main(["validate"]) == 2
@@ -444,6 +488,20 @@ class TestNumericCommands:
         assert lines["E"] == "1.25"
         assert lines["p"] == "0.75"
         assert lines["beta"] == "0.6"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--count", "nan", "--dp", "1", "--dq", "1"],
+            ["--count", "4", "--dp", "inf", "--dq", "1"],
+            ["--count", "4", "--dp", "0", "--dq", "1"],
+        ],
+    )
+    def test_kinematics_rejects_non_finite_and_zero_inputs(self, capsys, argv):
+        code, out, err = run_cli(capsys, "kinematics", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.strip()
 
 
 # == 5. enumerate / simulate ==================================================

@@ -39,9 +39,21 @@ class TestRatesFromCounts:
         rates = rates_from_counts(6, 6, 6)
         assert (rates.r_p, rates.r_q) == (1.0, 1.0)
 
-    def test_zero_span_rejected(self):
+    @pytest.mark.parametrize(
+        "count, dp, dq",
+        [
+            (4, 0, 2),
+            (math.nan, 1, 1),
+            (4, math.nan, 1),
+            (4, 1, math.nan),
+            (math.inf, 1, 1),
+            (4, math.inf, 1),
+            (4, 1, math.inf),
+        ],
+    )
+    def test_zero_span_rejected(self, count, dp, dq):
         with pytest.raises(ValueError):
-            rates_from_counts(4, 0, 2)
+            rates_from_counts(count, dp, dq)
 
     def test_both_rates_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -232,16 +232,22 @@ def test_reading_whole_networks_builds_no_view():
 
 def test_views_are_built_on_first_need_and_reused():
     net = loads(ladder_file())
+    assert "Q" not in net._views
     ref = net.chain("Q")
     assert net.chain("Q") is ref
-    assert net._views["Q"].forward is None and net._views["Q"].backward is None
-    forward_project(net, 0, "Q")
-    forward_labels = net._views["Q"].forward
-    assert forward_labels is not None and net._views["Q"].backward is None
-    backward_project(net, 0, ref)
-    assert net._views["Q"].forward is forward_labels
-    assert net._views["Q"].backward is not None
+    # The first use builds that chain's whole view and no other chain's.
     assert list(net._views) == ["Q"]
+    view = net._views["Q"]
+    assert view.ref is ref
+    assert len(view.forward) == len(view.backward) == len(net.event_ids())
+    forward_project(net, 0, "Q")
+    backward_project(net, 0, ref)
+    assert net._views["Q"] is view
+    assert list(net._views) == ["Q"]
+    # A projection as the first use builds the whole view too.
+    forward_project(net, 0, "P")
+    assert list(net._views) == ["Q", "P"]
+    assert len(net._views["P"].backward) == len(net.event_ids())
 
 
 def test_unknown_event_is_rejected_even_on_an_empty_chain():
