@@ -175,7 +175,8 @@ def load_path(path: str, force: bool = False) -> InfluenceNetwork:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        raise NetworkParseError(before.count(b"\n") + 1, f"byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})") from None
+        message = f"byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+        raise NetworkParseError(before.count(b"\n") + 1, message) from None
     parsed = parse(text)
     violations = parsed.net.validate()
     if violations and not force:

@@ -142,16 +142,18 @@ class TestNetFormat:
         assert reloaded.edges() == net.edges()
         assert reloaded.chain_names() == net.chain_names()
 
-    @pytest.mark.parametrize("name", [" P", "P ", "a:b", "a#b", "", "x\ny", "x\ry", "\x85P"])
-    def test_chain_names_the_format_cannot_carry_are_refused(self, name):
-        net = InfluenceNetwork.from_parts("general", {"Q": [0], name: [1]}, [])
-        with pytest.raises(ValueError, match=re.escape(repr(name))):
-            netformat.dumps(net)
-
-    @pytest.mark.parametrize("name", ["P", "a b", "P\x00", "\u00e9t\u00e9", "P\fQ"])
-    def test_chain_names_the_format_carries_round_trip(self, name):
-        net = InfluenceNetwork.from_parts("general", {name: [0, 1]}, [])
-        assert netformat.loads(netformat.dumps(net)).chain(name).events == (0, 1)
+    @pytest.mark.parametrize(
+        "name, carried",
+        [(name, False) for name in (" P", "P ", "a:b", "a#b", "", "x\ny", "x\ry", "\x85P")]
+        + [(name, True) for name in ("P", "a b", "P\x00", "\u00e9t\u00e9", "P\fQ")],
+    )
+    def test_dumps_writes_only_chain_names_parse_reads_back(self, name, carried):
+        net = InfluenceNetwork.from_parts("general", {"Q": [0], name: [1, 2]}, [])
+        if carried:
+            assert netformat.loads(netformat.dumps(net)).chain(name).events == (1, 2)
+        else:
+            with pytest.raises(ValueError, match=re.escape(repr(name))):
+                netformat.dumps(net)
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(["general", "restricted"]), network_parts())
@@ -494,10 +496,9 @@ class TestNumericCommands:
         [
             ["--count", "nan", "--dp", "1", "--dq", "1"],
             ["--count", "4", "--dp", "inf", "--dq", "1"],
-            ["--count", "4", "--dp", "0", "--dq", "1"],
         ],
     )
-    def test_kinematics_rejects_non_finite_and_zero_inputs(self, capsys, argv):
+    def test_kinematics_rejects_non_finite_inputs(self, capsys, argv):
         code, out, err = run_cli(capsys, "kinematics", *argv)
         assert code == 1
         assert out == ""
