@@ -45,6 +45,8 @@ class RatePair:
     r_q: float
 
     def __post_init__(self):
+        if not (abs(self.r_p) < math.inf and abs(self.r_q) < math.inf):
+            raise ValueError(f"rates must be finite, got ({self.r_p}, {self.r_q})")
         if self.r_p < 0 or self.r_q < 0:
             raise ValueError(f"rates must be non-negative, got ({self.r_p}, {self.r_q})")
         if self.r_p == 0 and self.r_q == 0:
@@ -100,6 +102,8 @@ def beta_consistency(dp: Number, dq: Number) -> float:
     Equals momentum/energy of rates_from_counts(c, dp, dq) for any shared
     count c, and dx/dt of the corresponding interval.
     """
+    if not (abs(dp) < math.inf and abs(dq) < math.inf):
+        raise ValueError(f"spans must be finite, got dp={dp}, dq={dq}")
     if dp < 0 or dq < 0:
         raise ValueError(f"spans must be non-negative, got dp={dp}, dq={dq}")
     if dp + dq == 0:

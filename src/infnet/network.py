@@ -16,9 +16,14 @@ Two connectivity modes are supported:
       connect freely.  Off-chain events are tracked as isolated.
 
 Reachability is kept as per-event ancestor bitsets, so `influences()` is
-O(1) after `finalize()`.  Event indices follow ids (`from_parts` registers
-sorted ids, `add_event` appends the next one), and `add_event`,
-`add_influence` and `from_parts` share one insert routine.  While every
+O(1) after `finalize()`.  Event indices follow ids (`from_parts` indexes
+sorted ids, `add_event` appends the next one).  `from_parts`, the file
+loader, knows the whole edge set up front: it builds the adjacency in one
+pass and the bitsets in one Kahn order (CACM 5(11), 1962), whatever order
+the ids run in.  The events it cannot place lie on or below a cycle; they
+start from the OR of their placed predecessors, and the edges among them
+go in one at a time through the walk below.
+`add_event` and `add_influence` share one insert routine.  While every
 edge runs from a lower index to a higher one, index order is topological,
 so no insert can close a cycle and the closure is deferred: an upward
 insert records the edge and lowers a stale mark to its target's index, and
@@ -30,7 +35,7 @@ index, or a self-loop, closes what is pending and switches the network for
 good to the walk: inserting s -> t ORs the ancestors of s, and s, into t
 and walks down from t, stopping at every event that already has s as an
 ancestor, so each event is updated at most once and only events that gain
-bits are touched (Italiano, TCS 48, 1986).  Both give the same exact
+bits are touched (Italiano, TCS 48, 1986).  All three give the same exact
 closure, cycles included.
 Influence is reflexive by convention: every event influences itself, which
 lets chain members project onto themselves without special cases
@@ -57,9 +62,10 @@ view.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 RESTRICTED = "restricted"
 GENERAL = "general"
@@ -169,7 +175,8 @@ class InfluenceNetwork:
         # event i through one or more edges (non-reflexive closure); read it
         # through _closure().  _upward holds while every edge runs from a
         # lower index to a higher one; upward inserts then leave _anc stale
-        # from index _stale up to _top, the highest index an edge enters.
+        # from index _stale up to _top, at or above the highest index an
+        # edge enters.
         self._anc: list[int] = []
         self._upward = True
         self._stale: Optional[int] = None
@@ -197,7 +204,14 @@ class InfluenceNetwork:
 
     def chain_links(self) -> set[tuple[int, int]]:
         """Consecutive distinct member pairs of every chain: the implied edges."""
-        return {(a, b) for m in self._chains.values() for a, b in zip(m, m[1:]) if a != b}
+        return set(self._links())
+
+    def _links(self) -> Iterator[tuple[int, int]]:
+        """The chain links chain by chain, in chain order, once per listing."""
+        for members in self._chains.values():
+            for a, b in zip(members, members[1:]):
+                if a != b:
+                    yield a, b
 
     def chain_names(self) -> list[str]:
         return sorted(self._chains)
@@ -247,7 +261,11 @@ class InfluenceNetwork:
         if chain is not None and chain not in self._chains:
             raise UnknownChainError(f"unknown chain {chain!r}")
         event = self._ids[-1] + 1 if self._ids else 0
-        self._register_event(event)
+        self._index[event] = len(self._ids)
+        self._ids.append(event)
+        self._succ[event] = set()
+        self._pred[event] = set()
+        self._anc.append(0)
         if chain is not None:
             # Membership first, so the tail link is classified as a chain
             # edge rather than a cross-chain one.
@@ -330,13 +348,16 @@ class InfluenceNetwork:
                     )
                     found.append(Violation("postulate-3", (event,), detail))
             # One pass over the edges: a cross edge counts at both ends, a
-            # self-loop once.
-            degree: Counter[int] = Counter()
+            # self-loop once.  _ids runs in id order, so breaches do too.
+            degree = dict.fromkeys(self._ids, 0)
             for source, targets in self._succ.items():
+                homes = set(self._chains_of.get(source, ()))
                 for target in targets:
-                    if self._is_cross(source, target):
-                        degree.update({source, target})
-            for event, count in sorted(degree.items()):
+                    if self._is_cross(source, target, homes):
+                        degree[source] += 1
+                        if target != source:
+                            degree[target] += 1
+            for event, count in degree.items():
                 if count > 1:
                     detail = (
                         f"event {event} takes part in {count} cross-chain influences; "
@@ -363,24 +384,63 @@ class InfluenceNetwork:
         invariants (cycles, degree breaches, repeated chain members, ...);
         run validate() to find out.
         Used by the file loader, which must be able to represent a broken
-        file in order to report on it.  Edges go in target by target in
-        id order; the closure does not depend on the order, but where ids
-        rise with influence every edge is upward and costs O(1).
+        file in order to report on it.
+
+        The whole edge set is known up front, so the adjacency is built in
+        one pass and the closure in one Kahn order (CACM 5(11), 1962): each
+        event, once all its predecessors are placed, ORs its ancestors and
+        itself into each successor.  The events that are never placed lie
+        on or below a cycle; each then holds the OR of its placed
+        predecessors, and the edges among them go back in one at a time
+        through the walk of `add_influence`, which is exact on cycles.
+        Nothing is deferred: the closure is exact on return, and deferral
+        serves only later `add_event` and `add_influence` calls.  The order
+        of the ids decides nothing but `_upward`, which stays set only if
+        every edge runs from a lower id to a higher one, so a later
+        `add_influence` keeps the cycle test it needs.
         """
         net = cls(mode)
         net._chains = {name: list(members) for name, members in chains.items()}
         for name, members in net._chains.items():
             for event in dict.fromkeys(members):
                 net._chains_of.setdefault(event, []).append(name)
-        incoming: dict[int, set[int]] = {e: set() for e in (*events, *net._chains_of)}
-        for source, target in (*net.chain_links(), *influences):
-            incoming.setdefault(source, set())
-            incoming.setdefault(target, set()).add(source)
-        for event in sorted(incoming):
-            net._register_event(event)
-        for target in net._ids:
-            for source in incoming[target]:
-                net._insert_edge(source, target)
+        influences = list(influences)
+        ids = sorted({*events, *net._chains_of, *(e for edge in influences for e in edge)})
+        if ids and ids[0] < 0:
+            raise NetworkError(f"event ids are non-negative, got {ids[0]}")
+        index = {event: i for i, event in enumerate(ids)}
+        succ: dict[int, set[int]] = {event: set() for event in ids}
+        pred: dict[int, set[int]] = {event: set() for event in ids}
+        # Chain links in chain order, not as the chain_links() set: hash
+        # order would scatter these writes over memory.
+        for source, target in itertools.chain(net._links(), influences):
+            succ[source].add(target)
+            pred[target].add(source)
+        net._ids, net._index, net._succ, net._pred = ids, index, succ, pred
+        net._upward = all(index[s] < index[t] for s, targets in succ.items() for t in targets)
+        # While upward, a later insert recomputes from its target to _top.
+        net._top = len(ids) - 1
+
+        anc = net._anc = [0] * len(ids)
+        waiting = [len(pred[event]) for event in ids]
+        order = [i for i, count in enumerate(waiting) if not count]
+        for i in order:  # grows as events are placed
+            gained = anc[i] | 1 << i
+            for target in succ[ids[i]]:
+                j = index[target]
+                anc[j] |= gained
+                waiting[j] -= 1
+                if not waiting[j]:
+                    order.append(j)
+        # A placed event has only placed predecessors, so the events left
+        # waiting are closed under successors: take out the edges among
+        # them, so that each walk below covers only the edges put back.
+        rest = [(ids[i], t) for i, count in enumerate(waiting) if count for t in succ[ids[i]]]
+        for source, target in rest:
+            succ[source].discard(target)
+            pred[target].discard(source)
+        for source, target in rest:
+            net._walk(source, target)
         return net
 
     # -------------------------
@@ -430,11 +490,13 @@ class InfluenceNetwork:
             masks: dict[int, int] = {}
             for member, times in Counter(ref.events).items():
                 masks[times] = masks.get(times, 0) | 1 << self._index[member]
-            backward = [
-                sum(times * ((bits | 1 << i) & mask).bit_count() for times, mask in masks.items())
-                or None
-                for i, bits in enumerate(anc)
-            ]
+            # One pass over the events per multiplicity; 0 reads as None.
+            backward: list[Optional[int]] = [None] * len(anc)
+            for times, mask in masks.items():
+                backward = [
+                    times * ((bits | 1 << i) & mask).bit_count() + (count or 0) or None
+                    for i, (count, bits) in enumerate(zip(backward, anc))
+                ]
             # setdefault: threads racing to make the view all get the same one.
             view = self._views.setdefault(name, _View(ref, forward, backward))
         return view
@@ -446,17 +508,6 @@ class InfluenceNetwork:
     def require_finalized(self) -> None:
         if not self._finalized:
             raise NotFinalizedError("network must be finalized before this query")
-
-    def _register_event(self, event: int) -> None:
-        if event in self._index:
-            raise NetworkError(f"event {event} already exists")
-        if event < 0:
-            raise NetworkError(f"event ids are non-negative, got {event}")
-        self._index[event] = len(self._ids)
-        self._ids.append(event)
-        self._succ[event] = set()
-        self._pred[event] = set()
-        self._anc.append(0)
 
     def _cyclic(self) -> tuple[int, ...]:
         """Events among their own ancestors, i.e. on directed cycles, in id order."""
@@ -476,9 +527,15 @@ class InfluenceNetwork:
             depth[event] = max((depth[p] + 1 for p in self._pred[event]), default=0)
         return depth
 
-    def _is_cross(self, source: int, target: int) -> bool:
-        """True when no chain holds both events: a cross-chain influence."""
-        return set(self._chains_of.get(source, ())).isdisjoint(self._chains_of.get(target, ()))
+    def _is_cross(self, source: int, target: int, homes: Optional[set[str]] = None) -> bool:
+        """True when no chain holds both events: a cross-chain influence.
+
+        `homes` is the set of source's chains, for a caller that tests many
+        edges from one source and builds it once.
+        """
+        if homes is None:
+            homes = set(self._chains_of.get(source, ()))
+        return homes.isdisjoint(self._chains_of.get(target, ()))
 
     def _cross_degree(self, event: int) -> int:
         """Cross-chain edges that start or end at event, a self-loop counted once."""
@@ -505,9 +562,8 @@ class InfluenceNetwork:
         return anc
 
     def _insert_edge(self, source: int, target: int) -> None:
-        isrc = self._index[source]
         if self._upward:
-            itgt = self._index[target]
+            isrc, itgt = self._index[source], self._index[target]
             if isrc < itgt:
                 self._succ[source].add(target)
                 self._pred[target].add(source)
@@ -518,6 +574,11 @@ class InfluenceNetwork:
             # A downward edge or a self-loop: close what is pending, then walk for good.
             self._closure()
             self._upward = False
+        self._walk(source, target)
+
+    def _walk(self, source: int, target: int) -> None:
+        """Add source -> target to an up-to-date closure and walk down from target."""
+        isrc = self._index[source]
         self._succ[source].add(target)
         self._pred[target].add(source)
         # An event that already has source as an ancestor holds all of

@@ -1,7 +1,8 @@
 """Rates of influence and the mass/energy/momentum analogues.
 
 Covered claims:
-    - rates come out as count/span, rejecting empty spans
+    - rates come out as count/span, rejecting empty spans; rate pairs and
+      beta_consistency reject nan and infinite inputs
     - mass/energy/momentum satisfy m**2 = E**2 - p**2 identically
     - the worked rate pair (0.5, 2) gives (m, E, p, beta) = (1, 1.25, 0.75, 0.6)
     - frame changes leave the mass alone and boost (E, p) like (dt, dx)
@@ -58,6 +59,11 @@ class TestRatesFromCounts:
     def test_both_rates_zero_rejected(self):
         with pytest.raises(ValueError):
             RatePair(0.0, 0.0)
+
+    @pytest.mark.parametrize("r_p, r_q", [(math.inf, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_non_finite_rates_rejected(self, r_p, r_q):
+        with pytest.raises(ValueError, match="finite"):
+            RatePair(r_p, r_q)
 
 
 class TestKinematicsFromRates:
@@ -151,6 +157,11 @@ class TestBetaConsistency:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             beta_consistency(0, 0)
+
+    @pytest.mark.parametrize("dp, dq", [(math.nan, 1), (math.inf, 1), (1, -math.inf)])
+    def test_non_finite_spans_rejected(self, dp, dq):
+        with pytest.raises(ValueError, match="finite"):
+            beta_consistency(dp, dq)
 
     def test_equals_momentum_over_energy(self):
         rng = random.Random(35)

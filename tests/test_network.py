@@ -6,15 +6,22 @@ Covered claims:
     - influences() is reflexive-transitive and matches a BFS oracle, after
       random add_event/add_influence sequences (rejected attempts included)
       and on from_parts input in any id order, cyclic input included
+    - from_parts closes a loaded network in one bulk pass: its bitsets
+      equal BFS at 300 and 2000 events on permuted, reversed, cyclic,
+      self-loop and repeated-member input; a load with a downward edge
+      keeps add_influence's cycle test for later upward edges; and a
+      falling chain of 4000 events loads in at most about 2.5 times the
+      time of one of 2000
     - transitive reduction drops exactly the implied edges
     - validate() reports rule names for broken invariants; a cross-chain
       degree counts each incident edge once, a self-loop included, and an
       event a chain lists twice lies on that chain once
-    - while ids rise with influence the closure is deferred to the next
-      read, which recomputes from the lowest new target to the highest
-      one; it matches BFS between inserts, after a switch to the walk,
-      and at the benchmark's network-build size, and after finalize()
-      no read writes it
+    - in a build by add_event and add_influence, while ids rise with
+      influence the closure is deferred to the next read, which
+      recomputes from the lowest new target to the highest one; it
+      matches BFS between inserts, after a switch to the walk, and at the
+      benchmark's network-build size, and after finalize() no read
+      writes it
     - the closure's self bits name the events on cycles, and its ancestor
       counts order an acyclic network for longest-path depths
     - from_parts links consecutive chain members on any input
@@ -23,7 +30,10 @@ Covered claims:
 
 from __future__ import annotations
 
+import math
 import random
+import statistics
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -290,8 +300,8 @@ class TestDeferredClosure:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_from_parts_upward_but_for_a_last_cycle_closing_edge_matches_bfs(self, data):
-        # The cycle-closing edge enters a high id, so many upward edges are
-        # still pending when it switches the network to the walk.
+        # One cycle-closing edge into a high id among many upward ones: the
+        # load closes the rest in Kahn order and walks the cycle's edges.
         n = data.draw(st.integers(3, 30), label="events")
         upward = st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)).filter(lambda e: e[0] < e[1])
         edges = data.draw(st.lists(upward, max_size=3 * n), label="edges")
@@ -349,6 +359,79 @@ class TestDeferredClosure:
         net._pred = log = _ReadLog(net._pred)
         assert net.influences(a, c) and net._cyclic() == ()
         assert log.read == [] and net._anc == before
+
+
+def large_parts(shape: str, n: int, seed: int) -> tuple[dict, list]:
+    """Raw `from_parts` input of n events at the sizes the bulk load serves.
+
+    Each shape starts from a DAG on hidden ranks 0..n-1: chains P, Q and R,
+    each rising through a quarter of the ranks, and free edges up to 40
+    ranks ahead.  "reversed" numbers the ranks n-1..0, the others in a
+    random order, so ids run against influence.  "cyclic" adds edges back
+    down the ranks, "self-loop" adds self-loops, and "repeated-member"
+    lists one member of each chain a second time.  Returns (chains, edges).
+    """
+    rng = random.Random(seed)
+    ids = list(range(n))[::-1] if shape == "reversed" else rng.sample(range(n), n)
+    chains = {name: sorted(rng.sample(range(n), n // 4)) for name in "PQR"}
+    edges = [(a, min(n - 1, a + rng.randint(1, 40))) for a in range(n - 1) for _ in range(rng.randint(0, 2))]
+    if shape == "cyclic":
+        edges += [(b, a) for a, b in (sorted(rng.sample(range(n), 2)) for _ in range(5))]
+    if shape == "self-loop":
+        edges += [(a, a) for a in rng.sample(range(n), 5)]
+    if shape == "repeated-member":
+        for members in chains.values():
+            members.insert(rng.randrange(len(members) + 1), rng.choice(members))
+    chains = {name: [ids[e] for e in members] for name, members in chains.items()}
+    return chains, [(ids[a], ids[b]) for a, b in edges]
+
+
+class TestBulkLoad:
+    """from_parts builds the adjacency whole and closes it in one Kahn order."""
+
+    @pytest.mark.parametrize("n", [300, 2000])
+    @pytest.mark.parametrize("shape", ["permuted", "reversed", "cyclic", "self-loop", "repeated-member"])
+    def test_closure_matches_bfs_at_bulk_sizes(self, shape, n):
+        chains, edges = large_parts(shape, n, seed=n)
+        net = InfluenceNetwork.from_parts("general", chains, edges, events=range(n))
+        adj = adjacency(net)
+        index = {e: i for i, e in enumerate(net.event_ids())}
+        below: list[set[int]] = [set() for _ in index]
+        for a, i in index.items():
+            for b in bfs_descendants(adj, a):
+                below[index[b]].add(i)
+        expected = [sum(1 << i for i in ancestors) for ancestors in below]
+        assert net._closure() == expected
+        assert bool(net._cyclic()) == (shape not in ("permuted", "reversed"))
+
+    def test_upward_insert_after_a_downward_load_still_tests_for_cycles(self):
+        # 3 -> 1 -> 2 loads with one downward edge; 2 -> 3 runs upward and
+        # would close the cycle.
+        net = InfluenceNetwork.from_parts("general", {"P": [1, 2]}, [(3, 1)], events=range(4))
+        assert not net._upward
+        with pytest.raises(CycleError):
+            net.add_influence(2, 3)
+        assert not net.influences(2, 3)
+
+    def test_falling_ids_load_in_near_linear_time(self):
+        # A 4000-event chain costs at most about 2.5 times a 2000-event
+        # one.  Before the bulk load, falling ids took the walk on every
+        # edge and the ratio was about 4.5.  Each round times both sizes
+        # best of 3, interleaved, and the median round drops a round that a
+        # pause on a shared machine hit.
+        def load(n: int) -> float:
+            start = time.perf_counter()
+            InfluenceNetwork.from_parts("general", {"P": falling[n]}, []).finalize()
+            return time.perf_counter() - start
+
+        falling = {n: list(range(n - 1, -1, -1)) for n in (2000, 4000)}
+        ratios = []
+        for _ in range(7):
+            small = large = math.inf
+            for _ in range(3):
+                small, large = min(small, load(2000)), min(large, load(4000))
+            ratios.append(large / small)
+        assert statistics.median(ratios) <= 2.5, sorted(ratios)
 
 
 # == 4. Transitive reduction ==================================================
