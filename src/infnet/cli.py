@@ -102,7 +102,11 @@ def cmd_quantify(args: argparse.Namespace) -> int:
 
 def _rational(text: str) -> Fraction:
     """argparse type: exact rationals from '4', '0.5', or '1/3'."""
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        # A ValueError makes argparse report a usage error, as for 'nan'.
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _count(text: str) -> int:

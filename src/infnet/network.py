@@ -17,26 +17,22 @@ Two connectivity modes are supported:
 
 Reachability is kept as per-event ancestor bitsets, so `influences()` is
 O(1) after `finalize()`.  Event indices follow ids (`from_parts` indexes
-sorted ids, `add_event` appends the next one).  `from_parts`, the file
-loader, knows the whole edge set up front: it builds the adjacency in one
-pass and the bitsets in one Kahn order (CACM 5(11), 1962), whatever order
-the ids run in.  The events it cannot place lie on or below a cycle; they
-start from the OR of their placed predecessors, and the edges among them
-go in one at a time through the walk below.
-`add_event` and `add_influence` share one insert routine.  While every
-edge runs from a lower index to a higher one, index order is topological,
-so no insert can close a cycle and the closure is deferred: an upward
-insert records the edge and lowers a stale mark to its target's index, and
-the first read after it (`finalize()` included) recomputes the events from
-the mark up to the highest target, in index order, from their
-predecessors.  A network whose ids rise with influence, as `add_event`
-numbers them, thus costs O(1) per edge.  The first edge into a lower
-index, or a self-loop, closes what is pending and switches the network for
-good to the walk: inserting s -> t ORs the ancestors of s, and s, into t
-and walks down from t, stopping at every event that already has s as an
-ancestor, so each event is updated at most once and only events that gain
-bits are touched (Italiano, TCS 48, 1986).  All three give the same exact
-closure, cycles included.
+sorted ids, `add_event` appends the next one).  Every network closes the
+same way.  Until its first read (`finalize()` included), `from_parts`,
+`add_event` and `add_influence` only record edges in the adjacency, so a
+build whose ids rise with influence, as `add_event` numbers them, costs
+O(1) per edge until then.  The first read computes the bitsets whole in
+one Kahn order (CACM 5(11), 1962), whatever order the ids run in.  The
+events it cannot place lie on or below a cycle; they start from the OR of
+their placed predecessors, and the edges among them go in one at a time
+through the walk below.  After the first read every insert walks:
+inserting s -> t ORs the ancestors of s, and s, into t and walks down from
+t, stopping at every event that already has s as an ancestor, so each
+event is updated at most once and only events that gain bits are touched
+(Italiano, TCS 48, 1986).  Both give the same exact closure, cycles
+included.  `add_influence` reads the closure for its cycle test, except
+while every edge runs from a lower index to a higher one: index order is
+then topological, and no upward edge can close a cycle.
 Influence is reflexive by convention: every event influences itself, which
 lets chain members project onto themselves without special cases
 downstream.  The bitsets also answer the order questions: the events on
@@ -173,14 +169,12 @@ class InfluenceNetwork:
         self._chains_of: dict[int, list[str]] = {}
         # _anc[i] is a bitmask over the indices of the events that reach
         # event i through one or more edges (non-reflexive closure); read it
-        # through _closure().  _upward holds while every edge runs from a
-        # lower index to a higher one; upward inserts then leave _anc stale
-        # from index _stale up to _top, at or above the highest index an
-        # edge enters.
+        # through _closure().  While _stale, before the first read, inserts
+        # only record edges and _anc is not kept.  _upward holds while
+        # every edge runs from a lower index to a higher one.
         self._anc: list[int] = []
         self._upward = True
-        self._stale: Optional[int] = None
-        self._top = -1
+        self._stale = True
         self._finalized = False
         self._views: dict[str, _View] = {}
 
@@ -286,7 +280,8 @@ class InfluenceNetwork:
         if target in self._succ[source]:
             raise DuplicateEdgeError(f"duplicate influence {source} -> {target}")
         # While index order is topological, an upward edge cannot close a cycle.
-        if not (self._upward and isrc < itgt) and self.influences(target, source):
+        upward = self._upward and isrc < itgt
+        if not upward and self.influences(target, source):
             raise CycleError(f"cycle-would-form: {target} already influences {source}")
         if self._mode == RESTRICTED and self._is_cross(source, target):
             for end in (source, target):
@@ -294,6 +289,7 @@ class InfluenceNetwork:
                     raise DegreeViolationError(
                         f"degree-violation: event {end} already takes part in a cross-chain influence"
                     )
+        self._upward = upward
         self._insert_edge(source, target)
 
     def finalize(self) -> "InfluenceNetwork":
@@ -386,15 +382,8 @@ class InfluenceNetwork:
         Used by the file loader, which must be able to represent a broken
         file in order to report on it.
 
-        The whole edge set is known up front, so the adjacency is built in
-        one pass and the closure in one Kahn order (CACM 5(11), 1962): each
-        event, once all its predecessors are placed, ORs its ancestors and
-        itself into each successor.  The events that are never placed lie
-        on or below a cycle; each then holds the OR of its placed
-        predecessors, and the edges among them go back in one at a time
-        through the walk of `add_influence`, which is exact on cycles.
-        Nothing is deferred: the closure is exact on return, and deferral
-        serves only later `add_event` and `add_influence` calls.  The order
+        The adjacency is built whole in one pass; like every network's,
+        the closure waits for the first read (see `_closure`).  The order
         of the ids decides nothing but `_upward`, which stays set only if
         every edge runs from a lower id to a higher one, so a later
         `add_influence` keeps the cycle test it needs.
@@ -418,29 +407,6 @@ class InfluenceNetwork:
             pred[target].add(source)
         net._ids, net._index, net._succ, net._pred = ids, index, succ, pred
         net._upward = all(index[s] < index[t] for s, targets in succ.items() for t in targets)
-        # While upward, a later insert recomputes from its target to _top.
-        net._top = len(ids) - 1
-
-        anc = net._anc = [0] * len(ids)
-        waiting = [len(pred[event]) for event in ids]
-        order = [i for i, count in enumerate(waiting) if not count]
-        for i in order:  # grows as events are placed
-            gained = anc[i] | 1 << i
-            for target in succ[ids[i]]:
-                j = index[target]
-                anc[j] |= gained
-                waiting[j] -= 1
-                if not waiting[j]:
-                    order.append(j)
-        # A placed event has only placed predecessors, so the events left
-        # waiting are closed under successors: take out the edges among
-        # them, so that each walk below covers only the edges put back.
-        rest = [(ids[i], t) for i, count in enumerate(waiting) if count for t in succ[ids[i]]]
-        for source, target in rest:
-            succ[source].discard(target)
-            pred[target].discard(source)
-        for source, target in rest:
-            net._walk(source, target)
         return net
 
     # -------------------------
@@ -543,38 +509,48 @@ class InfluenceNetwork:
         return sum(self._is_cross(event, end) for end in ends)
 
     def _closure(self) -> list[int]:
-        """The ancestor bitsets, first brought up to date if upward inserts are pending.
+        """The ancestor bitsets, computed whole on the first read.
 
-        Every edge then runs upward, so the events below the stale mark
-        are exact, each event's predecessors are recomputed before it, and
-        no event above the top one has a predecessor.
+        The first read closes every recorded edge in one Kahn order (CACM
+        5(11), 1962): each event, once all its predecessors are placed, ORs
+        its ancestors and itself into each successor.  The events that are
+        never placed lie on or below a cycle; each then holds the OR of its
+        placed predecessors, and the edges among them go back in one at a
+        time through the walk, which is exact on cycles.  Later reads
+        return the bitsets as the walks keep them.
         """
-        anc = self._anc
-        if self._stale is not None:
-            index, ids, pred = self._index, self._ids, self._pred
-            for i in range(self._stale, self._top + 1):
-                bits = 0
-                for p in pred[ids[i]]:
-                    j = index[p]
-                    bits |= anc[j] | 1 << j
-                anc[i] = bits
-            self._stale = None
-        return anc
+        if self._stale:
+            ids, index, succ, pred = self._ids, self._index, self._succ, self._pred
+            anc = self._anc = [0] * len(ids)
+            waiting = [len(pred[event]) for event in ids]
+            order = [i for i, count in enumerate(waiting) if not count]
+            for i in order:  # grows as events are placed
+                gained = anc[i] | 1 << i
+                for target in succ[ids[i]]:
+                    j = index[target]
+                    anc[j] |= gained
+                    waiting[j] -= 1
+                    if not waiting[j]:
+                        order.append(j)
+            # A placed event has only placed predecessors, so the events left
+            # waiting are closed under successors: take out the edges among
+            # them, so that each walk below covers only the edges put back.
+            rest = [(ids[i], t) for i, count in enumerate(waiting) if count for t in succ[ids[i]]]
+            for source, target in rest:
+                succ[source].discard(target)
+                pred[target].discard(source)
+            self._stale = False
+            for source, target in rest:
+                self._walk(source, target)
+        return self._anc
 
     def _insert_edge(self, source: int, target: int) -> None:
-        if self._upward:
-            isrc, itgt = self._index[source], self._index[target]
-            if isrc < itgt:
-                self._succ[source].add(target)
-                self._pred[target].add(source)
-                if self._stale is None or itgt < self._stale:
-                    self._stale = itgt
-                self._top = max(self._top, itgt)
-                return
-            # A downward edge or a self-loop: close what is pending, then walk for good.
-            self._closure()
-            self._upward = False
-        self._walk(source, target)
+        """Record source -> target before the first read; walk it in after."""
+        if self._stale:
+            self._succ[source].add(target)
+            self._pred[target].add(source)
+        else:
+            self._walk(source, target)
 
     def _walk(self, source: int, target: int) -> None:
         """Add source -> target to an up-to-date closure and walk down from target."""

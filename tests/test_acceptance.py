@@ -341,3 +341,50 @@ def test_criterion_16_mass_shell_off_zero_momentum():
             residual = spectra[2:] + spectra[:-2] - trace[:, None] * spectra[1:-1]
             assert np.max(np.abs(residual)) <= 1e-10
     assert time.perf_counter() - started < 10.0
+
+
+def bessel_j(n: int, z: np.ndarray) -> np.ndarray:
+    """J_n(z) = (1/pi) * integral over [0, pi] of cos(n tau - z sin tau), by the 256-node midpoint rule.
+
+    The integrand is periodic and smooth, so the rule converges
+    exponentially: it matches J0 and J1 to about 1e-16 for z up to 5.
+    """
+    tau = (np.arange(256) + 0.5) * math.pi / 256
+    return np.cos(n * tau - np.multiply.outer(z, np.sin(tau))).mean(axis=-1)
+
+
+@report(17, "the propagator tends to the 1+1 Dirac kernel as eps -> 0 at fixed mass m = theta/eps: errors of order 2 and 1 from N = 1000 to 4000, both source helicities, under 5 s")
+def test_criterion_17_continuum_dirac_kernel():
+    # T = 1, eps = T/N, theta = m eps.  At X = x2 eps inside |X| < 0.9 and
+    # s = sqrt(1 - X^2), a P source's amplitudes times N/2 tend to the
+    # retarded kernel: same helicity -(m/2) sqrt((1-X)/(1+X)) J1(m s),
+    # cross helicity i (m/2) J0(m s).  A Q source mirrors X -> -X.
+
+    # The quadrature against tabulated J0(1), J1(1), J0(5), J1(5).
+    tabulated = [0.7651976865579666, 0.4400505857449335, -0.1775967713143383, -0.3275791375914652]
+    quadrature = [bessel_j(n, np.array(z)) for z in (1.0, 5.0) for n in (0, 1)]
+    assert np.allclose(quadrature, tabulated, rtol=0, atol=1e-14)
+    mass = 5.0
+    bounds = {1000: (3e-4, 2e-2), 4000: (2e-5, 5e-3)}
+    started = time.perf_counter()
+    for helicity in ("P", "Q"):
+        errors = {}
+        for steps in bounds:
+            eps = 1.0 / steps
+            field = propagate(SpinorField.delta(helicity), steps, TransferMatrices(mass * eps))
+            x = (field.x2_lo + 2 * np.arange(len(field.phi_p))) * eps
+            inside = np.abs(x) < 0.9
+            x = x[inside] if helicity == "P" else -x[inside]
+            s = np.sqrt(1 - x**2)
+            same_kernel = -(mass / 2) * np.sqrt((1 - x) / (1 + x)) * bessel_j(1, mass * s)
+            cross_kernel = 1j * (mass / 2) * bessel_j(0, mass * s)
+            same, cross = (field.phi_p, field.phi_q) if helicity == "P" else (field.phi_q, field.phi_p)
+            errors[steps] = (
+                np.max(np.abs(same[inside] * steps / 2 - same_kernel)),
+                np.max(np.abs(cross[inside] * steps / 2 - cross_kernel)),
+            )
+            assert errors[steps][0] <= bounds[steps][0], (helicity, steps, errors[steps])
+            assert errors[steps][1] <= bounds[steps][1], (helicity, steps, errors[steps])
+        same_order, cross_order = (math.log(a / b, 4) for a, b in zip(errors[1000], errors[4000]))
+        assert same_order >= 1.8 and cross_order >= 0.9, (helicity, same_order, cross_order)
+    assert time.perf_counter() - started < 5.0

@@ -578,6 +578,22 @@ def test_negative_count_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("interval", "--pair", "1/0", "2"),
+        ("transform", "--m", "1/0", "--n", "1", "--pair", "1", "1"),
+    ],
+    ids=["interval-pair", "transform-m"],
+)
+def test_zero_denominator_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "invalid _rational value: '1/0'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "seed, env_seed, named",
     [("-1", None, "--seed"), ("0", "-5", "INFNET_SEED"), ("0", "abc", "INFNET_SEED")],
     ids=["flag-negative", "env-negative", "env-not-integer"],

@@ -6,8 +6,8 @@ Covered claims:
     - influences() is reflexive-transitive and matches a BFS oracle, after
       random add_event/add_influence sequences (rejected attempts included)
       and on from_parts input in any id order, cyclic input included
-    - from_parts closes a loaded network in one bulk pass: its bitsets
-      equal BFS at 300 and 2000 events on permuted, reversed, cyclic,
+    - a loaded network closes in one Kahn pass on its first read: its
+      bitsets equal BFS at 300 and 2000 events on permuted, reversed, cyclic,
       self-loop and repeated-member input; a load with a downward edge
       keeps add_influence's cycle test for later upward edges; and a
       falling chain of 4000 events loads in at most about 2.5 times the
@@ -16,12 +16,11 @@ Covered claims:
     - validate() reports rule names for broken invariants; a cross-chain
       degree counts each incident edge once, a self-loop included, and an
       event a chain lists twice lies on that chain once
-    - in a build by add_event and add_influence, while ids rise with
-      influence the closure is deferred to the next read, which
-      recomputes from the lowest new target to the highest one; it
-      matches BFS between inserts, after a switch to the walk, and at the
-      benchmark's network-build size, and after finalize() no read
-      writes it
+    - in a build by add_event and add_influence, inserts only record
+      their edges until the first read, which closes them all in one Kahn
+      pass, and every later insert walks; the closure matches BFS between
+      inserts, after a downward edge, and at the benchmark's network-build
+      size, and after finalize() no read writes it
     - the closure's self bits name the events on cycles, and its ancestor
       counts order an acyclic network for longest-path depths
     - from_parts links consecutive chain members on any input
@@ -246,7 +245,7 @@ class _ReadLog(dict):
 
 
 class TestDeferredClosure:
-    """While ids rise with influence the closure waits for the next read."""
+    """Inserts only record edges until the first read, which closes them all; later inserts walk."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(["general", "restricted"]), st.randoms(use_true_random=False))
@@ -328,26 +327,30 @@ class TestDeferredClosure:
         assert net.validate() == []
         assert_closure_matches_bfs(net)
 
-    def test_a_read_recomputes_from_the_lowest_new_target_to_the_top_one(self):
+    def test_inserts_record_until_the_first_read_closes_all_then_walk(self):
         net = InfluenceNetwork()
         for _ in range(100):
             net.add_event()
+        net._pred = pred = _ReadLog(net._pred)
+        net._succ = succ = _ReadLog(net._succ)
+        # Before the first read an insert reads only the entries it records in.
         net.add_influence(10, 60)
         net.add_influence(20, 50)
-        net._pred = log = _ReadLog(net._pred)
+        assert (set(succ.read), set(pred.read)) == ({10, 20}, {50, 60})
+        # The first read closes the whole network in one Kahn pass.
+        pred.read.clear()
+        succ.read.clear()
         assert net.influences(20, 50)
-        assert log.read == list(range(50, 61))
-        log.read.clear()
-        assert not net.influences(10, 50)
-        assert log.read == []
+        assert sorted(pred.read) == sorted(succ.read) == list(range(100))
+        # After it, an insert walks down from its target: 99 has no successors.
+        pred.read.clear()
+        succ.read.clear()
         net.add_influence(50, 99)
-        log.read.clear()
+        assert (set(succ.read), set(pred.read)) == ({50, 99}, {99})
+        pred.read.clear()
+        succ.read.clear()
         assert net.influences(20, 99)
-        assert log.read == [99]
-        net.add_influence(30, 50)
-        log.read.clear()
-        assert net.influences(30, 99)
-        assert log.read == list(range(50, 100))
+        assert (succ.read, pred.read) == ([], [])
 
     def test_finalize_closes_so_reads_write_nothing(self):
         net = InfluenceNetwork()
@@ -387,7 +390,7 @@ def large_parts(shape: str, n: int, seed: int) -> tuple[dict, list]:
 
 
 class TestBulkLoad:
-    """from_parts builds the adjacency whole and closes it in one Kahn order."""
+    """from_parts builds the adjacency whole; the first read closes it in one Kahn order."""
 
     @pytest.mark.parametrize("n", [300, 2000])
     @pytest.mark.parametrize("shape", ["permuted", "reversed", "cyclic", "self-loop", "repeated-member"])
