@@ -4,7 +4,9 @@ Commands: validate, quantify, interval, distance, transform, kinematics,
 enumerate, simulate, propagate, hasse, paths.  Exit codes: 0 ok, 1 domain
 violation, 2 usage or parse error.  All numeric output is produced by the
 owning module and printed at full precision; the environment variable
-INFNET_SEED overrides --seed wherever sampling is involved.
+INFNET_SEED overrides --seed wherever sampling is involved.  Only the
+particle commands (enumerate, simulate, propagate) import numpy, inside
+their handlers, so the others start without it.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import ContextManager, Optional, TextIO
 
-import numpy as np
-
-from . import checkerboard, freeparticle, geometry, kinematics, netformat, svg, transforms
+from . import freeparticle, geometry, kinematics, netformat, svg, transforms
 from .geometry import PairQuantification
 from .netformat import NetworkParseError, ViolationsError
 from .projection import quantify_event
@@ -110,7 +110,7 @@ def _rational(text: str) -> Fraction:
 
 
 def _count(text: str) -> int:
-    """argparse type: a non-negative integer (symbols, steps, words, seeds)."""
+    """argparse type: a non-negative integer (symbols, steps, words, seeds, caps)."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
@@ -179,6 +179,8 @@ def cmd_kinematics(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from . import checkerboard
+
     if args.cap > checkerboard.KERNEL_CAP:
         raise ValueError(f"cap must not exceed {checkerboard.KERNEL_CAP}")
     words = freeparticle.enumerate_sequences(args.p, args.q, cap=args.cap)
@@ -199,6 +201,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    import numpy as np
+
     seed = args.seed
     env_seed = os.environ.get("INFNET_SEED")
     if env_seed is not None:
@@ -227,6 +231,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_propagate(args: argparse.Namespace) -> int:
+    from . import checkerboard
+
     tm = checkerboard.TransferMatrices(args.theta)
     initial = checkerboard.SpinorField.delta(args.initial)
     # Each field is formatted a column at a time.  x_text[x2 + steps] is the
@@ -270,58 +276,53 @@ def cmd_paths(args: argparse.Namespace) -> int:
 # -------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="infnet", description="Influence-network construction, geometry, and propagation."
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_force(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--force", action="store_true", help="load files that fail validation")
 
-    def add_force(p):
-        p.add_argument("--force", action="store_true", help="load files that fail validation")
 
-    p = sub.add_parser("validate", help="check a network file against all invariants")
+def _validate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("quantify", help="per-event chain coordinates")
+
+def _quantify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--chain", required=True)
     p.add_argument("--pair", default=None, help="second chain for betweenness classification")
-    add_force(p)
-    p.set_defaults(func=cmd_quantify)
+    _add_force(p)
 
-    p = sub.add_parser("interval", help="quantify an interval pair")
+
+def _interval_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--pair", nargs=2, type=_rational, default=None, metavar=("DP", "DQ"))
     p.add_argument("--a", type=int, default=None, help="first event id")
     p.add_argument("--b", type=int, default=None, help="second event id")
     p.add_argument("--chain-p", default="P")
     p.add_argument("--chain-q", default="Q")
-    add_force(p)
-    p.set_defaults(func=cmd_interval)
+    _add_force(p)
 
-    p = sub.add_parser("distance", help="separation of two coordinated chains")
+
+def _distance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--chain-p", default="P")
     p.add_argument("--chain-q", default="Q")
     p.add_argument("--p-label", type=int, default=1)
     p.add_argument("--q-label", type=int, default=1)
-    add_force(p)
-    p.set_defaults(func=cmd_distance)
+    _add_force(p)
 
-    p = sub.add_parser("transform", help="re-quantify a pair in another frame")
+
+def _transform_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=_rational, required=True)
     p.add_argument("--n", type=_rational, required=True)
     p.add_argument("--pair", nargs=2, type=_rational, required=True, metavar=("DP", "DQ"))
-    p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("kinematics", help="mass/energy/momentum from counts and spans")
+
+def _kinematics_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--count", type=float, required=True)
     p.add_argument("--dp", type=float, required=True)
     p.add_argument("--dq", type=float, required=True)
-    p.set_defaults(func=cmd_kinematics)
 
-    p = sub.add_parser("enumerate", help="all influence words with given symbol counts")
+
+def _enumerate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=_count, required=True)
     p.add_argument("--q", type=_count, required=True)
     p.add_argument(
@@ -334,43 +335,79 @@ def build_parser() -> argparse.ArgumentParser:
         help="append per-word amplitudes at this angle (default pi/4)",
     )
     p.add_argument("--initial", choices=("P", "Q"), default="P")
-    p.add_argument("--cap", type=int, default=freeparticle.DEFAULT_CAP)
-    p.set_defaults(func=cmd_enumerate)
+    p.add_argument("--cap", type=_count, default=freeparticle.DEFAULT_CAP)
 
-    p = sub.add_parser("simulate", help="sample random influence words and report rates")
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=_count, required=True)
     p.add_argument("--prob-p", type=float, required=True)
     p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--count", type=_count, default=1)
     p.add_argument("--emit-words", action="store_true")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("propagate", help="run the lattice propagator from a point source")
+
+def _propagate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=_count, required=True)
     p.add_argument("--theta", type=float, default=math.pi / 4)
     p.add_argument("--initial", choices=("P", "Q"), default="P")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.add_argument("--trace", default=None, help="write the <x>/norm trace CSV here")
-    p.set_defaults(func=cmd_propagate)
 
-    p = sub.add_parser("hasse", help="render a network file as a Hasse diagram")
+
+def _hasse_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--svg", default=None, help="output path (default stdout)")
-    add_force(p)
-    p.set_defaults(func=cmd_hasse)
+    _add_force(p)
 
-    p = sub.add_parser("paths", help="render a word as a zig-zag spacetime path")
+
+def _paths_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--word", required=True)
     p.add_argument("--svg", default=None, help="output path (default stdout)")
     p.add_argument("--start-x", type=int, default=0)
     p.add_argument("--start-t", type=int, default=0)
-    p.set_defaults(func=cmd_paths)
 
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The `infnet` parser: only `command`'s subparser when that names one, else all.
+
+    Building every subparser costs several times building one.  Usage
+    lines must still list every command, as the "unrecognized arguments"
+    error prints, so a selected command carries that list as its metavar.
+    The full parser keeps argparse's default, which names the positional
+    "command" in the missing- and unknown-command errors only it can raise.
+    """
+    # name, help, handler, and the function that adds the command's
+    # arguments.  Made per call, so a handler rebound in this module (as
+    # bench/tracer.py does) is the one the parser dispatches to.
+    commands = (
+        ("validate", "check a network file against all invariants", cmd_validate, _validate_args),
+        ("quantify", "per-event chain coordinates", cmd_quantify, _quantify_args),
+        ("interval", "quantify an interval pair", cmd_interval, _interval_args),
+        ("distance", "separation of two coordinated chains", cmd_distance, _distance_args),
+        ("transform", "re-quantify a pair in another frame", cmd_transform, _transform_args),
+        ("kinematics", "mass/energy/momentum from counts and spans", cmd_kinematics, _kinematics_args),
+        ("enumerate", "all influence words with given symbol counts", cmd_enumerate, _enumerate_args),
+        ("simulate", "sample random influence words and report rates", cmd_simulate, _simulate_args),
+        ("propagate", "run the lattice propagator from a point source", cmd_propagate, _propagate_args),
+        ("hasse", "render a network file as a Hasse diagram", cmd_hasse, _hasse_args),
+        ("paths", "render a word as a zig-zag spacetime path", cmd_paths, _paths_args),
+    )
+    parser = argparse.ArgumentParser(
+        prog="infnet", description="Influence-network construction, geometry, and propagation."
+    )
+    selected = [entry for entry in commands if entry[0] == command]
+    metavar = "{" + ",".join(entry[0] for entry in commands) + "}" if selected else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, handler, add_arguments in selected or commands:
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

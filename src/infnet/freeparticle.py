@@ -20,7 +20,8 @@ beta = (dp - dq)/(dp + dq) = (kQ - kP)/(kP + kQ).
 Random words come from one draw loop, sample_masks(): boolean chunks of
 one seeded stream, True for P.  Totals need only the count of True
 entries; decode_words() turns a chunk into strings, and sample_sequences()
-is that decoding over every chunk.
+is that decoding over every chunk.  sample_masks() and decode_words()
+import numpy in their bodies, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -30,12 +31,13 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .network import RESTRICTED, InfluenceNetwork
 from .projection import forward_project
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HALF = Fraction(1, 2)
 STEP_DX = {"P": -HALF, "Q": HALF}
@@ -149,6 +151,8 @@ def sample_masks(n_steps: int, prob_p: float, seed: int, count: int) -> Iterator
         raise ValueError(f"prob_p must be in [0, 1], got {prob_p}")
     if n_steps < 0 or count < 0:
         raise ValueError("n_steps and count must be non-negative")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     # Empty words hold no symbols: one chunk carries them all.
     rows_per_chunk = max(1, 2_000_000 // n_steps) if n_steps else count
@@ -161,6 +165,8 @@ def sample_masks(n_steps: int, prob_p: float, seed: int, count: int) -> Iterator
 
 def decode_words(mask: np.ndarray) -> list[str]:
     """The words of a boolean (rows, n_steps) chunk, one per row: True is P."""
+    import numpy as np
+
     rows, n_steps = mask.shape
     codes = np.where(mask, np.uint8(ord("P")), np.uint8(ord("Q")))
     text = codes.tobytes().decode("ascii")

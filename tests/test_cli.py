@@ -23,14 +23,20 @@ Covered claims:
       trace equal a row-by-row reference read from SpinorField.sites(),
       through --out/--trace and on stdout
     - every `infnet` line of the README's command block runs and exits 0
+    - a call naming a command builds only that command's subparser, and
+      prints the same help, usage and error bytes as the full parser; the
+      network, geometry and frame commands run without importing numpy
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,6 +51,7 @@ from infnet import (
     netformat,
     step_field,
 )
+from infnet import cli
 from infnet.cli import main
 from infnet.netformat import NetworkParseError, ViolationsError
 
@@ -566,8 +573,16 @@ class TestEnumerateCommand:
         ("simulate", "--steps", "3", "--prob-p", "0.5", "--count", "-1"),
         ("enumerate", "--p", "-1", "--q", "2"),
         ("enumerate", "--p", "2", "--q", "-1"),
+        ("enumerate", "--p", "2", "--q", "2", "--cap", "-1"),
     ],
-    ids=["propagate-steps", "simulate-steps", "simulate-count", "enumerate-p", "enumerate-q"],
+    ids=[
+        "propagate-steps",
+        "simulate-steps",
+        "simulate-count",
+        "enumerate-p",
+        "enumerate-q",
+        "enumerate-cap",
+    ],
 )
 def test_negative_count_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -872,3 +887,122 @@ def test_readme_commands_run(capsys, tmp_path, monkeypatch):
         written = [argv[i + 1] for i, arg in enumerate(argv) if arg in ("--svg", "--out", "--trace")]
         assert all((tmp_path / path).stat().st_size for path in written), argv
         assert written or out, argv
+
+
+# == 8. The parser ============================================================
+
+COMMANDS = [
+    "validate",
+    "quantify",
+    "interval",
+    "distance",
+    "transform",
+    "kinematics",
+    "enumerate",
+    "simulate",
+    "propagate",
+    "hasse",
+    "paths",
+]
+
+
+@pytest.fixture
+def built_subparsers(monkeypatch):
+    """The names passed to add_parser, in order, by every parser built since."""
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    return names
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_named_command_builds_only_its_subparser(capsys, built_subparsers, command):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: infnet {command} ")
+    assert built_subparsers == [command]
+
+
+@pytest.mark.parametrize("argv", [(), ("--help",), ("bogus",), ("val", "x")])
+def test_no_command_name_builds_every_subparser(capsys, built_subparsers, argv):
+    run_cli(capsys, *argv)
+    assert built_subparsers == COMMANDS
+
+
+PARSER_CASES = [
+    *[(command, *tail) for command in COMMANDS for tail in [("--help",), (), ("a", "b", "c"), ("--bogus",)]],
+    (),
+    ("--help",),
+    ("bogus",),
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "none")
+def test_parser_output_matches_the_full_parser(capsys, monkeypatch, tmp_path, argv):
+    """Exit code, stdout and stderr equal those of main() over the parser of all commands.
+
+    `validate a b c` covers the top-level "unrecognized arguments" error,
+    whose usage line lists every command; `none` and `bogus` cover the
+    missing- and unknown-command errors, which name the positional
+    "command".
+    """
+    monkeypatch.chdir(tmp_path)  # `a` is no file here; outputs would land here
+    got = run_cli(capsys, *argv)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert run_cli(capsys, *argv) == got
+    if argv[-1:] == ("--help",):
+        assert got[0] == 0
+    elif argv[-1:] in [("--bogus",), ("bogus",), ("c",)]:
+        assert got[0] == 2
+        assert "usage: infnet " in got[2]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((), "error: the following arguments are required: command\n"),
+        (("bogus",), "error: argument command: invalid choice: 'bogus'"),
+    ],
+    ids=["none", "bogus"],
+)
+def test_missing_and_unknown_command_errors_name_the_command_positional(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_network_commands_run_without_numpy(tmp_path):
+    """In a fresh interpreter, the commands that make no arrays never import numpy."""
+    ladder = str(DATA / "ladder.net")
+    calls = [
+        ["validate", ladder],
+        ["quantify", ladder, "--chain", "P", "--pair", "Q"],
+        ["interval", "--pair", "4", "2"],
+        ["interval", ladder, "--a", "2", "--b", "13"],
+        ["distance", ladder, "--p-label", "3", "--q-label", "3"],
+        ["hasse", ladder, "--svg", str(tmp_path / "poset.svg")],
+        ["transform", "--m", "4", "--n", "1", "--pair", "2", "2"],
+        ["kinematics", "--count", "4", "--dp", "8", "--dq", "2"],
+        ["paths", "--word", "PQPPQPQ", "--svg", str(tmp_path / "zigzag.svg")],
+    ]
+    script = (
+        "import sys\n"
+        "from infnet.cli import main\n"
+        f"codes = [main(argv) for argv in {calls!r}]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src, "PATH": ""},
+        check=True,
+    )
+    assert result.stdout.splitlines()[-1] == f"{[0] * len(calls)} False"
