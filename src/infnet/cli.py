@@ -23,7 +23,7 @@ from typing import ContextManager, Optional, TextIO
 from . import freeparticle, geometry, kinematics, netformat, svg, transforms
 from .geometry import PairQuantification
 from .netformat import NetworkParseError, ViolationsError
-from .projection import quantify_event
+from .projection import _tables
 
 def _fmt(value) -> str:
     """Locale-independent full-precision rendering of one number."""
@@ -75,7 +75,7 @@ def cmd_quantify(args: argparse.Namespace) -> int:
     net = netformat.load_path(args.file, force=args.force)
     chain = net.chain(args.chain)
     pair_chain = net.chain(args.pair) if args.pair else None
-    coordinated = None
+    coordinated = False
     if pair_chain is not None:
         coordinated = geometry.is_coordinated(net, chain, pair_chain)
         if not coordinated:
@@ -83,20 +83,18 @@ def cmd_quantify(args: argparse.Namespace) -> int:
                 f"warning: chains {chain.name!r} and {pair_chain.name!r} are not "
                 "coordinated; classification skipped"
             )
-    for event in net.event_ids():
-        coord = quantify_event(net, event, chain)
-        row = [
-            str(event),
-            "-" if coord.forward is None else str(coord.forward),
-            "-" if coord.backward is None else str(coord.backward),
-        ]
-        if pair_chain is not None and coordinated:
-            between = geometry.is_between(net, event, chain, pair_chain)
-            other = quantify_event(net, event, pair_chain)
-            pairable = coord.forward is not None and other.forward is not None
-            row.append("between" if between else "outside")
-            row.append("pairable" if pairable else "unpairable")
-        print(" ".join(row))
+    tables = _tables(net, chain)
+    pair_tables = _tables(net, pair_chain) if coordinated else None
+    rows = []
+    for i, event in enumerate(net.event_ids()):
+        forward, backward = tables.forward[i], tables.backward[i]
+        row = f"{event} {'-' if forward is None else forward} {'-' if backward is None else backward}"
+        if pair_tables is not None:
+            between = "between" if geometry._between(i, tables, pair_tables) else "outside"
+            pairable = forward is not None and pair_tables.forward[i] is not None
+            row += f" {between} {'pairable' if pairable else 'unpairable'}"
+        rows.append(row + "\n")
+    sys.stdout.write("".join(rows))
     return 0
 
 

@@ -22,7 +22,8 @@ and the scalar is additive over the split:
 
 the signature falling out of the opposite signs of the antisymmetric pair.
 Everything here is Fraction-exact; floats only enter via the transforms
-module.
+module.  The coordination and betweenness tests read each chain's label
+tables once per call and index them by event.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .network import ChainRef, InfluenceNetwork
-from .projection import _resolve, backward_project, forward_project
+from .network import ChainRef, InfluenceNetwork, _View
+from .projection import _resolve, _tables, forward_project
 
 Number = Union[int, Fraction, float]
 
@@ -117,31 +118,18 @@ def is_coordinated(
 ) -> bool:
     """Whether two chains agree on the lengths of each other's intervals.
 
-    Endpoints lacking the relevant projection are skipped, so short chains
-    are judged only on the part they can see of each other.
+    That holds exactly when label minus position takes one value over the
+    events of each chain that project onto the other, forward and backward
+    alike.  Endpoints lacking the relevant projection are skipped, so short
+    chains are judged only on the part they can see of each other.
     """
     net.require_finalized()
-    ref_p, ref_q = _resolve(net, p), _resolve(net, q)
-    return _projects_consistently(net, ref_p, ref_q) and _projects_consistently(
-        net, ref_q, ref_p
+    view_p, view_q = _tables(net, p), _tables(net, q)
+    return all(
+        len({labels[i] - k for k, i in enumerate(source.at) if labels[i] is not None}) < 2
+        for source, target in ((view_p, view_q), (view_q, view_p))
+        for labels in (target.forward, target.backward)
     )
-
-
-def _projects_consistently(net, source: ChainRef, target: ChainRef) -> bool:
-    """Whether every projected interval keeps its length on target.
-
-    That holds exactly when label minus position takes one value over the
-    source events that project, forward and backward alike.
-    """
-    for project in (forward_project, backward_project):
-        offsets = {
-            label - i
-            for i, e in enumerate(source.events)
-            if (label := project(net, e, target)) is not None
-        }
-        if len(offsets) > 1:
-            return False
-    return True
 
 
 def distance(
@@ -191,21 +179,21 @@ def is_between(
     projection along the way makes the answer False.
     """
     net.require_finalized()
-    ref_p, ref_q = _resolve(net, p), _resolve(net, q)
-    for first, second in ((ref_p, ref_q), (ref_q, ref_p)):
-        fwd = forward_project(net, x, first)
-        bwd_inner = backward_project(net, x, second)
-        if fwd is None or bwd_inner is None:
-            return False
-        if forward_project(net, second.event_at(bwd_inner), first) != fwd:
-            return False
-        bwd = backward_project(net, x, first)
-        fwd_inner = forward_project(net, x, second)
-        if bwd is None or fwd_inner is None:
-            return False
-        if backward_project(net, second.event_at(fwd_inner), first) != bwd:
-            return False
-    return True
+    view_p, view_q = _tables(net, p), _tables(net, q)
+    return _between(net._require_event(x), view_p, view_q)
+
+
+def _between(i: int, p: _View, q: _View) -> bool:
+    """is_between for the event at index i, given both chains' label tables."""
+    fp, bp, fq, bq = p.forward[i], p.backward[i], q.forward[i], q.backward[i]
+    if fp is None or bp is None or fq is None or bq is None:
+        return False
+    return (
+        p.forward[q.at[bq - 1]] == fp
+        and p.backward[q.at[fq - 1]] == bp
+        and q.forward[p.at[bp - 1]] == fq
+        and q.backward[p.at[fp - 1]] == bq
+    )
 
 
 def quantify_interval(

@@ -95,9 +95,19 @@ def parse(text: str) -> ParsedNetwork:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        keyword = tokens[0]
-        if keyword == "mode":
+        keyword = line.split(None, 1)[0]
+        # Influences far outnumber the other records, so they are tested first.
+        if keyword == "influence":
+            try:
+                source, target = map(int, line[9:].split("->"))  # 9 == len("influence")
+            except ValueError:
+                raise NetworkParseError(lineno, "expected 'influence <src> -> <dst>'") from None
+            if source < 0 or target < 0:
+                _check_ids(lineno, (source, target))
+            influences.append((source, target))
+            edge_lines.setdefault((source, target), lineno)
+        elif keyword == "mode":
+            tokens = line.split()
             if len(tokens) != 2 or tokens[1] not in (RESTRICTED, GENERAL):
                 raise NetworkParseError(lineno, f"expected 'mode restricted|general', got {raw.strip()!r}")
             if mode is not None:
@@ -119,15 +129,6 @@ def parse(text: str) -> ParsedNetwork:
                 raise NetworkParseError(lineno, f"chain members must be integers: {members.strip()!r}") from None
             _check_ids(lineno, chains[name])
             chain_lines[name] = lineno
-        elif keyword == "influence":
-            parts = line[len("influence") :].split("->")
-            try:
-                source, target = (int(p.strip()) for p in parts)
-            except ValueError:
-                raise NetworkParseError(lineno, "expected 'influence <src> -> <dst>'") from None
-            _check_ids(lineno, (source, target))
-            influences.append((source, target))
-            edge_lines.setdefault((source, target), lineno)
         else:
             raise NetworkParseError(lineno, f"unknown record {keyword!r}")
 

@@ -152,6 +152,7 @@ class _View(NamedTuple):
     ref: ChainRef
     forward: list[Optional[int]]
     backward: list[Optional[int]]
+    at: list[int]  # at[label - 1]: the event index of the member with that label
 
 
 class InfluenceNetwork:
@@ -428,8 +429,8 @@ class InfluenceNetwork:
     def _view(self, name: str) -> _View:
         """A finalized network's view of a chain, built whole on first use.
 
-        The view is the chain's `ChainRef` and, by event index, the forward
-        and the backward projection label of every event onto it, None
+        The view is the chain's `ChainRef`, its members' indices (`at`) and,
+        by event index, each event's forward and backward label on it, None
         where there is none.  The forward labels come from one walk along
         the chain: the events that influence its k-th member only grow with
         k, and each event takes the label at which it first appears.  The
@@ -442,11 +443,11 @@ class InfluenceNetwork:
         if view is None:
             self.require_finalized()
             ref = ChainRef(name, tuple(self._members(name)))
+            at = [self._index[member] for member in ref.events]
             anc = self._closure()
             forward: list[Optional[int]] = [None] * len(anc)
             seen = 0
-            for label, member in enumerate(ref.events, 1):
-                i = self._index[member]
+            for label, i in enumerate(at, 1):
                 new = (anc[i] | 1 << i) & ~seen
                 seen |= new
                 while new:
@@ -464,7 +465,7 @@ class InfluenceNetwork:
                     for i, (count, bits) in enumerate(zip(backward, anc))
                 ]
             # setdefault: threads racing to make the view all get the same one.
-            view = self._views.setdefault(name, _View(ref, forward, backward))
+            view = self._views.setdefault(name, _View(ref, forward, backward, at))
         return view
 
     def _require_mutable(self) -> None:

@@ -12,7 +12,8 @@ Each projection is one lookup in a per-chain label table that a finalized
 network builds on first use (see the network module).  Every network links
 consecutive chain members by an edge, so the chain events x influences form
 a suffix and those influencing x form a prefix, even on networks with
-cycles or repeated chain members; the tables rest on that.
+cycles or repeated chain members; the tables rest on that.  Callers that
+ask about every event read a chain's tables once, through `_tables`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .network import ChainRef, InfluenceNetwork
+from .network import ChainRef, InfluenceNetwork, _View
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -63,18 +64,23 @@ def _resolve(net: InfluenceNetwork, chain: Union[str, ChainRef]) -> ChainRef:
     return net.chain(_name(chain))
 
 
+def _tables(net: InfluenceNetwork, chain: Union[str, ChainRef]) -> _View:
+    """A finalized network's label tables for a chain, indexed by event index."""
+    return net._view(_name(chain))
+
+
 def forward_project(
     net: InfluenceNetwork, x: int, chain: Union[str, ChainRef]
 ) -> Optional[int]:
     """Label of the least event on the chain that x influences, if any."""
-    return net._view(_name(chain)).forward[net._require_event(x)]
+    return _tables(net, chain).forward[net._require_event(x)]
 
 
 def backward_project(
     net: InfluenceNetwork, x: int, chain: Union[str, ChainRef]
 ) -> Optional[int]:
     """Label of the greatest event on the chain that influences x, if any."""
-    return net._view(_name(chain)).backward[net._require_event(x)]
+    return _tables(net, chain).backward[net._require_event(x)]
 
 
 def quantify_event(

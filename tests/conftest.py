@@ -2,8 +2,9 @@
 
 The reachability oracles deliberately avoid the library's bitset closure:
 they walk edge dicts with BFS so that projection and reduction results can
-be checked against an independent path, and `pairwise_consistent` is the
-plain all-pairs coordination test over those BFS labels.  The checkerboard
+be checked against an independent path, `pairwise_consistent` is the
+plain all-pairs coordination test over those BFS labels, and `bfs_between`
+checks betweenness's four projection compositions on them.  The checkerboard
 kernel oracle counts words by their runs instead of stepping a field or
 enumerating words, and `fourier_kernel` diagonalizes the step by wave
 number, so neither shares code with infnet.checkerboard.
@@ -14,6 +15,7 @@ that ignore word boundaries, so it shares no chunking with the sampler.
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 
 import numpy as np
@@ -97,20 +99,42 @@ def bfs_labels(net: InfluenceNetwork) -> dict[str, dict[int, tuple]]:
     return labels
 
 
-def pairwise_consistent(net: InfluenceNetwork, source: str, target: str) -> bool:
+def pairwise_consistent(net: InfluenceNetwork, source: str, target: str, labels=None) -> bool:
     """Whether every pair of source events keeps its label distance on target.
 
     Compares all O(n^2) pairs of BFS projections, forward and backward;
-    pairs with an absent projection are skipped.
+    pairs with an absent projection are skipped.  `labels` is bfs_labels(net),
+    for a caller that checks many chain pairs of one network.
     """
+    labels = bfs_labels(net) if labels is None else labels
     events = net.chain(source).events
-    for brute in (brute_forward, brute_backward):
-        labels = [brute(net, e, target) for e in events]
-        for i in range(len(labels)):
-            for j in range(i + 1, len(labels)):
-                if labels[i] is not None and labels[j] is not None:
-                    if labels[j] - labels[i] != j - i:
+    for side in (0, 1):
+        projected = [labels[target][e][side] for e in events]
+        for i in range(len(projected)):
+            for j in range(i + 1, len(projected)):
+                if projected[i] is not None and projected[j] is not None:
+                    if projected[j] - projected[i] != j - i:
                         return False
+    return True
+
+
+def bfs_between(net: InfluenceNetwork, labels: dict, x: int, p: str, q: str) -> bool:
+    """Whether x lies between chains p and q, read from bfs_labels(net).
+
+    Both ways round, x's forward label on one chain must equal the forward
+    label there of the other chain's event at x's backward label on it, and
+    dually with forward and backward swapped; an absent label fails.
+    """
+    for first, second in ((p, q), (q, p)):
+        forward, backward = labels[first][x]
+        inner_forward, inner_backward = labels[second][x]
+        if None in (forward, backward, inner_forward, inner_backward):
+            return False
+        events = net.chain(second).events
+        if labels[first][events[inner_backward - 1]][0] != forward:
+            return False
+        if labels[first][events[inner_forward - 1]][1] != backward:
+            return False
     return True
 
 
@@ -237,6 +261,22 @@ def ladder_parts(length: int, separation: int, slots) -> tuple[dict, list, int]:
     for m, k in enumerate(slots, start=2 * length):
         edges += [(p[k], m), (q[k], m), (m, p[k + separation]), (m, q[k + separation])]
     return {"P": p, "Q": q}, edges, 2 * length + len(slots)
+
+
+def seeded_ladder_parts(length: int, moved: bool = False) -> tuple[dict, list, int]:
+    """ladder_parts with the separation and midway slots drawn as the benchmark does, seeded by length.
+
+    With `moved`, the edge q_0 -> p_s lands one step further up P, at
+    p_(s+1): P's interval lengths no longer all survive projection onto Q.
+    """
+    rng = random.Random(length)
+    separation = rng.randint(1, 4)
+    slots = sorted(rng.sample(range(length - separation), max(2, length // 8)))
+    chains, edges, n = ladder_parts(length, separation, slots)
+    if moved:
+        source, target = edges[1]
+        edges[1] = (source, target + 1)
+    return chains, edges, n
 
 
 def restricted_parts(rng, n: int, n_chains: int, prob: float) -> tuple[dict, list, list]:

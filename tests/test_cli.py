@@ -2,7 +2,8 @@
 
 Covered claims:
     - parse/dumps round-trip to a canonical form, broken networks included;
-      bad lines carry numbers
+      bad lines carry numbers, and malformed influence and mode lines give
+      pinned error text and exit codes
     - validate exits 0/1/2 for clean/violating/unparseable files, on any
       one-line mutation of a valid file, and cites the breaking record: a
       repeated member's chain line, the first influence line on a cycle, a
@@ -13,6 +14,11 @@ Covered claims:
       validation with exit 1 and validate's report, line hints included, on
       stderr; hasse --force draws an invalid but acyclic file by fixed rules
     - enumerate prints "-" for the empty word
+    - quantify prints what the per-event public API (quantify_event,
+      is_between) gives, byte for byte: coordinated ladders, the
+      uncoordinated warning, no --pair, --force-loaded invalid networks
+    - quantify, distance and interval on tests/data/ladder.net print the
+      checked-in expected files that CI also diffs against
     - every numeric command reproduces the owning module's output
     - simulate honours --seed and the INFNET_SEED override; a negative or
       non-integer seed from either is a usage error
@@ -48,14 +54,17 @@ from infnet import (
     SpinorField,
     TransferMatrices,
     freeparticle,
+    is_between,
+    is_coordinated,
     netformat,
+    quantify_event,
     step_field,
 )
 from infnet import cli
 from infnet.cli import main
 from infnet.netformat import NetworkParseError, ViolationsError
 
-from conftest import network_parts, recount_p
+from conftest import network_parts, recount_p, seeded_ladder_parts
 
 DATA = Path(__file__).parent / "data"
 
@@ -221,6 +230,36 @@ class TestValidateCommand:
         assert code == 2
         assert f"line {line}" in err
         assert "-1" in err
+
+    @pytest.mark.parametrize(
+        "line, code, err",
+        [
+            ("influence 1 -> 2 -> 3", 2, "parse error: line 4: expected 'influence <src> -> <dst>'\n"),
+            ("influence 1 2", 2, "parse error: line 4: expected 'influence <src> -> <dst>'\n"),
+            ("influence a -> 2", 2, "parse error: line 4: expected 'influence <src> -> <dst>'\n"),
+            ("influence -> 2", 2, "parse error: line 4: expected 'influence <src> -> <dst>'\n"),
+            ("influence 1 ->", 2, "parse error: line 4: expected 'influence <src> -> <dst>'\n"),
+            ("influence", 2, "parse error: line 4: expected 'influence <src> -> <dst>'\n"),
+            ("influence 0 -> -1", 2, "parse error: line 4: event ids are non-negative, got -1\n"),
+            ("influence -3 -> -4", 2, "parse error: line 4: event ids are non-negative, got -3\n"),
+            (
+                "mode general extra",
+                2,
+                "parse error: line 4: expected 'mode restricted|general', got 'mode general extra'\n",
+            ),
+            ("influence 1->2", 0, ""),
+            ("influence\t1\t->\t2", 0, ""),
+            ("\tinfluence  1 -> 2\t", 0, ""),
+            ("influence 1 -> 2  # comment", 0, ""),
+        ],
+    )
+    def test_malformed_line_table(self, capsys, tmp_path, line, code, err):
+        text = f"# header\nchain P: 0 1\nchain Q: 2 3\n{line}\ninfluence 0 -> 3\n"
+        source = tmp_path / "line.net"
+        source.write_text(text)
+        assert run_cli(capsys, "validate", str(source)) == (code, "" if code else "ok\n", err)
+        if code == 0:
+            assert netformat.parse(text).edge_lines == {(1, 2): 4, (0, 3): 5}
 
     @pytest.mark.parametrize(
         "separator", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -454,6 +493,80 @@ class TestGeometryCommands:
         )
         assert code == 0
         assert out.strip() == "distance 2"
+
+
+def reference_quantify(net: InfluenceNetwork, chain: str, pair) -> str:
+    """quantify's output built event by event from the public API."""
+    lines = []
+    coordinated = pair is not None and is_coordinated(net, chain, pair)
+    if pair is not None and not coordinated:
+        lines.append(
+            f"warning: chains {chain!r} and {pair!r} are not coordinated; classification skipped"
+        )
+    for event in net.event_ids():
+        coord = quantify_event(net, event, chain)
+        row = [
+            str(event),
+            "-" if coord.forward is None else str(coord.forward),
+            "-" if coord.backward is None else str(coord.backward),
+        ]
+        if coordinated:
+            row.append("between" if is_between(net, event, chain, pair) else "outside")
+            other = quantify_event(net, event, pair)
+            pairable = coord.forward is not None and other.forward is not None
+            row.append("pairable" if pairable else "unpairable")
+        lines.append(" ".join(row))
+    return "".join(line + "\n" for line in lines)
+
+
+def assert_quantify_matches_reference(capsys, path, chain, pair, force):
+    net = netformat.load_path(str(path), force=force)
+    argv = ["quantify", str(path), "--chain", chain] + (["--pair", pair] if pair else [])
+    expected = reference_quantify(net, chain, pair)
+    assert run_cli(capsys, *argv, *(["--force"] if force else [])) == (0, expected, "")
+
+
+@pytest.mark.parametrize("length", [8, 64, 256])
+@pytest.mark.parametrize("moved", [False, True], ids=["coordinated", "uncoordinated"])
+@pytest.mark.parametrize("chain, pair", [("P", "Q"), ("Q", "P"), ("P", None), ("Q", "Q")])
+def test_quantify_matches_the_per_event_api_on_ladders(capsys, tmp_path, length, moved, chain, pair):
+    chains, edges, _ = seeded_ladder_parts(length, moved)
+    path = tmp_path / "ladder.net"
+    path.write_text(netformat.dumps(InfluenceNetwork.from_parts("general", chains, edges)))
+    if pair == "Q" and chain == "P":
+        assert is_coordinated(netformat.load_path(str(path)), "P", "Q") is not moved
+    assert_quantify_matches_reference(capsys, path, chain, pair, force=False)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(network_parts(), st.data())
+def test_quantify_matches_the_per_event_api_on_forced_files(capsys, tmp_path, parts, data):
+    # Raw parts: cycles, self-loops, repeated members and ids against
+    # influence, loaded with --force whatever validate says.
+    chains, edges, _ = parts
+    path = tmp_path / "forced.net"
+    path.write_text(netformat.dumps(InfluenceNetwork.from_parts("general", chains, edges)))
+    chain = data.draw(st.sampled_from(sorted(chains)))
+    pair = data.draw(st.sampled_from([None] + sorted(chains)))
+    assert_quantify_matches_reference(capsys, path, chain, pair, force=True)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["quantify", "--chain", "P", "--pair", "Q"], "ladder.quantify.out"),
+        (["distance", "--p-label", "3", "--q-label", "4"], "ladder.distance.out"),
+        (["interval", "--a", "2", "--b", "5"], "ladder.interval.out"),
+    ],
+    ids=["quantify", "distance", "interval"],
+)
+def test_ladder_outputs_match_the_checked_in_files(capsys, argv, expected):
+    command, *options = argv
+    assert run_cli(capsys, command, str(DATA / "ladder.net"), *options) == (
+        0,
+        (DATA / expected).read_text(),
+        "",
+    )
 
 
 # == 4. transform / kinematics ================================================

@@ -3,6 +3,9 @@
 Covered claims:
     - the separation-2 ladder is coordinated; tampered copies are not
     - is_coordinated agrees with the all-pairs reference on random chain pairs
+    - is_coordinated and is_between agree with BFS oracles of their
+      definitions on raw (cyclic, repeated-member, any id order) parts and
+      on benchmark-shaped ladders up to L = 256
     - distance is 2 on the ladder and independent of the endpoints chosen
     - intervals quantify as quadruple/pair/scalar, all Fraction-exact
     - decompose splits into symmetric + antisymmetric parts that re-sum
@@ -32,7 +35,7 @@ from infnet import (
     quantify_interval,
 )
 
-from conftest import pairwise_consistent
+from conftest import bfs_between, bfs_labels, network_parts, pairwise_consistent, seeded_ladder_parts
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=99
@@ -265,3 +268,52 @@ class TestMinkowskiScalar:
         scalar, dt, dx = minkowski_scalar(PairQuantification(dp, dq))
         assert scalar == dt * dt - dx * dx
         assert isinstance(scalar, Fraction)
+
+
+# == 6. BFS oracles for coordination and betweenness ==========================
+
+
+def oracle_verdicts(net: InfluenceNetwork) -> dict:
+    """(coordinated, events between) for every ordered chain pair, from BFS only."""
+    labels = bfs_labels(net)
+    return {
+        (p, q): (
+            pairwise_consistent(net, p, q, labels) and pairwise_consistent(net, q, p, labels),
+            [e for e in net.event_ids() if bfs_between(net, labels, e, p, q)],
+        )
+        for p in net.chain_names()
+        for q in net.chain_names()
+    }
+
+
+def library_verdicts(net: InfluenceNetwork) -> dict:
+    return {
+        (p, q): (
+            is_coordinated(net, p, q),
+            [e for e in net.event_ids() if is_between(net, e, p, q)],
+        )
+        for p in net.chain_names()
+        for q in net.chain_names()
+    }
+
+
+class TestOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(network_parts(max_events=12))
+    def test_raw_parts_match_bfs(self, parts):
+        # Ids in any order, cycles, self-loops and repeated members: what a
+        # --force load can hand the geometry.
+        chains, edges, n = parts
+        net = InfluenceNetwork.from_parts("general", chains, edges, events=range(n)).finalize()
+        assert library_verdicts(net) == oracle_verdicts(net)
+
+    @pytest.mark.parametrize("length", [8, 33, 100, 256])
+    @pytest.mark.parametrize("moved", [False, True], ids=["ladder", "moved-edge"])
+    def test_ladders_with_midway_events_match_bfs(self, length, moved):
+        chains, edges, n = seeded_ladder_parts(length, moved)
+        net = InfluenceNetwork.from_parts("general", chains, edges, events=range(n)).finalize()
+        expected = oracle_verdicts(net)
+        coordinated, between = expected["P", "Q"]
+        assert coordinated is not moved
+        assert moved or set(range(2 * length, n)) <= set(between)  # every midway event
+        assert library_verdicts(net) == expected
