@@ -23,10 +23,11 @@ Positions are stored as doubled integers (x2 = 2x) so half-steps stay
 exact.  A field holds the x2 of its first site and one complex array per
 helicity, sites 2 apart; a step is two array expressions and a one-slot
 shift each way.  evolve() is the one stepping loop, under propagate(), the
-trace and the command line.  Summing amplitudes over all 2**N words with
-fixed endpoints (path_sum_kernel) reproduces N applications of step_field;
-the kernel is deliberately brute-force so it can serve as an independent
-oracle.
+trace and the command line; norm_and_mean() is the one summation of a
+field's probabilities(), under the trace and the command line.  Summing
+amplitudes over all 2**N words with fixed endpoints (path_sum_kernel)
+reproduces N applications of step_field; the kernel is deliberately
+brute-force so it can serve as an independent oracle.
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ class SpinorField:
         spinor = Spinor(phi_p=1 + 0j) if helicity == "P" else Spinor(phi_q=1 + 0j)
         return cls(t=0, x2_lo=_to_x2(x), phi_p=[spinor.phi_p], phi_q=[spinor.phi_q])
 
-    def densities(self) -> list[tuple[float, float, float]]:
-        """(x, |phi_p|**2, |phi_q|**2) per site, in ascending x.
+    def probabilities(self) -> tuple[list[float], list[float]]:
+        """|phi_p|**2 and |phi_q|**2 per site, in ascending x: two lists.
 
         Rounded as abs(z) ** 2 on Python complex (libm hypot, then pow):
         numpy's own complex abs and squaring differ in the last bit.  The
@@ -139,16 +140,20 @@ class SpinorField:
         that the propagate CSV prints.
         """
         abs_p, abs_q = (np.hypot(a.real, a.imag).tolist() for a in (self.phi_p, self.phi_q))
-        x2s = range(self.x2_lo, self.x2_lo + 2 * len(abs_p), 2)
-        xs = map(truediv, x2s, repeat(2))
-        return list(zip(xs, map(pow, abs_p, repeat(2)), map(pow, abs_q, repeat(2))))
+        return list(map(pow, abs_p, repeat(2))), list(map(pow, abs_q, repeat(2)))
+
+    def densities(self) -> list[tuple[float, float, float]]:
+        """(x, |phi_p|**2, |phi_q|**2) per site, in ascending x."""
+        probs_p, probs_q = self.probabilities()
+        xs = map(truediv, range(self.x2_lo, self.x2_lo + 2 * len(probs_p), 2), repeat(2))
+        return list(zip(xs, probs_p, probs_q))
 
     def norm(self) -> float:
-        return norm_of(self.densities())
+        return norm_and_mean(self.x2_lo, *self.probabilities())[0]
 
     def mean_position(self) -> float:
         """Position expectation <x> (in natural units, not doubled)."""
-        return mean_position_of(self.densities())
+        return norm_and_mean(self.x2_lo, *self.probabilities())[1]
 
     def sites(self) -> list[tuple[Fraction, Spinor]]:
         pairs = enumerate(zip(self.phi_p.tolist(), self.phi_q.tolist()))
@@ -161,24 +166,26 @@ class SpinorField:
         return Spinor(complex(self.phi_p[k]), complex(self.phi_q[k]))
 
 
-def norm_of(densities: list[tuple[float, float, float]]) -> float:
-    """Total probability of a field's densities() rows.
+def norm_and_mean(
+    x2_lo: int, probs_p: list[float], probs_q: list[float]
+) -> tuple[float, float]:
+    """Total probability and <x> of a field's probabilities(), from site x2_lo.
 
-    Added left to right in a plain loop, not with sum(), which compensates
-    from Python 3.12 on, so every supported Python prints the same digits.
+    Each is 0 + term_0 + term_1 + ... added left to right, the term being
+    p + q for the norm and x * (p + q) for <x>: not sum(), which
+    compensates from Python 3.12 on, nor np.sum, which adds pairwise, so
+    every supported Python prints the same digits.  np.add.accumulate is
+    that sequential loop; the 0.0 added at the end turns its one other
+    possible result, -0.0 where every term is zero, into the loop's 0.0.
+    An empty field sums to int 0, as the loop does.
     """
-    total = 0
-    for _, prob_p, prob_q in densities:
-        total += prob_p + prob_q
-    return total
-
-
-def mean_position_of(densities: list[tuple[float, float, float]]) -> float:
-    """Position expectation <x> of a field's densities() rows, added left to right."""
-    total = 0
-    for x, prob_p, prob_q in densities:
-        total += x * (prob_p + prob_q)
-    return total
+    if not probs_p:
+        return 0, 0
+    weights = np.add(probs_p, probs_q)
+    xs = np.arange(x2_lo, x2_lo + 2 * len(weights), 2) / 2
+    norm = np.add.accumulate(weights)[-1].item() + 0.0
+    mean_x = np.add.accumulate(xs * weights)[-1].item() + 0.0
+    return norm, mean_x
 
 
 def path_amplitude(word: str, initial_helicity: str, theta: float = math.pi / 4) -> complex:
@@ -291,6 +298,6 @@ def zitterbewegung_trace(
         raise ValueError("initial field must be normalized")
     rows = []
     for f in evolve(initial, steps, tm):
-        densities = f.densities()
-        rows.append((f.t, mean_position_of(densities), norm_of(densities)))
+        norm, mean_x = norm_and_mean(f.x2_lo, *f.probabilities())
+        rows.append((f.t, mean_x, norm))
     return rows

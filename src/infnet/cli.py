@@ -240,15 +240,13 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     with _open_text(args.out) as out:
         out.write("t,x,probP,probQ,total\n")
         for field in checkerboard.evolve(initial, args.steps, tm):
-            densities = field.densities()
-            norm = checkerboard.norm_of(densities)
+            probs_p, probs_q = field.probabilities()
+            norm, mean_x = checkerboard.norm_and_mean(field.x2_lo, probs_p, probs_q)
             t, norm_text = str(field.t), repr(norm)
             start = field.x2_lo + args.steps
-            xs = x_text[start : start + 2 * len(densities) : 2]
-            _, ps, qs = zip(*densities)
-            columns = (repeat(t), xs, map(repr, ps), map(repr, qs), repeat(norm_text))
+            xs = x_text[start : start + 2 * len(probs_p) : 2]
+            columns = (repeat(t), xs, map(repr, probs_p), map(repr, probs_q), repeat(norm_text))
             out.write("\n".join(map(",".join, zip(*columns))) + "\n")
-            mean_x = checkerboard.mean_position_of(densities)
             trace_rows.append(f"{t},{mean_x!r},{norm_text}")
     if args.trace is not None:
         _write_text(args.trace, "\n".join(trace_rows) + "\n")

@@ -18,10 +18,12 @@ and kQ Q-steps therefore spans dp = kQ on P and dq = kP on Q, giving
 beta = (dp - dq)/(dp + dq) = (kQ - kP)/(kP + kQ).
 
 Random words come from one draw loop, sample_masks(): boolean chunks of
-one seeded stream, True for P.  Totals need only the count of True
-entries; decode_words() turns a chunk into strings, and sample_sequences()
-is that decoding over every chunk.  sample_masks() and decode_words()
-import numpy in their bodies, so importing this module does not load it.
+one seeded stream, True for P, each drawn into one reused buffer of about
+CHUNK_SYMBOLS float64 draws (2 MiB) so the draws stay in cache.  Totals
+need only the count of True entries; decode_words() turns a chunk into
+strings, and sample_sequences() is that decoding over every chunk.
+sample_masks() and decode_words() import numpy in their bodies, so
+importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ if TYPE_CHECKING:
 HALF = Fraction(1, 2)
 STEP_DX = {"P": -HALF, "Q": HALF}
 DEFAULT_CAP = 20
+CHUNK_SYMBOLS = 1 << 18  # 2 MiB of float64 draws, a size that stays in cache
 
 PARTICLE_CHAIN = "Pi"
 LEFT_CHAIN = "P"
@@ -143,9 +146,11 @@ def sample_masks(n_steps: int, prob_p: float, seed: int, count: int) -> Iterator
     """Draw `count` words of i.i.d. symbols as boolean (rows, n_steps) chunks.
 
     True means P, drawn with probability prob_p.  The chunks are the rows
-    of one seed-deterministic stream, in order; each holds at most
-    2 000 000 symbols but at least one row.  The arguments are checked
-    before anything is drawn.
+    of one seed-deterministic stream, in order; each holds about
+    CHUNK_SYMBOLS symbols but at least one row.  The draws land in one
+    reused float64 buffer that fits in cache, and every chunk is a fresh
+    mask, so a caller may keep them all.  The arguments are checked before
+    anything is drawn.
     """
     if not 0.0 <= prob_p <= 1.0:
         raise ValueError(f"prob_p must be in [0, 1], got {prob_p}")
@@ -155,11 +160,14 @@ def sample_masks(n_steps: int, prob_p: float, seed: int, count: int) -> Iterator
 
     rng = np.random.default_rng(seed)
     # Empty words hold no symbols: one chunk carries them all.
-    rows_per_chunk = max(1, 2_000_000 // n_steps) if n_steps else count
+    rows_per_chunk = max(1, CHUNK_SYMBOLS // n_steps) if n_steps else count
+    buffer = np.empty(min(rows_per_chunk, count) * n_steps)
     remaining = count
     while remaining > 0:
         rows = min(rows_per_chunk, remaining)
-        yield rng.random((rows, n_steps)) < prob_p
+        draws = buffer[: rows * n_steps].reshape(rows, n_steps)
+        rng.random(out=draws)
+        yield draws < prob_p
         remaining -= rows
 
 

@@ -61,6 +61,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 RESTRICTED = "restricted"
@@ -117,11 +118,19 @@ class ChainRef:
     def labels(self) -> range:
         return range(1, len(self.events) + 1)
 
+    @cached_property
+    def _labels(self) -> dict[int, int]:
+        """Label by event; a member repeated in a --force file keeps its first label."""
+        labels: dict[int, int] = {}
+        for label, event in enumerate(self.events, 1):
+            labels.setdefault(event, label)
+        return labels
+
     def label_of(self, event: int) -> int:
         """1-based label of an event on this chain."""
         try:
-            return self.events.index(event) + 1
-        except ValueError:
+            return self._labels[event]
+        except KeyError:
             raise UnknownEventError(f"event {event} is not on chain {self.name!r}") from None
 
     def event_at(self, label: int) -> int:

@@ -10,6 +10,9 @@ enumerating words, and `fourier_kernel` diagonalizes the step by wave
 number, so neither shares code with infnet.checkerboard.
 `recount_p` recounts sampled P's straight from numpy's stream, in pieces
 that ignore word boundaries, so it shares no chunking with the sampler.
+`density_rows`, `norm_of` and `mean_position_of` square amplitudes and sum
+a field's probabilities in plain Python loops, one (x, p, q) row at a time,
+sharing no code with SpinorField.probabilities or checkerboard.norm_and_mean.
 """
 
 from __future__ import annotations
@@ -221,6 +224,36 @@ def recount_p(seed: int, prob_p: float, steps: int, count: int) -> int:
         total_p += int(np.count_nonzero(rng.random(take) < prob_p))
         left -= take
     return total_p
+
+
+# -- Field densities as (x, p, q) rows -----------------------------------------
+
+
+def density_rows(field) -> list[tuple[float, float, float]]:
+    """(x, |phi_p|**2, |phi_q|**2) per site of a SpinorField, one tuple per row.
+
+    Squared as pow(hypot(re, im), 2) in Python, the rounding the propagate
+    CSV prints, but built here without SpinorField's own methods.
+    """
+    abs_p, abs_q = (np.hypot(a.real, a.imag).tolist() for a in (field.phi_p, field.phi_q))
+    xs = [(field.x2_lo + 2 * k) / 2 for k in range(len(abs_p))]
+    return [(x, p ** 2, q ** 2) for x, p, q in zip(xs, abs_p, abs_q)]
+
+
+def norm_of(rows: list[tuple[float, float, float]]) -> float:
+    """Total probability of density rows, added left to right from int 0."""
+    total = 0
+    for _, prob_p, prob_q in rows:
+        total += prob_p + prob_q
+    return total
+
+
+def mean_position_of(rows: list[tuple[float, float, float]]) -> float:
+    """<x> of density rows, added left to right from int 0."""
+    total = 0
+    for x, prob_p, prob_q in rows:
+        total += x * (prob_p + prob_q)
+    return total
 
 
 # -- Raw network parts ---------------------------------------------------------

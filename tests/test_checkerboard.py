@@ -12,7 +12,8 @@ Covered claims:
       N = 1000 and 3000, theta = 0.05, 0.3 and 1.2, both helicities
     - the one-step continuation probability of a normalized spinor is 1
     - field support stays inside the light cone; <x> traces come out sane
-    - norms and <x> add left to right, so every Python prints the same digits
+    - norms and <x> add left to right, so every Python prints the same digits,
+      equal to plain loops over (x, p, q) rows, the empty field included
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import fourier_kernel, run_count_kernel
+from conftest import density_rows, fourier_kernel, mean_position_of, norm_of, run_count_kernel
 from infnet import (
     Spinor,
     SpinorField,
@@ -37,7 +40,7 @@ from infnet import (
     step_field,
     zitterbewegung_trace,
 )
-from infnet.checkerboard import mean_position_of, norm_of
+from infnet.checkerboard import evolve, norm_and_mean
 
 ROOT_HALF = math.sqrt(0.5)
 THETAS = (math.pi / 6, math.pi / 4, math.pi / 3)
@@ -349,19 +352,51 @@ class TestZitterbewegungTrace:
 
 
 class TestDensitySums:
-    # Ten terms below half an ulp of 1.0: a plain loop drops each of them,
-    # compensated summation (sum() from Python 3.12 on, math.fsum) keeps them.
-    ROWS = [(1, 1.0, 0.0)] + [(1, 1e-16, 0.0)] * 10
+    # Ten terms below half an ulp of 1.0 after the first: a plain loop drops
+    # each of them, compensated summation (sum() from Python 3.12 on,
+    # math.fsum) keeps them.  Sites sit at x = 1, 2, ..., 11.
+    X2_LO = 2
+    PROBS_P = [1.0] + [1e-16 / x for x in range(2, 12)]
+    PROBS_Q = [0.0] * 11
 
     def test_rows_tell_the_two_summations_apart(self):
-        assert math.fsum(p + q for _, p, q in self.ROWS) != 1.0
+        xs = range(1, 12)
+        assert math.fsum(self.PROBS_P) != 1.0
+        assert math.fsum(x * p for x, p in zip(xs, self.PROBS_P)) != 1.0
 
     def test_norm_adds_left_to_right(self):
-        assert norm_of(self.ROWS) == 1.0
+        assert norm_and_mean(self.X2_LO, self.PROBS_P, self.PROBS_Q)[0] == 1.0
 
     def test_mean_position_adds_left_to_right(self):
-        assert mean_position_of(self.ROWS) == 1.0
+        assert norm_and_mean(self.X2_LO, self.PROBS_P, self.PROBS_Q)[1] == 1.0
 
     def test_empty_field_sums_to_int_zero(self):
-        assert norm_of([]) == 0 and type(norm_of([])) is int
-        assert mean_position_of([]) == 0 and type(mean_position_of([])) is int
+        assert norm_and_mean(0, [], []) == (0, 0)
+        assert [type(total) for total in norm_and_mean(0, [], [])] == [int, int]
+        empty = SpinorField(phi_p=[], phi_q=[])
+        assert (empty.norm(), empty.mean_position()) == (0, 0)
+        assert type(empty.norm()) is type(empty.mean_position()) is int
+
+    def test_zero_weights_left_of_the_origin_sum_to_positive_zero(self):
+        # x * 0.0 is -0.0 for x < 0, and a loop from int 0 never returns -0.0.
+        sums = norm_and_mean(-6, [0.0, 0.0], [0.0, 0.0])
+        assert [repr(total) for total in sums] == ["0.0", "0.0"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-10**6, 10**6),
+        st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), max_size=40),
+    )
+    def test_sums_equal_the_row_loops(self, x2_lo, pairs):
+        probs_p, probs_q = [p for p, _ in pairs], [q for _, q in pairs]
+        rows = [((x2_lo + 2 * k) / 2, p, q) for k, (p, q) in enumerate(pairs)]
+        norm, mean_x = norm_and_mean(x2_lo, probs_p, probs_q)
+        assert (repr(norm), repr(mean_x)) == (repr(norm_of(rows)), repr(mean_position_of(rows)))
+        assert (type(norm), type(mean_x)) == (type(norm_of(rows)), type(mean_position_of(rows)))
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1.2])
+    def test_probabilities_and_densities_equal_the_row_oracle(self, theta):
+        for field in evolve(SpinorField.delta("Q"), 40, TransferMatrices(theta)):
+            rows = density_rows(field)
+            assert field.densities() == rows
+            assert list(field.probabilities()) == [[p for _, p, _ in rows], [q for _, _, q in rows]]

@@ -17,8 +17,9 @@ Covered claims:
     - quantify prints what the per-event public API (quantify_event,
       is_between) gives, byte for byte: coordinated ladders, the
       uncoordinated warning, no --pair, --force-loaded invalid networks
-    - quantify, distance and interval on tests/data/ladder.net print the
-      checked-in expected files that CI also diffs against
+    - quantify, distance and interval on tests/data/ladder.net, and
+      propagate and simulate (words, and totals across many chunks), print
+      the checked-in expected files that CI also diffs against
     - every numeric command reproduces the owning module's output
     - simulate honours --seed and the INFNET_SEED override; a negative or
       non-integer seed from either is a usage error
@@ -27,7 +28,8 @@ Covered claims:
       sample_sequences() ahead of the same totals
     - propagate CSV and SVG outputs are deterministic; the field CSV and the
       trace equal a row-by-row reference read from SpinorField.sites(),
-      through --out/--trace and on stdout
+      through --out/--trace and on stdout, and the (x, p, q) row loops of
+      conftest
     - every `infnet` line of the README's command block runs and exits 0
     - a call naming a command builds only that command's subparser, and
       prints the same help, usage and error bytes as the full parser; the
@@ -43,6 +45,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -61,10 +64,18 @@ from infnet import (
     step_field,
 )
 from infnet import cli
+from infnet.checkerboard import evolve
 from infnet.cli import main
 from infnet.netformat import NetworkParseError, ViolationsError
 
-from conftest import network_parts, recount_p, seeded_ladder_parts
+from conftest import (
+    density_rows,
+    mean_position_of,
+    network_parts,
+    norm_of,
+    recount_p,
+    seeded_ladder_parts,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -569,6 +580,29 @@ def test_ladder_outputs_match_the_checked_in_files(capsys, argv, expected):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["simulate", "--steps", "40", "--prob-p", "0.3", "--seed", "7", "--count", "50",
+          "--emit-words"], "simulate.words.out"),
+        (["simulate", "--steps", "1000", "--prob-p", "0.3", "--seed", "7", "--count", "3000"],
+         "simulate.totals.out"),
+    ],
+    ids=["words", "totals"],
+)
+def test_simulate_outputs_match_the_checked_in_files(capsys, monkeypatch, argv, expected):
+    monkeypatch.delenv("INFNET_SEED", raising=False)
+    assert run_cli(capsys, *argv) == (0, (DATA / expected).read_text(), "")
+
+
+def test_propagate_outputs_match_the_checked_in_files(capsys, tmp_path):
+    out, trace = tmp_path / "propagate.csv", tmp_path / "propagate.trace"
+    argv = ["propagate", "--steps", "24", "--theta", "0.3", "--initial", "Q"]
+    assert run_cli(capsys, *argv, "--out", str(out), "--trace", str(trace)) == (0, "", "")
+    assert out.read_text() == (DATA / "propagate.csv").read_text()
+    assert trace.read_text() == (DATA / "propagate.trace").read_text()
+
+
 # == 4. transform / kinematics ================================================
 
 
@@ -745,7 +779,7 @@ class TestSimulateCommand:
             (7, 0, 0.3, 2),
             (50, 40, 0.0, 3),
             (50, 40, 1.0, 4),
-            (997, 5000, 0.37, 5),  # three 2 000 000-symbol chunks
+            (997, 5000, 0.37, 5),  # 20 chunks
             (2_000_003, 2, 0.61, 6),  # one row per chunk
         ],
         ids=["steps-0", "count-0", "prob-0", "prob-1", "several-chunks", "row-per-chunk"],
@@ -768,7 +802,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "steps, count",
-        [(0, 3), (9, 0), (13, 200_000)],  # the last spans two chunks
+        [(0, 3), (9, 0), (13, 200_000)],  # the last spans ten chunks
         ids=["steps-0", "count-0", "two-chunks"],
     )
     def test_emit_words_prints_the_sample_ahead_of_the_totals(self, capsys, steps, count):
@@ -856,6 +890,24 @@ def reference_propagate(steps: int, theta: float, initial: str) -> tuple[str, st
     return "\n".join(rows) + "\n", "\n".join(trace_rows) + "\n"
 
 
+def row_loop_propagate(steps: int, theta: float, initial: str) -> tuple[str, str]:
+    """The field CSV and the trace of `propagate`, from (x, p, q) density rows.
+
+    Each field becomes conftest's density_rows, summed by its norm_of and
+    mean_position_of loops, transposed into columns by zip(*rows) and
+    formatted a column at a time.
+    """
+    rows, trace_rows = ["t,x,probP,probQ,total"], ["t,mean_x,norm"]
+    for field in evolve(SpinorField.delta(initial), steps, TransferMatrices(theta)):
+        densities = density_rows(field)
+        norm_text = repr(norm_of(densities))
+        xs, ps, qs = zip(*densities)
+        columns = (repeat(str(field.t)), map(repr, xs), map(repr, ps), map(repr, qs), repeat(norm_text))
+        rows += map(",".join, zip(*columns))
+        trace_rows.append(f"{field.t},{mean_position_of(densities)!r},{norm_text}")
+    return "\n".join(rows) + "\n", "\n".join(trace_rows) + "\n"
+
+
 def first_difference(text: str, expected: str):
     """None if the texts are equal, else the first differing line (1-based) of each.
 
@@ -913,6 +965,19 @@ class TestOutputCommands:
         code, stdout, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert first_difference(stdout, csv) is None
+
+    @pytest.mark.parametrize("initial", ["P", "Q"])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, 1.2, math.pi / 2])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 64, 300])
+    def test_propagate_bytes_match_the_density_row_loop(
+        self, capsys, tmp_path, steps, theta, initial
+    ):
+        csv, trace = row_loop_propagate(steps, theta, initial)
+        argv = ["propagate", "--steps", str(steps), "--theta", repr(theta), "--initial", initial]
+        out, trace_out = tmp_path / "field.csv", tmp_path / "trace.csv"
+        assert run_cli(capsys, *argv, "--out", str(out), "--trace", str(trace_out)) == (0, "", "")
+        assert first_difference(out.read_text(), csv) is None
+        assert first_difference(trace_out.read_text(), trace) is None
 
     def test_hasse_svg(self, capsys, tmp_path):
         target = tmp_path / "ladder.svg"

@@ -4,16 +4,21 @@ Covered claims:
     - enumerate_sequences lists C(n_p + n_q, n_p) words in lex order
     - consistent_orderings agrees with it while being built independently
     - paths run at the invariant speed, half-step by half-step
-    - sampling is seed-deterministic with the right marginals
+    - sampling is seed-deterministic with the right marginals; its chunks
+      are one flat draw of the stream, each a fresh mask, drawn into one
+      cache-sized buffer
     - the fixture builder yields a valid restricted network whose
       consecutive particle intervals all carry a zero projection
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +27,7 @@ from infnet import (
     build_free_particle_fixture,
     consistent_orderings,
     enumerate_sequences,
+    freeparticle,
     observer_spans,
     quantify_interval,
     sample_sequences,
@@ -168,6 +174,59 @@ class TestSampleSequences:
     def test_bad_probability_rejected(self):
         with pytest.raises(ValueError):
             sample_sequences(10, 1.5, 0, 1)
+
+
+CHUNK = freeparticle.CHUNK_SYMBOLS
+
+
+class TestSampleMasks:
+    """The draw loop: chunks of one stream, drawn into one reused buffer."""
+
+    @pytest.mark.parametrize(
+        "n_steps, count, prob_p",
+        [
+            (1, 1000, 0.3),  # one chunk, below its size
+            (1, CHUNK, 0.3),  # exactly one full chunk
+            (1, CHUNK + 5, 0.3),  # a full chunk and a short one
+            (3, 3 * (CHUNK // 3) + 1, 0.6),  # rows that do not fill a chunk exactly
+            (1000, 700, 0.45),  # several chunks of 262 rows
+            (CHUNK + 3, 3, 0.5),  # words longer than a chunk: a row per chunk
+            (9, 0, 0.5),
+            (0, 5, 0.5),
+            (40, 800, 0.0),
+            (40, 800, 1.0),
+        ],
+    )
+    def test_masks_concatenate_to_one_flat_draw(self, n_steps, count, prob_p):
+        masks = list(freeparticle.sample_masks(n_steps, prob_p, 11, count))
+        draws = np.random.default_rng(11).random(count * n_steps) < prob_p
+        expected = draws.reshape(count, n_steps)
+        got = np.concatenate(masks) if masks else np.zeros((0, n_steps), bool)
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+        assert all(1 <= len(mask) and mask.size <= max(CHUNK, n_steps) for mask in masks[:-1])
+        assert all(mask.dtype == bool and mask.shape[1] == n_steps for mask in masks)
+
+    def test_kept_masks_stay_intact(self):
+        masks = list(freeparticle.sample_masks(1000, 0.5, 4, 1000))
+        assert len(masks) == 4
+        rows = [0, *np.cumsum([len(mask) for mask in masks])]
+        expected = (np.random.default_rng(4).random(1000 * 1000) < 0.5).reshape(1000, 1000)
+        for mask, lo, hi in zip(masks, rows, rows[1:]):
+            assert np.array_equal(mask, expected[lo:hi])
+        for first, second in itertools.combinations(masks, 2):
+            assert not np.shares_memory(first, second)
+
+    def test_draining_ten_million_symbols_holds_one_small_chunk(self):
+        # 2**18 float64 draws (2 MiB) and a mask or two; 2 000 000-symbol
+        # chunks would hold 16 MB of draws.
+        tracemalloc.start()
+        try:
+            for mask in freeparticle.sample_masks(1000, 0.3, 1, 10_000):
+                np.count_nonzero(mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def test_observer_spans_are_crossed():
