@@ -199,8 +199,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    import numpy as np
-
     seed = args.seed
     env_seed = os.environ.get("INFNET_SEED")
     if env_seed is not None:
@@ -209,11 +207,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except (ValueError, argparse.ArgumentTypeError):
             print(f"INFNET_SEED must be a non-negative integer, got {env_seed!r}", file=sys.stderr)
             return 2
-    total_p = 0
-    for mask in freeparticle.sample_masks(args.steps, args.prob_p, seed, args.count):
-        total_p += int(np.count_nonzero(mask))
-        if args.emit_words:
+    if args.emit_words:
+        import numpy as np
+
+        total_p = 0
+        for mask in freeparticle.sample_masks(args.steps, args.prob_p, seed, args.count):
+            total_p += int(np.count_nonzero(mask))
             print("\n".join(freeparticle.decode_words(mask)))
+    else:
+        total_p = freeparticle.count_p(args.steps, args.prob_p, seed, args.count)
     total_q = args.steps * args.count - total_p
     dp, dq = total_q, total_p  # crossed light-cone bookkeeping
     _emit("seed", seed)

@@ -17,13 +17,14 @@ observer's projection and advances the other one.  A word with kP P-steps
 and kQ Q-steps therefore spans dp = kQ on P and dq = kP on Q, giving
 beta = (dp - dq)/(dp + dq) = (kQ - kP)/(kP + kQ).
 
-Random words come from one draw loop, sample_masks(): boolean chunks of
-one seeded stream, True for P, each drawn into one reused buffer of about
-CHUNK_SYMBOLS float64 draws (2 MiB) so the draws stay in cache.  Totals
-need only the count of True entries; decode_words() turns a chunk into
-strings, and sample_sequences() is that decoding over every chunk.
-sample_masks() and decode_words() import numpy in their bodies, so
-importing this module does not load it.
+Random words come from one seeded stream, True for P, drawn into one
+reused buffer of at most CHUNK_SYMBOLS float64 draws (2 MiB) so the draws
+stay in cache.  sample_masks() cuts it into boolean chunks of whole words;
+decode_words() turns a chunk into strings, and sample_sequences() is that
+decoding over every chunk.  Totals need only the count of True entries, so
+count_p() counts the same stream in pieces of CHUNK_SYMBOLS that ignore word
+boundaries: its memory does not grow with the word length.  These functions
+import numpy in their bodies, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -142,6 +143,29 @@ def consistent_orderings(p_events: list[int], q_events: list[int]) -> list[str]:
     return out
 
 
+def _check_draws(n_steps: int, prob_p: float, count: int) -> None:
+    if not 0.0 <= prob_p <= 1.0:
+        raise ValueError(f"prob_p must be in [0, 1], got {prob_p}")
+    if n_steps < 0 or count < 0:
+        raise ValueError("n_steps and count must be non-negative")
+
+
+def _draws(symbols: int, piece: int, prob_p: float, seed: int) -> Iterator[np.ndarray]:
+    """The first `symbols` symbols of the seeded stream as flat boolean masks.
+
+    Each mask holds `piece` symbols (the last one may hold fewer); the draws
+    land in one reused float64 buffer, and every mask is a fresh array.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    buffer = np.empty(min(piece, symbols))
+    for start in range(0, symbols, piece):
+        draws = buffer[: min(piece, symbols - start)]
+        rng.random(out=draws)
+        yield draws < prob_p
+
+
 def sample_masks(n_steps: int, prob_p: float, seed: int, count: int) -> Iterator[np.ndarray]:
     """Draw `count` words of i.i.d. symbols as boolean (rows, n_steps) chunks.
 
@@ -152,23 +176,30 @@ def sample_masks(n_steps: int, prob_p: float, seed: int, count: int) -> Iterator
     mask, so a caller may keep them all.  The arguments are checked before
     anything is drawn.
     """
-    if not 0.0 <= prob_p <= 1.0:
-        raise ValueError(f"prob_p must be in [0, 1], got {prob_p}")
-    if n_steps < 0 or count < 0:
-        raise ValueError("n_steps and count must be non-negative")
+    _check_draws(n_steps, prob_p, count)
+    if not n_steps:
+        if count:  # empty words hold no symbols: one chunk carries them all
+            import numpy as np
+
+            yield np.zeros((count, 0), dtype=bool)
+        return
+    rows = max(1, CHUNK_SYMBOLS // n_steps)
+    for mask in _draws(count * n_steps, rows * n_steps, prob_p, seed):
+        yield mask.reshape(-1, n_steps)
+
+
+def count_p(n_steps: int, prob_p: float, seed: int, count: int) -> int:
+    """The P's among the words sample_masks() draws, counted without the words.
+
+    A count ignores word boundaries, so the same stream is drawn flat in
+    pieces of CHUNK_SYMBOLS: memory stays at one piece however long a word
+    is.
+    """
+    _check_draws(n_steps, prob_p, count)
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    # Empty words hold no symbols: one chunk carries them all.
-    rows_per_chunk = max(1, CHUNK_SYMBOLS // n_steps) if n_steps else count
-    buffer = np.empty(min(rows_per_chunk, count) * n_steps)
-    remaining = count
-    while remaining > 0:
-        rows = min(rows_per_chunk, remaining)
-        draws = buffer[: rows * n_steps].reshape(rows, n_steps)
-        rng.random(out=draws)
-        yield draws < prob_p
-        remaining -= rows
+    pieces = _draws(count * n_steps, CHUNK_SYMBOLS, prob_p, seed)
+    return sum(int(np.count_nonzero(mask)) for mask in pieces)
 
 
 def decode_words(mask: np.ndarray) -> list[str]:

@@ -7,15 +7,26 @@
     influence 0 -> 4
 
 Serialization is canonical: one mode line, chains sorted by name, edges
-sorted numerically, chain-implied edges omitted.  parse() keeps the source
-line of every record.  load_path() validates what it reads and, unless
-forced, raises ViolationsError with the report `validate` prints: each
-violation citing the line that breaks its rule, from one index per file.
+sorted numerically, chain-implied edges omitted.
+
+A load reads the text in one scan: one compiled pattern matches each line.
+A plain influence line (ASCII digits, spaces or tabs, an optional comment)
+is read straight from its match; every other line (mode, chain, comment,
+or an influence in another form int() reads, such as `+1`, `1_0` or other
+digits and spaces) goes through per-record code.  An id that int() refuses,
+one past Python's int-string digit limit included, is a parse error at its
+line.  parse() keeps each chain's line; the lines of the influences are
+needed only to cite them, so ParsedNetwork finds them on first use, by
+scanning again.  load_path() validates what it reads and, unless forced,
+raises ViolationsError with the report `validate` prints: each violation
+citing the line that breaks its rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .network import GENERAL, RESTRICTED, InfluenceNetwork, Violation
@@ -38,11 +49,21 @@ class ViolationsError(ValueError):
 
 @dataclass
 class ParsedNetwork:
-    """A parsed network; `edge_lines` holds each influence's first line, in file order."""
+    """A parsed network, with the lines that `validate`'s report cites.
+
+    `chain_lines` holds each chain's line.  `edge_lines` holds each
+    influence's first line, in file order.  Only a report on violations
+    reads it, so it is built on first read, by scanning `text` (the file's
+    text with every line end made a \\n) a second time.
+    """
 
     net: InfluenceNetwork
-    edge_lines: dict[tuple[int, int], int] = field(default_factory=dict)
-    chain_lines: dict[str, int] = field(default_factory=dict)
+    chain_lines: dict[str, int]
+    text: str
+
+    @cached_property
+    def edge_lines(self) -> dict[tuple[int, int], int]:
+        return _scan(self.text, cite=True)[4]
 
     def _report(self, violations: list[Violation]) -> list[str]:
         """Each violation plus the line that breaks its rule, where one exists."""
@@ -81,60 +102,90 @@ def _check_ids(lineno: int, ids) -> None:
             raise NetworkParseError(lineno, f"event ids are non-negative, got {event}")
 
 
-def parse(text: str) -> ParsedNetwork:
+_INFLUENCE_FORM = "expected 'influence <src> -> <dst>'"
+
+# One match per line of a text whose lines all end in \n, so findall's index
+# is the line number.  A plain influence line (ASCII digits, spaces or tabs,
+# an optional comment) fills the first two groups; any other line, blank
+# ones included, fills the third.
+_LINE = re.compile(
+    r"^[ \t]*influence[ \t]+([0-9]+)[ \t]*->[ \t]*([0-9]+)[ \t]*(?:#.*)?$|^(.*)$", re.M
+)
+
+
+def _scan(text: str, cite: bool = False):
+    """The records of a text whose lines all end in \\n, in one pass.
+
+    Returns the mode (None if unset), the chains, their lines, the
+    influences in file order and, if `cite`, each influence's first line
+    (else an empty dict).  A plain influence line is read from its match;
+    every other line goes through the per-record code below.
+    """
     mode = None
     chains: dict[str, list[int]] = {}
+    chain_lines: dict[str, int] = {}
     influences: list[tuple[int, int]] = []
     edge_lines: dict[tuple[int, int], int] = {}
-    chain_lines: dict[str, int] = {}
+    for lineno, (source, target, raw) in enumerate(_LINE.findall(text), start=1):
+        if source:
+            try:
+                edge = int(source), int(target)
+            except ValueError:  # an id past Python's int-string digit limit
+                raise NetworkParseError(lineno, _INFLUENCE_FORM) from None
+        else:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            keyword = line.split(None, 1)[0]
+            if keyword == "influence":
+                try:
+                    source, target = map(int, line[9:].split("->"))  # 9 == len("influence")
+                except ValueError:
+                    raise NetworkParseError(lineno, _INFLUENCE_FORM) from None
+                edge = source, target
+                if source < 0 or target < 0:
+                    _check_ids(lineno, edge)
+            elif keyword == "mode":
+                tokens = line.split()
+                if len(tokens) != 2 or tokens[1] not in (RESTRICTED, GENERAL):
+                    raise NetworkParseError(lineno, f"expected 'mode restricted|general', got {raw.strip()!r}")
+                if mode is not None:
+                    raise NetworkParseError(lineno, "duplicate mode line")
+                mode = tokens[1]
+                continue
+            elif keyword == "chain":
+                rest = line[len("chain") :].strip()
+                if ":" not in rest:
+                    raise NetworkParseError(lineno, "expected 'chain <name>: <id> ...'")
+                name, _, members = rest.partition(":")
+                name = name.strip()
+                if not name:
+                    raise NetworkParseError(lineno, "chain name is empty")
+                if name in chains:
+                    raise NetworkParseError(lineno, f"duplicate chain {name!r}")
+                try:
+                    chains[name] = [int(tok) for tok in members.split()]
+                except ValueError:
+                    raise NetworkParseError(lineno, f"chain members must be integers: {members.strip()!r}") from None
+                _check_ids(lineno, chains[name])
+                chain_lines[name] = lineno
+                continue
+            else:
+                raise NetworkParseError(lineno, f"unknown record {keyword!r}")
+        influences.append(edge)
+        if cite:
+            edge_lines.setdefault(edge, lineno)
+    return mode, chains, chain_lines, influences, edge_lines
 
+
+def parse(text: str) -> ParsedNetwork:
     # Only \n, \r\n and \r end a line; splitlines() would also break at
     # form feeds and other separators a user sees inside a line.
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        keyword = line.split(None, 1)[0]
-        # Influences far outnumber the other records, so they are tested first.
-        if keyword == "influence":
-            try:
-                source, target = map(int, line[9:].split("->"))  # 9 == len("influence")
-            except ValueError:
-                raise NetworkParseError(lineno, "expected 'influence <src> -> <dst>'") from None
-            if source < 0 or target < 0:
-                _check_ids(lineno, (source, target))
-            influences.append((source, target))
-            edge_lines.setdefault((source, target), lineno)
-        elif keyword == "mode":
-            tokens = line.split()
-            if len(tokens) != 2 or tokens[1] not in (RESTRICTED, GENERAL):
-                raise NetworkParseError(lineno, f"expected 'mode restricted|general', got {raw.strip()!r}")
-            if mode is not None:
-                raise NetworkParseError(lineno, "duplicate mode line")
-            mode = tokens[1]
-        elif keyword == "chain":
-            rest = line[len("chain") :].strip()
-            if ":" not in rest:
-                raise NetworkParseError(lineno, "expected 'chain <name>: <id> ...'")
-            name, _, members = rest.partition(":")
-            name = name.strip()
-            if not name:
-                raise NetworkParseError(lineno, "chain name is empty")
-            if name in chains:
-                raise NetworkParseError(lineno, f"duplicate chain {name!r}")
-            try:
-                chains[name] = [int(tok) for tok in members.split()]
-            except ValueError:
-                raise NetworkParseError(lineno, f"chain members must be integers: {members.strip()!r}") from None
-            _check_ids(lineno, chains[name])
-            chain_lines[name] = lineno
-        else:
-            raise NetworkParseError(lineno, f"unknown record {keyword!r}")
-
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    mode, chains, chain_lines, influences, _ = _scan(text)
     net = InfluenceNetwork.from_parts(mode or GENERAL, chains, influences)
     net.finalize()
-    return ParsedNetwork(net=net, edge_lines=edge_lines, chain_lines=chain_lines)
+    return ParsedNetwork(net, chain_lines, text)
 
 
 def loads(text: str) -> InfluenceNetwork:

@@ -176,7 +176,9 @@ class InfluenceNetwork:
         self._succ: dict[int, set[int]] = {}
         self._pred: dict[int, set[int]] = {}
         self._chains: dict[str, list[int]] = {}
-        self._chains_of: dict[int, list[str]] = {}
+        # Each event's chains, in listing order.  from_parts shares one
+        # (name,) tuple among the members of a chain.
+        self._chains_of: dict[int, tuple[str, ...]] = {}
         # _anc[i] is a bitmask over the indices of the events that reach
         # event i through one or more edges (non-reflexive closure); read it
         # through _closure().  While _stale, before the first read, inserts
@@ -234,7 +236,7 @@ class InfluenceNetwork:
 
     def chains_of(self, event: int) -> tuple[str, ...]:
         self._require_event(event)
-        return tuple(self._chains_of.get(event, ()))
+        return self._chains_of.get(event, ())
 
     def off_chain_events(self) -> tuple[int, ...]:
         """Events on no chain at all (isolated in general mode)."""
@@ -274,7 +276,7 @@ class InfluenceNetwork:
             # Membership first, so the tail link is classified as a chain
             # edge rather than a cross-chain one.
             members = self._chains[chain]
-            self._chains_of.setdefault(event, []).append(chain)
+            self._chains_of[event] = (chain,)
             if members:
                 self._insert_edge(members[-1], event)
             members.append(event)
@@ -400,11 +402,13 @@ class InfluenceNetwork:
         """
         net = cls(mode)
         net._chains = {name: list(members) for name, members in chains.items()}
+        chains_of = net._chains_of
         for name, members in net._chains.items():
+            home = (name,)  # () + home is home itself: one tuple for the whole chain
             for event in dict.fromkeys(members):
-                net._chains_of.setdefault(event, []).append(name)
+                chains_of[event] = chains_of.get(event, ()) + home
         influences = list(influences)
-        ids = sorted({*events, *net._chains_of, *(e for edge in influences for e in edge)})
+        ids = sorted({*events, *chains_of, *itertools.chain.from_iterable(influences)})
         if ids and ids[0] < 0:
             raise NetworkError(f"event ids are non-negative, got {ids[0]}")
         index = {event: i for i, event in enumerate(ids)}
@@ -416,7 +420,8 @@ class InfluenceNetwork:
             succ[source].add(target)
             pred[target].add(source)
         net._ids, net._index, net._succ, net._pred = ids, index, succ, pred
-        net._upward = all(index[s] < index[t] for s, targets in succ.items() for t in targets)
+        # Indices follow the sorted ids, so an edge runs upward iff its ids rise.
+        net._upward = all(s < t for s, targets in succ.items() for t in targets)
         return net
 
     # -------------------------

@@ -3,7 +3,10 @@
 Covered claims:
     - parse/dumps round-trip to a canonical form, broken networks included;
       bad lines carry numbers, and malformed influence and mode lines give
-      pinned error text and exit codes
+      pinned error text and exit codes, over-long ids included; parse reads
+      what the former line loop (the oracle reference_parse) reads on drawn
+      files of plain and odd lines, errors included; influence lines are
+      scanned a second time only to cite them in a report
     - validate exits 0/1/2 for clean/violating/unparseable files, on any
       one-line mutation of a valid file, and cites the breaking record: a
       repeated member's chain line, the first influence line on a cycle, a
@@ -17,15 +20,18 @@ Covered claims:
     - quantify prints what the per-event public API (quantify_event,
       is_between) gives, byte for byte: coordinated ladders, the
       uncoordinated warning, no --pair, --force-loaded invalid networks
-    - quantify, distance and interval on tests/data/ladder.net, and
-      propagate and simulate (words, and totals across many chunks), print
-      the checked-in expected files that CI also diffs against
+    - quantify, distance and interval on tests/data/ladder.net, validate on
+      the broken files beside it (a cycle, a degree breach, a repeated
+      member, events on two chains and on none), and propagate and simulate
+      (words, and totals across many chunks), print the checked-in expected
+      files that CI also diffs against
     - every numeric command reproduces the owning module's output
     - simulate honours --seed and the INFNET_SEED override; a negative or
       non-integer seed from either is a usage error
     - simulate totals match an independent recount of the same draws, across
-      chunk boundaries, and need no word strings; --emit-words prints exactly
-      sample_sequences() ahead of the same totals
+      chunk boundaries, and need no word strings; one word of 10**7 symbols
+      holds under 4 MiB; --emit-words prints exactly sample_sequences()
+      ahead of the same totals
     - propagate CSV and SVG outputs are deterministic; the field CSV and the
       trace equal a row-by-row reference read from SpinorField.sites(),
       through --out/--trace and on stdout, and the (x, p, q) row loops of
@@ -45,11 +51,12 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from itertools import repeat
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from infnet import (
@@ -199,6 +206,151 @@ class TestNetFormat:
         assert [v.rule for v in reloaded.validate()] == ["cycle-would-form", "postulate-4"]
 
 
+def reference_parse(text: str):
+    """The records of a network file, read one line at a time.
+
+    The loader's former line loop, kept as an oracle: every line goes
+    through str.split and int(), with no pattern.  Returns the mode (general
+    if unset), the chains, their lines, the influences in file order and
+    each influence's first line, or raises the loader's NetworkParseError.
+    """
+    mode = None
+    chains: dict[str, list[int]] = {}
+    influences: list[tuple[int, int]] = []
+    edge_lines: dict[tuple[int, int], int] = {}
+    chain_lines: dict[str, int] = {}
+
+    def check_ids(lineno, ids):
+        for event in ids:
+            if event < 0:
+                raise NetworkParseError(lineno, f"event ids are non-negative, got {event}")
+
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        keyword = line.split(None, 1)[0]
+        if keyword == "influence":
+            try:
+                source, target = map(int, line[9:].split("->"))
+            except ValueError:
+                raise NetworkParseError(lineno, "expected 'influence <src> -> <dst>'") from None
+            check_ids(lineno, (source, target))
+            influences.append((source, target))
+            edge_lines.setdefault((source, target), lineno)
+        elif keyword == "mode":
+            tokens = line.split()
+            if len(tokens) != 2 or tokens[1] not in ("restricted", "general"):
+                raise NetworkParseError(lineno, f"expected 'mode restricted|general', got {raw.strip()!r}")
+            if mode is not None:
+                raise NetworkParseError(lineno, "duplicate mode line")
+            mode = tokens[1]
+        elif keyword == "chain":
+            rest = line[len("chain") :].strip()
+            if ":" not in rest:
+                raise NetworkParseError(lineno, "expected 'chain <name>: <id> ...'")
+            name, _, members = rest.partition(":")
+            name = name.strip()
+            if not name:
+                raise NetworkParseError(lineno, "chain name is empty")
+            if name in chains:
+                raise NetworkParseError(lineno, f"duplicate chain {name!r}")
+            try:
+                chains[name] = [int(tok) for tok in members.split()]
+            except ValueError:
+                raise NetworkParseError(lineno, f"chain members must be integers: {members.strip()!r}") from None
+            check_ids(lineno, chains[name])
+            chain_lines[name] = lineno
+        else:
+            raise NetworkParseError(lineno, f"unknown record {keyword!r}")
+    return mode or "general", chains, chain_lines, influences, list(edge_lines.items())
+
+
+def library_parse(text: str):
+    """What netformat.parse reads, in reference_parse's shape."""
+    parsed = netformat.parse(text)
+    net = parsed.net
+    influences = netformat._scan(parsed.text)[3]
+    chains = {name: list(net.chain(name).events) for name in net.chain_names()}
+    return net.mode, chains, parsed.chain_lines, influences, list(parsed.edge_lines.items())
+
+
+def parse_outcome(read, text: str):
+    try:
+        return read(text)
+    except NetworkParseError as exc:
+        return "error", exc.line, str(exc)
+
+
+# Plain forms (ASCII digits, spaces and tabs) and the odd ones int() and
+# str.split() also accept or reject: signs, underscores, other digits and
+# spaces, negative ids, ids past Python's 4300-digit int-string limit.  The
+# draws lean to well-formed lines, so that most files read past their first
+# few lines; one bad line in a file is enough to compare its error.
+_SEP = st.sampled_from([" ", " ", "\t", "  ", " \t", "\u00a0", "\u2003", "\x0b", "\x0c", "\x85", ""])
+_GAP = st.sampled_from(["", "", "", " ", "\t", "\u00a0", "\x0c"])
+_ID = st.sampled_from(
+    ([str(i) for i in range(13)] + ["+1", "1_0", "007", "٣", "١٠", "-0"]) * 3
+    + ["-1", "1__0", "_1", "x", "", "1" * 4301]
+)
+_COMMENT = st.sampled_from(["", "", "#", "# note", " # a # b", "#\f x"])
+
+
+@st.composite
+def record_lines(draw) -> str:
+    def gap() -> str:
+        return draw(_GAP)
+
+    kind = draw(st.sampled_from(["plain"] * 3 + ["influence"] * 3 + ["mode", "chain", "chain", "other"]))
+    if kind == "plain":
+        body = f"influence {draw(st.integers(0, 12))} -> {draw(st.integers(0, 12))}"
+    elif kind == "influence":
+        ends = [draw(_ID) for _ in range(draw(st.sampled_from([2] * 8 + [1, 3])))]
+        body = f"{gap()}influence{draw(_SEP)}" + f"{gap()}->{gap()}".join(ends)
+    elif kind == "mode":
+        word = draw(st.sampled_from(["general", "restricted", "bogus", "general x", ""]))
+        body = f"{gap()}mode{draw(_SEP)}{word}"
+    elif kind == "chain":
+        name = draw(st.sampled_from(["P", "Q", "R", "S", "T", "R S", "", "U\x85"]))
+        colon = draw(st.sampled_from([":"] * 5 + [""]))
+        members = draw(_SEP).join(draw(st.lists(_ID, max_size=4)))
+        body = f"{gap()}chain{draw(_SEP)}{name}{gap()}{colon}{gap()}{members}"
+    else:
+        body = draw(st.sampled_from(["", "  ", "\t", "bogus", "influences 1 -> 2", "influence 1 2", "influence", "0 -> 1"]))
+    return body + gap() + draw(_COMMENT)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.lists(st.tuples(record_lines(), st.sampled_from(["\n", "\r\n", "\r"])), max_size=12),
+    st.booleans(),
+)
+@example([(f"influence 0 -> {'1' * 4301}", "\n")], True)
+@example([("influence", "\n"), ("0 -> 1", "\n")], False)
+def test_parse_reads_what_the_line_loop_reads(lines, last_line_ends):
+    text = "".join(line + end for line, end in lines)
+    if lines and not last_line_ends:
+        text = text[: -len(lines[-1][1])]
+    assert parse_outcome(library_parse, text) == parse_outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mode general\nchain P: 0 1 2\nchain Q: 3 4 5\ninfluence 0 -> 4\ninfluence\t1\t->\t5 # c\n"
+        "influence 0 -> 4\ninfluence +2 -> 3\ninfluence 1_0 -> ٣\n\n# end",
+        "chain P: 0 1\r\ninfluence 1 -> 0\r\ninfluence 0->1#x\rinfluence  1 -> 0  \r",
+        "influence 0 -> 1\ninfluence 0 -> 1\ninfluence 1 -> 2 \n",
+    ],
+    ids=["odd-forms", "crlf-and-cr", "repeats"],
+)
+def test_parse_reads_what_the_line_loop_reads_on_fixed_files(text):
+    got = library_parse(text)
+    assert got == reference_parse(text)
+    assert got[4]  # every file above has influence lines to cite
+
+
 # == 2. validate ==============================================================
 
 
@@ -262,6 +414,20 @@ class TestValidateCommand:
             ("influence\t1\t->\t2", 0, ""),
             ("\tinfluence  1 -> 2\t", 0, ""),
             ("influence 1 -> 2  # comment", 0, ""),
+            # Ids past Python's 4300-digit int-string limit, on the plain
+            # influence form and on a chain line.
+            pytest.param(
+                f"influence 0 -> {'1' * 4301}",
+                2,
+                "parse error: line 4: expected 'influence <src> -> <dst>'\n",
+                id="influence-4301-digits",
+            ),
+            pytest.param(
+                f"chain R: 7 {'1' * 4301}",
+                2,
+                f"parse error: line 4: chain members must be integers: '7 {'1' * 4301}'\n",
+                id="chain-4301-digits",
+            ),
         ],
     )
     def test_malformed_line_table(self, capsys, tmp_path, line, code, err):
@@ -271,6 +437,29 @@ class TestValidateCommand:
         assert run_cli(capsys, "validate", str(source)) == (code, "" if code else "ok\n", err)
         if code == 0:
             assert netformat.parse(text).edge_lines == {(1, 2): 4, (0, 3): 5}
+
+    def test_influence_lines_are_cited_from_a_second_scan_on_demand(self, capsys, tmp_path, monkeypatch):
+        scans = []
+        scan = netformat._scan
+
+        def logged_scan(text, cite=False):
+            scans.append(cite)
+            return scan(text, cite)
+
+        monkeypatch.setattr(netformat, "_scan", logged_scan)
+        clean = tmp_path / "clean.net"
+        clean.write_text("chain P: 0 1\nchain Q: 2 3\ninfluence 0 -> 3\n")
+        parsed = netformat.parse(clean.read_text())
+        assert "edge_lines" not in vars(parsed) and scans == [False]
+        assert parsed.edge_lines == {(0, 3): 3} == parsed.edge_lines
+        assert scans == [False, True]
+        assert run_cli(capsys, "validate", str(clean)) == (0, "ok\n", "")
+        assert scans == [False, True, False]
+        cyclic = tmp_path / "cyclic.net"
+        cyclic.write_text("chain P: 0 1\n# loop\ninfluence 1 -> 0\n")
+        code, out, _ = run_cli(capsys, "validate", str(cyclic))
+        assert (code, out) == (1, "cycle-would-form: events on directed cycles: [0, 1] (see line 3)\n")
+        assert scans == [False, True, False, False, True]
 
     @pytest.mark.parametrize(
         "separator", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -562,6 +751,12 @@ def test_quantify_matches_the_per_event_api_on_forced_files(capsys, tmp_path, pa
     assert_quantify_matches_reference(capsys, path, chain, pair, force=True)
 
 
+@pytest.mark.parametrize("name", ["cyclic", "degree", "repeated", "two_chains"])
+def test_validate_reports_match_the_checked_in_files(capsys, name):
+    expected = (DATA / f"{name}.validate.out").read_text()
+    assert run_cli(capsys, "validate", str(DATA / f"{name}.net")) == (1, expected, "")
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -828,6 +1023,22 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert f"dq {recount_p(8, 0.2, 300, 7000)}" in out.splitlines()
+
+    def test_totals_of_one_long_word_hold_one_small_piece(self, capsys):
+        # One word of 10**7 symbols: counting it word by word held 80 MB of
+        # draws and a 10 MB mask at once.
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(
+                capsys, "simulate", "--steps", "10000000", "--prob-p", "0.3", "--seed", "2",
+                "--count", "1",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert f"dq {recount_p(2, 0.3, 10_000_000, 1)}" in out.splitlines()
+        assert peak < 4 * 2**20
 
     def test_bad_probability_prints_nothing(self, capsys):
         code, out, err = run_cli(

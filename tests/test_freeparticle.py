@@ -6,7 +6,8 @@ Covered claims:
     - paths run at the invariant speed, half-step by half-step
     - sampling is seed-deterministic with the right marginals; its chunks
       are one flat draw of the stream, each a fresh mask, drawn into one
-      cache-sized buffer
+      cache-sized buffer; count_p counts that stream in pieces that ignore
+      word boundaries, so one long word holds one small piece
     - the fixture builder yields a valid restricted network whose
       consecutive particle intervals all carry a zero projection
 """
@@ -227,6 +228,44 @@ class TestSampleMasks:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class TestCountP:
+    """Totals: the sampled stream counted flat, whatever the word length."""
+
+    @pytest.mark.parametrize(
+        "n_steps, count, prob_p",
+        [
+            (1000, 700, 0.45),
+            (CHUNK + 3, 3, 0.5),  # words longer than a piece
+            (3, 3 * (CHUNK // 3) + 1, 0.6),  # pieces cut words apart
+            (2 * CHUNK, 1, 0.3),  # one word of exactly two pieces
+            (9, 0, 0.5),
+            (0, 5, 0.5),
+            (40, 800, 0.0),
+            (40, 800, 1.0),
+        ],
+    )
+    def test_counts_the_p_of_the_sampled_words(self, n_steps, count, prob_p):
+        expected = np.count_nonzero(np.random.default_rng(11).random(count * n_steps) < prob_p)
+        masks = freeparticle.sample_masks(n_steps, prob_p, 11, count)
+        assert freeparticle.count_p(n_steps, prob_p, 11, count) == expected
+        assert sum(int(np.count_nonzero(mask)) for mask in masks) == expected
+
+    def test_one_word_of_ten_million_symbols_holds_one_small_piece(self):
+        # sample_masks holds the whole word: 80 MB of draws and its mask.
+        tracemalloc.start()
+        try:
+            freeparticle.count_p(10_000_000, 0.3, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("n_steps, prob_p, count", [(-1, 0.5, 1), (1, 0.5, -1), (1, 1.5, 1)])
+    def test_bad_arguments_rejected(self, n_steps, prob_p, count):
+        with pytest.raises(ValueError):
+            freeparticle.count_p(n_steps, prob_p, 0, count)
 
 
 def test_observer_spans_are_crossed():
