@@ -15,17 +15,19 @@ Two connectivity modes are supported:
   general -- events may lie on any number of chains or on none, and may
       connect freely.  Off-chain events are tracked as isolated.
 
-Reachability is kept as per-event ancestor bitsets, so `influences()` is
-O(1) after `finalize()`.  Event indices follow ids (`from_parts` indexes
-sorted ids, `add_event` appends the next one).  Every network closes the
-same way.  Until its first read (`finalize()` included), `from_parts`,
-`add_event` and `add_influence` only record edges in the adjacency, so a
-build whose ids rise with influence, as `add_event` numbers them, costs
-O(1) per edge until then.  The first read computes the bitsets whole in
-one Kahn order (CACM 5(11), 1962), whatever order the ids run in.  The
-events it cannot place lie on or below a cycle; they start from the OR of
-their placed predecessors, and the edges among them go in one at a time
-through the walk below.  After the first read every insert walks:
+The edges are stored once, as each event's set of successors; nothing
+keeps the predecessors.  Reachability is kept as per-event ancestor
+bitsets, so `influences()` is O(1) after `finalize()`.  Event indices
+follow ids (`from_parts` indexes sorted ids, `add_event` appends the next
+one).  Every network closes the same way.  Until its first read
+(`finalize()` included), `from_parts`, `add_event` and `add_influence`
+only record edges in the successor sets, so a build whose ids rise with
+influence, as `add_event` numbers them, costs O(1) per edge until then.
+The first read computes the bitsets whole in one Kahn order (CACM 5(11),
+1962), whatever order the ids run in.  The events it cannot place lie on
+or below a cycle; they start from the OR of their placed predecessors,
+and the edges among them go in one at a time through the walk below.
+After the first read every insert walks:
 inserting s -> t ORs the ancestors of s, and s, into t and walks down from
 t, stopping at every event that already has s as an ancestor, so each
 event is updated at most once and only events that gain bits are touched
@@ -39,7 +41,11 @@ downstream.  The bitsets also answer the order questions: the events on
 cycles are those among their own ancestors (`validate` and `hasse_svg`
 share that test), and sorting events by ancestor count orders an acyclic
 network topologically, which gives `hasse_svg` its depths.  `_is_cross` is
-the one test of whether an edge joins two chains.
+the one test of whether an edge joins two chains.  In restricted mode each
+event's count of cross-chain edges is kept where edges enter: `from_parts`
+counts the edges it loads, and `add_influence` refuses an edge at an event
+that already has one and counts the edges it accepts.  `validate` reads
+that count.
 
 Networks are append-only.  `finalize()` freezes the structure; a finalized
 network is immutable and safe to share across threads for read-only
@@ -174,11 +180,13 @@ class InfluenceNetwork:
         self._ids: list[int] = []
         self._index: dict[int, int] = {}
         self._succ: dict[int, set[int]] = {}
-        self._pred: dict[int, set[int]] = {}
         self._chains: dict[str, list[int]] = {}
         # Each event's chains, in listing order.  from_parts shares one
         # (name,) tuple among the members of a chain.
         self._chains_of: dict[int, tuple[str, ...]] = {}
+        # Restricted mode only: each event's cross-chain edges, a self-loop
+        # counted once, kept where edges enter (from_parts, add_influence).
+        self._cross: Counter[int] = Counter()
         # _anc[i] is a bitmask over the indices of the events that reach
         # event i through one or more edges (non-reflexive closure); read it
         # through _closure().  While _stale, before the first read, inserts
@@ -247,8 +255,9 @@ class InfluenceNetwork:
         return frozenset(self._succ[event])
 
     def predecessors(self, event: int) -> frozenset[int]:
+        """The events with an edge into event; scans every edge."""
         self._require_event(event)
-        return frozenset(self._pred[event])
+        return frozenset(s for s, targets in self._succ.items() if event in targets)
 
     # -------------------------
     # Mutation
@@ -270,7 +279,6 @@ class InfluenceNetwork:
         self._index[event] = len(self._ids)
         self._ids.append(event)
         self._succ[event] = set()
-        self._pred[event] = set()
         self._anc.append(0)
         if chain is not None:
             # Membership first, so the tail link is classified as a chain
@@ -297,10 +305,11 @@ class InfluenceNetwork:
             raise CycleError(f"cycle-would-form: {target} already influences {source}")
         if self._mode == RESTRICTED and self._is_cross(source, target):
             for end in (source, target):
-                if self._cross_degree(end) >= 1:
+                if self._cross[end]:
                     raise DegreeViolationError(
                         f"degree-violation: event {end} already takes part in a cross-chain influence"
                     )
+            self._cross.update((source, target))
         self._upward = upward
         self._insert_edge(source, target)
 
@@ -355,17 +364,7 @@ class InfluenceNetwork:
                         f"event {event} lies on {homes} chains; restricted mode requires exactly one"
                     )
                     found.append(Violation("postulate-3", (event,), detail))
-            # One pass over the edges: a cross edge counts at both ends, a
-            # self-loop once.  _ids runs in id order, so breaches do too.
-            degree = dict.fromkeys(self._ids, 0)
-            for source, targets in self._succ.items():
-                homes = set(self._chains_of.get(source, ()))
-                for target in targets:
-                    if self._is_cross(source, target, homes):
-                        degree[source] += 1
-                        if target != source:
-                            degree[target] += 1
-            for event, count in degree.items():
+            for event, count in sorted(self._cross.items()):
                 if count > 1:
                     detail = (
                         f"event {event} takes part in {count} cross-chain influences; "
@@ -394,11 +393,13 @@ class InfluenceNetwork:
         Used by the file loader, which must be able to represent a broken
         file in order to report on it.
 
-        The adjacency is built whole in one pass; like every network's,
-        the closure waits for the first read (see `_closure`).  The order
-        of the ids decides nothing but `_upward`, which stays set only if
-        every edge runs from a lower id to a higher one, so a later
-        `add_influence` keeps the cycle test it needs.
+        The successor sets are built whole in one pass; like every
+        network's, the closure waits for the first read (see `_closure`).
+        The order of the ids decides nothing but `_upward`, which stays set
+        only if every edge runs from a lower id to a higher one, so a later
+        `add_influence` keeps the cycle test it needs.  In restricted mode
+        one more pass over the edges counts each event's cross-chain edges
+        for `add_influence` and `validate`.
         """
         net = cls(mode)
         net._chains = {name: list(members) for name, members in chains.items()}
@@ -413,15 +414,20 @@ class InfluenceNetwork:
             raise NetworkError(f"event ids are non-negative, got {ids[0]}")
         index = {event: i for i, event in enumerate(ids)}
         succ: dict[int, set[int]] = {event: set() for event in ids}
-        pred: dict[int, set[int]] = {event: set() for event in ids}
         # Chain links in chain order, not as the chain_links() set: hash
         # order would scatter these writes over memory.
         for source, target in itertools.chain(net._links(), influences):
             succ[source].add(target)
-            pred[target].add(source)
-        net._ids, net._index, net._succ, net._pred = ids, index, succ, pred
+        net._ids, net._index, net._succ = ids, index, succ
         # Indices follow the sorted ids, so an edge runs upward iff its ids rise.
         net._upward = all(s < t for s, targets in succ.items() for t in targets)
+        if mode == RESTRICTED:
+            # Each distinct cross edge counts at both ends, a self-loop once.
+            for source, targets in succ.items():
+                homes = set(chains_of.get(source, ()))
+                for target in targets:
+                    if net._is_cross(source, target, homes):
+                        net._cross.update({source, target})
         return net
 
     # -------------------------
@@ -499,13 +505,16 @@ class InfluenceNetwork:
         """Longest-path depth of every event of an acyclic network; sources sit at 0.
 
         Ancestor count orders events topologically: without cycles an event
-        has strictly more ancestors than each of its predecessors.
+        has strictly more ancestors than each of its predecessors.  So each
+        event's depth is final when its turn comes, and it pushes that
+        depth + 1 to its successors.
         """
         anc = self._closure()
-        depth: dict[int, int] = {}
+        depth = dict.fromkeys(self._ids, 0)
         for i in sorted(range(len(self._ids)), key=lambda i: anc[i].bit_count()):
             event = self._ids[i]
-            depth[event] = max((depth[p] + 1 for p in self._pred[event]), default=0)
+            for target in self._succ[event]:
+                depth[target] = max(depth[target], depth[event] + 1)
         return depth
 
     def _is_cross(self, source: int, target: int, homes: Optional[set[str]] = None) -> bool:
@@ -518,26 +527,23 @@ class InfluenceNetwork:
             homes = set(self._chains_of.get(source, ()))
         return homes.isdisjoint(self._chains_of.get(target, ()))
 
-    def _cross_degree(self, event: int) -> int:
-        """Cross-chain edges that start or end at event, a self-loop counted once."""
-        ends = (*self._succ[event], *(self._pred[event] - {event}))
-        return sum(self._is_cross(event, end) for end in ends)
-
     def _closure(self) -> list[int]:
         """The ancestor bitsets, computed whole on the first read.
 
         The first read closes every recorded edge in one Kahn order (CACM
-        5(11), 1962): each event, once all its predecessors are placed, ORs
-        its ancestors and itself into each successor.  The events that are
+        5(11), 1962): it counts each event's in-degree over the successor
+        sets, and each event, once all its predecessors are placed, ORs its
+        ancestors and itself into each successor.  The events that are
         never placed lie on or below a cycle; each then holds the OR of its
         placed predecessors, and the edges among them go back in one at a
         time through the walk, which is exact on cycles.  Later reads
         return the bitsets as the walks keep them.
         """
         if self._stale:
-            ids, index, succ, pred = self._ids, self._index, self._succ, self._pred
+            ids, index, succ = self._ids, self._index, self._succ
             anc = self._anc = [0] * len(ids)
-            waiting = [len(pred[event]) for event in ids]
+            indegree = Counter(itertools.chain.from_iterable(succ.values()))
+            waiting = [indegree[event] for event in ids]
             order = [i for i, count in enumerate(waiting) if not count]
             for i in order:  # grows as events are placed
                 gained = anc[i] | 1 << i
@@ -553,7 +559,6 @@ class InfluenceNetwork:
             rest = [(ids[i], t) for i, count in enumerate(waiting) if count for t in succ[ids[i]]]
             for source, target in rest:
                 succ[source].discard(target)
-                pred[target].discard(source)
             self._stale = False
             for source, target in rest:
                 self._walk(source, target)
@@ -563,7 +568,6 @@ class InfluenceNetwork:
         """Record source -> target before the first read; walk it in after."""
         if self._stale:
             self._succ[source].add(target)
-            self._pred[target].add(source)
         else:
             self._walk(source, target)
 
@@ -571,7 +575,6 @@ class InfluenceNetwork:
         """Add source -> target to an up-to-date closure and walk down from target."""
         isrc = self._index[source]
         self._succ[source].add(target)
-        self._pred[target].add(source)
         # An event that already has source as an ancestor holds all of
         # `gained` by transitivity, and so does everything below it.  Exact
         # even when the edge closes a cycle: source then gains only itself.

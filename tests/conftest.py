@@ -418,6 +418,71 @@ def build_single_chain_cloud() -> tuple[InfluenceNetwork, dict[str, int]]:
     return net, {"x": x, "up": up, "down": down, "loose": loose}
 
 
+def lattice_lines(k: int, D: int, A: int) -> dict[str, tuple[int, int, int, int]]:
+    """The four chains of `lattice_network` as lines (a, alpha, b, beta).
+
+    Member n of a chain sits at light-cone point (u, v) = (a n + alpha,
+    b n + beta), with u = t + x and v = t - x.  The rest pair P, Q stands at
+    x = -D and x = D; the moving pair P', Q' runs at speed
+    (k^2 - 1)/(k^2 + 1).  Every chain ticks at proper time k.
+    """
+    return {"P": (k, -D, k, D), "Q": (k, D, k, -D), "P'": (k * k, -A, 1, A), "Q'": (k * k, A, 1, -A)}
+
+
+def lattice_network(k: int, D: int, A: int, J: int, R: int) -> tuple[InfluenceNetwork, list, list[int]]:
+    """A finalized network whose order is the integer light-cone lattice's.
+
+    The chains of `lattice_lines` take the members n = -J..J.  The endpoints
+    are the other lattice points (u, v) with |u|, |v| <= R on the rest
+    pair's own lattice (u = v = -D mod k) that lie strictly between both
+    pairs.  Edges: each chain event to its forward projection (the earliest
+    member above it, by a plain scan of the lattice order) on every other
+    chain, and per endpoint and chain, backward projection -> endpoint ->
+    forward projection.  Every edge runs up the lattice and chain links
+    carry any later member, so an event reaches a chain member exactly
+    when the lattice puts it below.  Ids run chain by chain, then the
+    endpoints, so edges from an endpoint run to lower ids.  The network
+    loads through `from_parts`.  Returns (network, (u, v) by event id,
+    endpoint ids).
+    """
+    chains = {
+        name: [(a * n + alpha, b * n + beta) for n in range(-J, J + 1)]
+        for name, (a, alpha, b, beta) in lattice_lines(k, D, A).items()
+    }
+    points = [point for members in chains.values() for point in members]
+    taken = set(points)
+    assert len(taken) == len(points), "two chain events on one lattice point form a cycle"
+    ends = [
+        (u, v)
+        for u in range(-R, R + 1)
+        for v in range(-R, R + 1)
+        if (u + D) % k == (v + D) % k == 0
+        and abs(u - v) < 2 * D
+        and abs(u - k * k * v) < (k * k + 1) * A
+        and (u, v) not in taken
+    ]
+    points += ends
+    ident = {point: event for event, point in enumerate(points)}
+
+    def below(a: tuple[int, int], b: tuple[int, int]) -> bool:
+        return a[0] <= b[0] and a[1] <= b[1]
+
+    edges = set()
+    for members in chains.values():
+        home = set(members)
+        for point in points:
+            after = next((m for m in members if below(point, m)), None)
+            if after is not None and point not in home:
+                edges.add((ident[point], ident[after]))
+        for point in ends:
+            before = next((m for m in reversed(members) if below(m, point)), None)
+            if before is not None:
+                edges.add((ident[before], ident[point]))
+    chain_ids = {name: [ident[point] for point in members] for name, members in chains.items()}
+    net = InfluenceNetwork.from_parts("general", chain_ids, sorted(edges)).finalize()
+    return net, points, [ident[point] for point in ends]
+
+
 @pytest.fixture
 def ladder() -> InfluenceNetwork:
     return build_ladder().finalize()

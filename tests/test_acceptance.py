@@ -28,12 +28,16 @@ from infnet import (
     Spinor,
     SpinorField,
     TransferMatrices,
+    backward_project,
     beta_consistency,
     build_free_particle_fixture,
     decompose,
     distance,
     enumerate_sequences,
+    forward_project,
     interval_length,
+    is_between,
+    is_coordinated,
     kinematics_from_rates,
     lorentz_boost,
     minkowski_scalar,
@@ -52,7 +56,7 @@ from infnet import (
 )
 from infnet.cli import main
 
-from conftest import build_ladder
+from conftest import build_ladder, lattice_lines, lattice_network
 
 REL_TOL = 1e-12
 
@@ -388,3 +392,52 @@ def test_criterion_17_continuum_dirac_kernel():
         same_order, cross_order = (math.log(a / b, 4) for a, b in zip(errors[1000], errors[4000]))
         assert same_order >= 1.8 and cross_order >= 0.9, (helicity, same_order, cross_order)
     assert time.perf_counter() - started < 5.0
+
+
+@report(18, "a boost read off a network: on lattice networks at k = 2 and 3, sampled endpoint pairs quantified by the moving pair equal pair_transform of the rest pair exactly on the sublattice, with equal scalars and (dt, dx) within 1e-12 of lorentz_boost, and within 1 off it; under 3 s")
+def test_criterion_18_boost_from_a_network():
+    # conftest.lattice_network: the rest pair P, Q ticks k along both light
+    # cones u = t + x and v = t - x; the moving pair P', Q' ticks k^2 along
+    # u and 1 along v, so it runs at beta = (k^2 - 1)/(k^2 + 1) and stands
+    # to the rest pair as FrameRelation(1, k^2).  Endpoints lie on the rest
+    # pair's lattice.  On the sublattice u = -A (mod k^2) every projection
+    # lands on a tick of both pairs, so the moving quantification is exact;
+    # off it, the moving labels round up to the next tick.
+    rng = random.Random(180)
+    started = time.perf_counter()
+    for k, D, A, R in ((2, 7, 9, 34), (3, 7, 10, 29)):
+        J = R + A + 1  # every endpoint projects onto every chain
+        net, points, ends = lattice_network(k, D, A, J, R)
+        assert net.validate() == []
+        assert is_coordinated(net, "P", "Q") and is_coordinated(net, "P'", "Q'")
+        # Every projection is the lattice's, in closed form: the members at
+        # or above (u, v) start at ceil, those at or below end at floor.
+        for name, (a, alpha, b, beta) in lattice_lines(k, D, A).items():
+            for event, (u, v) in enumerate(points):
+                after = max(-((alpha - u) // a), -((beta - v) // b))
+                before = min((u - alpha) // a, (v - beta) // b)
+                assert forward_project(net, event, name) == (max(after, -J) + J + 1 if after <= J else None)
+                assert backward_project(net, event, name) == (min(before, J) + J + 1 if before >= -J else None)
+        assert all(is_between(net, e, "P", "Q") and is_between(net, e, "P'", "Q'") for e in ends)
+        rel = FrameRelation(1, k * k)
+        boost = rel.as_boost()
+        on = {e for e in ends if (points[e][0] + A) % (k * k) == 0}
+        pairs = [(a, b) for a in ends for b in ends if a != b]
+        exact = [(a, b) for a, b in pairs if a in on and b in on]
+        rounded = [(a, b) for a, b in pairs if not (a in on and b in on)]
+        assert len(on) >= 20, len(on)
+        for a, b in rng.sample(exact, min(len(exact), 600)):
+            rest = quantify_interval(net, a, b, "P", "Q").pair
+            moving = quantify_interval(net, a, b, "P'", "Q'").pair
+            predicted = pair_transform(rel, rest)
+            assert moving == predicted and isinstance(predicted.dp, Fraction), (k, a, b)
+            scalar, dt, dx = minkowski_scalar(rest)
+            moving_scalar, moving_dt, moving_dx = minkowski_scalar(moving)
+            assert moving_scalar == scalar
+            boosted_dt, boosted_dx = lorentz_boost(boost, dt, dx)
+            assert abs(boosted_dt - moving_dt) <= 1e-12 and abs(boosted_dx - moving_dx) <= 1e-12
+        for a, b in rng.sample(rounded, 600):
+            moving = quantify_interval(net, a, b, "P'", "Q'").pair
+            predicted = pair_transform(rel, quantify_interval(net, a, b, "P", "Q").pair)
+            assert abs(moving.dp - predicted.dp) <= 1 and abs(moving.dq - predicted.dq) <= 1, (k, a, b)
+    assert time.perf_counter() - started < 3.0

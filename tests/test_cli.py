@@ -22,9 +22,10 @@ Covered claims:
       uncoordinated warning, no --pair, --force-loaded invalid networks
     - quantify, distance and interval on tests/data/ladder.net, validate on
       the broken files beside it (a cycle, a degree breach, a repeated
-      member, events on two chains and on none), and propagate and simulate
-      (words, and totals across many chunks), print the checked-in expected
-      files that CI also diffs against
+      member, events on two chains and on none), hasse on ladder.net and
+      two_particles.net, and propagate and simulate (words, and totals
+      across many chunks), print or write the checked-in expected files
+      that CI also diffs against
     - every numeric command reproduces the owning module's output
     - simulate honours --seed and the INFNET_SEED override; a negative or
       non-integer seed from either is a usage error
@@ -755,6 +756,14 @@ def test_quantify_matches_the_per_event_api_on_forced_files(capsys, tmp_path, pa
 def test_validate_reports_match_the_checked_in_files(capsys, name):
     expected = (DATA / f"{name}.validate.out").read_text()
     assert run_cli(capsys, "validate", str(DATA / f"{name}.net")) == (1, expected, "")
+
+
+@pytest.mark.parametrize("name", ["ladder", "two_particles"])
+def test_hasse_drawings_match_the_checked_in_files(capsys, tmp_path, name):
+    # The rows of a drawing are the events' longest-path depths.
+    target = tmp_path / f"{name}.svg"
+    assert run_cli(capsys, "hasse", str(DATA / f"{name}.net"), "--svg", str(target)) == (0, "", "")
+    assert target.read_bytes() == (DATA / f"{name}.svg").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,10 @@
 
 Covered claims:
     - add_event appends, links chain tails, and rejects unknown chains
-    - add_influence rejects cycles, duplicates, and restricted-degree breaches
+    - add_influence rejects cycles, duplicates, and restricted-degree breaches,
+      on a restricted load too (the load counts its cross edges); in random
+      restricted builds it refuses exactly the edges a recount over edges()
+      calls breaches, and validate() then reports none
     - influences() is reflexive-transitive and matches a BFS oracle, after
       random add_event/add_influence sequences (rejected attempts included)
       and on from_parts input in any id order, cyclic input included
@@ -15,10 +18,12 @@ Covered claims:
     - transitive reduction drops exactly the implied edges
     - validate() reports rule names for broken invariants; a cross-chain
       degree counts each incident edge once, a self-loop included, and an
-      event a chain lists twice lies on that chain once
+      event a chain lists twice lies on that chain once; a restricted load's
+      per-event count equals a recount over edges()
     - in a build by add_event and add_influence, inserts only record
       their edges until the first read, which closes them all in one Kahn
-      pass, and every later insert walks; the closure matches BFS between
+      pass reading each event's successors once, and every later insert
+      walks from its target; the closure matches BFS between
       inserts, after a downward edge, and at the benchmark's network-build
       size, and after finalize() no read writes it
     - the closure's self bits name the events on cycles, and its ancestor
@@ -157,6 +162,17 @@ class TestAddInfluence:
         with pytest.raises(DegreeViolationError):
             net.add_influence(a[0], b[1])
 
+    def test_restricted_load_counts_its_cross_edges_for_later_inserts(self):
+        # Loaded, not finalized: the degree of 0 and 2 comes from the load.
+        net = InfluenceNetwork.from_parts(
+            "restricted", {"A": [0, 1], "B": [2, 3], "C": [4, 5]}, [(0, 2)]
+        )
+        for source, target, busy in [(0, 3, 0), (5, 2, 2)]:
+            with pytest.raises(DegreeViolationError, match=f"event {busy} already"):
+                net.add_influence(source, target)
+        net.add_influence(1, 4)
+        assert net.validate() == []
+
     def test_unknown_event_rejected(self):
         net = InfluenceNetwork()
         net.add_event()
@@ -208,11 +224,24 @@ class TestInfluences:
                 source, target = rng.choice(ids), rng.choice(ids)
                 if net.edges() and rng.random() < 0.2:
                     source, target = rng.choice(sorted(net.edges()))[:: rng.choice([1, -1])]
+                # In restricted mode an edge joining two chains breaches the
+                # degree rule iff either end has one already, by a recount.
+                cross = {e for s, t in net.edges() if net.chains_of(s) != net.chains_of(t) for e in (s, t)}
+                breach = (
+                    mode == "restricted"
+                    and net.chains_of(source) != net.chains_of(target)
+                    and bool({source, target} & cross)
+                )
                 try:
                     net.add_influence(source, target)
-                except (CycleError, DuplicateEdgeError, DegreeViolationError):
+                except (CycleError, DuplicateEdgeError):
                     pass
+                except DegreeViolationError:
+                    assert breach, (source, target)
+                else:
+                    assert not breach, (source, target)
         assert_closure_matches_bfs(net)
+        assert not [v for v in net.validate() if "cross-chain" in v.detail]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -334,26 +363,22 @@ class TestDeferredClosure:
         net = InfluenceNetwork()
         for _ in range(100):
             net.add_event()
-        net._pred = pred = _ReadLog(net._pred)
         net._succ = succ = _ReadLog(net._succ)
-        # Before the first read an insert reads only the entries it records in.
+        # Before the first read an insert reads only the entry it records in.
         net.add_influence(10, 60)
         net.add_influence(20, 50)
-        assert (set(succ.read), set(pred.read)) == ({10, 20}, {50, 60})
+        assert set(succ.read) == {10, 20}
         # The first read closes the whole network in one Kahn pass.
-        pred.read.clear()
         succ.read.clear()
         assert net.influences(20, 50)
-        assert sorted(pred.read) == sorted(succ.read) == list(range(100))
+        assert sorted(succ.read) == list(range(100))
         # After it, an insert walks down from its target: 99 has no successors.
-        pred.read.clear()
         succ.read.clear()
         net.add_influence(50, 99)
-        assert (set(succ.read), set(pred.read)) == ({50, 99}, {99})
-        pred.read.clear()
+        assert set(succ.read) == {50, 99}
         succ.read.clear()
         assert net.influences(20, 99)
-        assert (succ.read, pred.read) == ([], [])
+        assert succ.read == []
 
     def test_finalize_closes_so_reads_write_nothing(self):
         net = InfluenceNetwork()
@@ -362,7 +387,7 @@ class TestDeferredClosure:
         net.add_influence(b, c)
         before = list(net.finalize()._anc)
         assert before == [0, 0b1, 0b11]
-        net._pred = log = _ReadLog(net._pred)
+        net._succ = log = _ReadLog(net._succ)
         assert net.influences(a, c) and net._cyclic() == ()
         assert log.read == [] and net._anc == before
 
@@ -576,7 +601,7 @@ class TestValidate:
         for event in range(n):
             incident = [(s, t) for s, t in net.edges() if event in (s, t)]
             recount[event] = sum(not homes[s] & homes[t] for s, t in incident)
-            assert net._cross_degree(event) == recount[event]
+            assert net._cross[event] == (recount[event] if mode == "restricted" else 0)
         breaches = [str(v) for v in net.validate() if "cross-chain" in v.detail]
         assert breaches == [
             f"postulate-3: event {e} takes part in {count} cross-chain influences; "
