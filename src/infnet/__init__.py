@@ -65,6 +65,17 @@ from .freeparticle import (
     sequence_to_path,
     zigzag_interval_pairs,
 )
+from .checkerboard import (
+    Spinor,
+    SpinorField,
+    TransferMatrices,
+    one_step_probability_total,
+    path_amplitude,
+    path_sum_kernel,
+    propagate,
+    step_field,
+    zitterbewegung_trace,
+)
 from .kinematics import (
     COMPTON_STEP_METERS,
     COMPTON_TICK_SECONDS,
@@ -75,35 +86,5 @@ from .kinematics import (
     rates_from_counts,
     transform_rates,
 )
-
-# The checkerboard names load on first access (PEP 562): checkerboard
-# imports numpy, which the network, geometry and frame code never needs.
-_CHECKERBOARD_NAMES = frozenset({
-    "Spinor",
-    "SpinorField",
-    "TransferMatrices",
-    "one_step_probability_total",
-    "path_amplitude",
-    "path_sum_kernel",
-    "propagate",
-    "step_field",
-    "zitterbewegung_trace",
-})
-
-
-def __getattr__(name: str):
-    if name == "checkerboard" or name in _CHECKERBOARD_NAMES:
-        # import_module, not `from . import`: the latter's hasattr check
-        # would call this function again.
-        from importlib import import_module
-
-        module = import_module(".checkerboard", __name__)
-        return module if name == "checkerboard" else getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(globals().keys() | _CHECKERBOARD_NAMES)
-
 
 __version__ = "0.1.0"

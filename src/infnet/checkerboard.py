@@ -24,10 +24,12 @@ exact.  A field holds the x2 of its first site and one complex array per
 helicity, sites 2 apart; a step is two array expressions and a one-slot
 shift each way.  evolve() is the one stepping loop, under propagate(), the
 trace and the command line; norm_and_mean() is the one summation of a
-field's probabilities(), under the trace and the command line.  Summing
-amplitudes over all 2**N words with fixed endpoints (path_sum_kernel)
-reproduces N applications of step_field; the kernel is deliberately
-brute-force so it can serve as an independent oracle.
+field's probabilities(), under the trace and the command line.  numpy is
+imported only in the function bodies that make arrays, so the module, the
+words' amplitudes, the kernel and the transfer matrices load without it.
+Summing amplitudes over all 2**N words with fixed endpoints
+(path_sum_kernel) reproduces N applications of step_field; the kernel is
+deliberately brute-force so it can serve as an independent oracle.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import truediv
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 HELICITIES = ("P", "Q")
 KERNEL_CAP = 24
@@ -118,6 +121,8 @@ class SpinorField:
     phi_q: np.ndarray = ()
 
     def __post_init__(self):
+        import numpy as np
+
         self.phi_p = np.asarray(self.phi_p, np.complex128)
         self.phi_q = np.asarray(self.phi_q, np.complex128)
         if self.phi_p.ndim != 1 or self.phi_p.shape != self.phi_q.shape:
@@ -139,6 +144,8 @@ class SpinorField:
         not always x*x, so numpy's square (or x*x) would change the digits
         that the propagate CSV prints.
         """
+        import numpy as np
+
         abs_p, abs_q = (np.hypot(a.real, a.imag).tolist() for a in (self.phi_p, self.phi_q))
         return list(map(pow, abs_p, repeat(2))), list(map(pow, abs_q, repeat(2)))
 
@@ -181,6 +188,8 @@ def norm_and_mean(
     """
     if not probs_p:
         return 0, 0
+    import numpy as np
+
     weights = np.add(probs_p, probs_q)
     xs = np.arange(x2_lo, x2_lo + 2 * len(weights), 2) / 2
     norm = np.add.accumulate(weights)[-1].item() + 0.0
@@ -208,6 +217,8 @@ def path_amplitude(word: str, initial_helicity: str, theta: float = math.pi / 4)
 
 def step_field(f: SpinorField, tm: TransferMatrices) -> SpinorField:
     """Advance one time step: mix helicities sitewise, then shift by arrival."""
+    import numpy as np
+
     zero = np.zeros(min(len(f.phi_p), 1), np.complex128)  # an empty field stays empty
     to_p = tm.continue_p(f)  # particle steps left, arrives at x - 1/2
     to_q = tm.continue_q(f)  # particle steps right, arrives at x + 1/2

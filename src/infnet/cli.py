@@ -4,9 +4,9 @@ Commands: validate, quantify, interval, distance, transform, kinematics,
 enumerate, simulate, propagate, hasse, paths.  Exit codes: 0 ok, 1 domain
 violation, 2 usage or parse error.  All numeric output is produced by the
 owning module and printed at full precision; the environment variable
-INFNET_SEED overrides --seed wherever sampling is involved.  Only the
-particle commands (enumerate, simulate, propagate) import numpy, inside
-their handlers, so the others start without it.
+INFNET_SEED overrides --seed wherever sampling is involved.  numpy is
+imported only inside the library functions that make arrays, so only
+simulate and propagate load it; every other command starts without it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import ContextManager, Optional, TextIO
 
-from . import freeparticle, geometry, kinematics, netformat, svg, transforms
+from . import checkerboard, freeparticle, geometry, kinematics, netformat, svg, transforms
 from .geometry import PairQuantification
 from .netformat import NetworkParseError, ViolationsError
 from .projection import _tables
@@ -115,14 +115,9 @@ def _count(text: str) -> int:
     return value
 
 
-def _pair_from_args(args: argparse.Namespace) -> PairQuantification:
-    dp, dq = args.pair
-    return PairQuantification(Fraction(dp), Fraction(dq))
-
-
 def cmd_interval(args: argparse.Namespace) -> int:
     if args.pair is not None:
-        pair = _pair_from_args(args)
+        pair = PairQuantification(*args.pair)
     else:
         if args.file is None or args.a is None or args.b is None:
             print("interval needs either --pair DP DQ or FILE with --a and --b", file=sys.stderr)
@@ -177,8 +172,6 @@ def cmd_kinematics(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    from . import checkerboard
-
     if args.cap > checkerboard.KERNEL_CAP:
         raise ValueError(f"cap must not exceed {checkerboard.KERNEL_CAP}")
     words = freeparticle.enumerate_sequences(args.p, args.q, cap=args.cap)
@@ -208,11 +201,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(f"INFNET_SEED must be a non-negative integer, got {env_seed!r}", file=sys.stderr)
             return 2
     if args.emit_words:
-        import numpy as np
-
         total_p = 0
         for mask in freeparticle.sample_masks(args.steps, args.prob_p, seed, args.count):
-            total_p += int(np.count_nonzero(mask))
+            total_p += int(mask.sum())
             print("\n".join(freeparticle.decode_words(mask)))
     else:
         total_p = freeparticle.count_p(args.steps, args.prob_p, seed, args.count)
@@ -231,8 +222,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_propagate(args: argparse.Namespace) -> int:
-    from . import checkerboard
-
     tm = checkerboard.TransferMatrices(args.theta)
     initial = checkerboard.SpinorField.delta(args.initial)
     # Each field is formatted a column at a time.  x_text[x2 + steps] is the

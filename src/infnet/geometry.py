@@ -22,8 +22,8 @@ and the scalar is additive over the split:
 
 the signature falling out of the opposite signs of the antisymmetric pair.
 Everything here is Fraction-exact; floats only enter via the transforms
-module.  The coordination and betweenness tests read each chain's label
-tables once per call and index them by event.
+module.  The coordination and betweenness tests and quantify_interval read
+each chain's label tables once per call and index them by event.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Union
 
 from .network import ChainRef, InfluenceNetwork, _View
-from .projection import _resolve, _tables, forward_project
+from .projection import _name, _tables, forward_project
 
 Number = Union[int, Fraction, float]
 
@@ -146,7 +146,9 @@ def distance(
     event.  Coordination is checked eagerly because the value is only
     endpoint-independent when it holds.
     """
-    ref_p, ref_q = _resolve(net, p), _resolve(net, q)
+    # net.chain() names an unknown chain even on an unfinalized network,
+    # which is_coordinated() then refuses.
+    ref_p, ref_q = net.chain(_name(p)), net.chain(_name(q))
     if not is_coordinated(net, ref_p, ref_q):
         raise UncoordinatedChainsError(
             f"chains {ref_p.name!r} and {ref_q.name!r} are not coordinated"
@@ -212,30 +214,24 @@ def quantify_interval(
     backward projections and so can never test as between.
     """
     net.require_finalized()
-    ref_p, ref_q = _resolve(net, p), _resolve(net, q)
-    labels = {}
+    view_p, view_q = _tables(net, p), _tables(net, q)
+    labels = []
     for event in (a, b):
-        for ref in (ref_p, ref_q):
-            label = forward_project(net, event, ref)
-            if label is None:
+        i = net._require_event(event)
+        for view in (view_p, view_q):
+            if view.forward[i] is None:
                 raise MissingProjectionError(
-                    f"event {event} has no forward projection onto {ref.name!r}"
+                    f"event {event} has no forward projection onto {view.ref.name!r}"
                 )
-            labels[event, ref.name] = label
+            labels.append(view.forward[i])
     if require_between:
         for event in (a, b):
-            if not is_between(net, event, ref_p, ref_q):
+            if not _between(net._require_event(event), view_p, view_q):
                 raise NotBetweenError(
-                    f"event {event} is not between chains {ref_p.name!r} and {ref_q.name!r}"
+                    f"event {event} is not between chains {view_p.ref.name!r} and {view_q.ref.name!r}"
                 )
-    quadruple = (
-        labels[a, ref_p.name],
-        labels[a, ref_q.name],
-        labels[b, ref_p.name],
-        labels[b, ref_q.name],
-    )
-    pair = PairQuantification(quadruple[2] - quadruple[0], quadruple[3] - quadruple[1])
-    return IntervalQuantification(quadruple=quadruple, pair=pair, scalar=pair.scalar)
+    pair = PairQuantification(labels[2] - labels[0], labels[3] - labels[1])
+    return IntervalQuantification(quadruple=tuple(labels), pair=pair, scalar=pair.scalar)
 
 
 def decompose(pair: PairQuantification) -> Decomposition:

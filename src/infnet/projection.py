@@ -60,10 +60,6 @@ def _name(chain: Union[str, ChainRef]) -> str:
     return chain.name if isinstance(chain, ChainRef) else chain
 
 
-def _resolve(net: InfluenceNetwork, chain: Union[str, ChainRef]) -> ChainRef:
-    return net.chain(_name(chain))
-
-
 def _tables(net: InfluenceNetwork, chain: Union[str, ChainRef]) -> _View:
     """A finalized network's label tables for a chain, indexed by event index."""
     return net._view(_name(chain))
@@ -114,7 +110,7 @@ def project_interval(
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
     project = forward_project if direction == FORWARD else backward_project
-    ref = _resolve(net, target)
+    ref = net.chain(_name(target))
     lo = project(net, interval.chain.event_at(interval.lo), ref)
     hi = project(net, interval.chain.event_at(interval.hi), ref)
     if lo is None or hi is None:

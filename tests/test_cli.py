@@ -40,7 +40,10 @@ Covered claims:
     - every `infnet` line of the README's command block runs and exits 0
     - a call naming a command builds only that command's subparser, and
       prints the same help, usage and error bytes as the full parser; the
-      network, geometry and frame commands run without importing numpy
+      network, geometry and frame commands and enumerate run without
+      importing numpy, and so does `from infnet import *`, which binds the
+      checkerboard names
+    - enumerate --amplitudes prints the checked-in expected file
 """
 
 from __future__ import annotations
@@ -799,6 +802,11 @@ def test_simulate_outputs_match_the_checked_in_files(capsys, monkeypatch, argv, 
     assert run_cli(capsys, *argv) == (0, (DATA / expected).read_text(), "")
 
 
+def test_enumerate_amplitudes_match_the_checked_in_file(capsys):
+    argv = ["enumerate", "--p", "3", "--q", "2", "--amplitudes", "0.3", "--initial", "Q"]
+    assert run_cli(capsys, *argv) == (0, (DATA / "enumerate.amplitudes.out").read_text(), "")
+
+
 def test_propagate_outputs_match_the_checked_in_files(capsys, tmp_path):
     out, trace = tmp_path / "propagate.csv", tmp_path / "propagate.trace"
     argv = ["propagate", "--steps", "24", "--theta", "0.3", "--initial", "Q"]
@@ -1404,3 +1412,67 @@ def test_network_commands_run_without_numpy(tmp_path):
         check=True,
     )
     assert result.stdout.splitlines()[-1] == f"{[0] * len(calls)} False"
+
+
+def run_fresh(script: str) -> str:
+    """The last line a script prints in a fresh interpreter that sees only this infnet."""
+    src = str(Path(cli.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src, "PATH": ""},
+        check=True,
+    )
+    return result.stdout.splitlines()[-1]
+
+
+def test_enumerate_runs_without_numpy():
+    """Word listing and path amplitudes are plain Python: enumerate never imports numpy."""
+    calls = [
+        ["enumerate", "--p", "4", "--q", "3"],
+        ["enumerate", "--p", "2", "--q", "2", "--amplitudes"],
+        ["enumerate", "--p", "2", "--q", "1", "--amplitudes", "0.3", "--initial", "Q"],
+    ]
+    script = (
+        "import sys\n"
+        "from infnet.cli import main\n"
+        f"codes = [main(argv) for argv in {calls!r}]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    assert run_fresh(script) == f"{[0] * len(calls)} False"
+
+
+CHECKERBOARD_NAMES = (
+    "Spinor",
+    "SpinorField",
+    "TransferMatrices",
+    "one_step_probability_total",
+    "path_amplitude",
+    "path_sum_kernel",
+    "propagate",
+    "step_field",
+    "zitterbewegung_trace",
+)
+
+
+def test_star_import_binds_the_checkerboard_names_without_numpy():
+    """`from infnet import *` binds the checkerboard names like any other, and loads no numpy."""
+    script = (
+        "import sys\n"
+        "from infnet import *\n"
+        f"names = {CHECKERBOARD_NAMES!r}\n"
+        "bound = [name for name in names if name in globals()]\n"
+        "module = sys.modules.get('infnet.checkerboard')\n"
+        "import infnet\n"
+        "same = all(globals().get(name) is getattr(module, name, None) for name in names)\n"
+        "listed = [name for name in names if name in dir(infnet)]\n"
+        "try:\n"
+        "    infnet.nosuch\n"
+        "except AttributeError as exc:\n"
+        "    error = str(exc)\n"
+        "print([bound, infnet.checkerboard is module, same, listed, error, 'numpy' in sys.modules])\n"
+    )
+    names = list(CHECKERBOARD_NAMES)
+    error = "module 'infnet' has no attribute 'nosuch'"
+    assert run_fresh(script) == str([names, True, True, names, error, False])

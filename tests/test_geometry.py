@@ -11,6 +11,12 @@ Covered claims:
     - decompose splits into symmetric + antisymmetric parts that re-sum
     - dp*dq == dt**2 - dx**2 bit-exactly for random rationals
     - antisymmetric pairs have non-positive scalar, symmetric non-negative
+    - bad calls to distance, quantify_interval, project_interval and the
+      projections raise pinned errors in a pinned order: unknown events,
+      chains and labels, an unfinalized network, missing projections,
+      uncoordinated chains and endpoints not between the chains
+    - distance and quantify_interval equal references built from per-event
+      forward_project and is_between calls on random ladders, errors included
 """
 
 from __future__ import annotations
@@ -22,20 +28,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infnet import (
+    ChainInterval,
+    ChainRef,
     InfluenceNetwork,
+    IntervalQuantification,
     MissingProjectionError,
     NotBetweenError,
     PairQuantification,
     UncoordinatedChainsError,
+    backward_project,
     decompose,
     distance,
+    forward_project,
     is_between,
     is_coordinated,
     minkowski_scalar,
+    project_interval,
     quantify_interval,
 )
 
-from conftest import bfs_between, bfs_labels, network_parts, pairwise_consistent, seeded_ladder_parts
+from conftest import (
+    bfs_between,
+    bfs_labels,
+    build_ladder,
+    build_ladder_with_between,
+    ladder_parts,
+    network_parts,
+    pairwise_consistent,
+    seeded_ladder_parts,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=99
@@ -317,3 +338,212 @@ class TestOracles:
         assert coordinated is not moved
         assert moved or set(range(2 * length, n)) <= set(between)  # every midway event
         assert library_verdicts(net) == expected
+
+
+# == 7. Bad calls and the table-driven reads ==================================
+
+
+def skewed_chains() -> InfluenceNetwork:
+    """Two four-event chains that quantify each other's intervals differently."""
+    net = InfluenceNetwork("general")
+    net.add_chain("P")
+    net.add_chain("Q")
+    p = [net.add_event("P") for _ in range(4)]
+    q = [net.add_event("Q") for _ in range(4)]
+    net.add_influence(p[0], q[0])
+    net.add_influence(p[1], q[3])
+    return net
+
+
+def outcome(call, *args):
+    """What a call gives: ("ok", repr of the value), or the exception's type name and text."""
+    try:
+        return "ok", repr(call(*args))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+P8 = ChainRef("P", tuple(range(8)))  # chain P of the ladder fixture, built apart from it
+FOREIGN = ChainRef("Z", (99, 100))  # a chain no test network has
+
+# (id, network, call, arguments, outcome).  "open" is the ladder before
+# finalize(); its events are P = 0..7 and Q = 8..15, "between" adds the
+# midway events 16 and 17.  The outcomes were read off the per-event code
+# that quantify_interval replaced, so any change in the type, the text or
+# the order of the errors fails here.
+NOT_FINAL = ("NotFinalizedError", "network must be finalized before this query")
+BAD_CALLS = [
+    ("distance-open", "open", distance, ("P", "Q", 1, 1), NOT_FINAL),
+    ("distance-open-unknown-p", "open", distance, ("X", "Q", 1, 1),
+     ("UnknownChainError", "unknown chain 'X'")),
+    ("distance-open-unknown-q", "open", distance, ("P", "Y", 1, 1),
+     ("UnknownChainError", "unknown chain 'Y'")),
+    ("distance-open-unknown-both", "open", distance, ("X", "Y", 1, 1),
+     ("UnknownChainError", "unknown chain 'X'")),
+    ("distance-unknown-p", "ladder", distance, ("X", "Q", 1, 1),
+     ("UnknownChainError", "unknown chain 'X'")),
+    ("distance-unknown-q", "ladder", distance, ("P", "Y", 1, 1),
+     ("UnknownChainError", "unknown chain 'Y'")),
+    ("distance-unknown-both", "ladder", distance, ("X", "Y", 1, 1),
+     ("UnknownChainError", "unknown chain 'X'")),
+    ("distance-unknown-chainref", "ladder", distance, ("P", FOREIGN, 1, 1),
+     ("UnknownChainError", "unknown chain 'Z'")),
+    ("distance-label-p", "ladder", distance, ("P", "Q", 0, 1),
+     ("UnknownEventError", "chain 'P' has no label 0")),
+    ("distance-label-q", "ladder", distance, ("P", "Q", 1, 9),
+     ("UnknownEventError", "chain 'Q' has no label 9")),
+    ("distance-labels-both", "ladder", distance, ("P", "Q", 9, 0),
+     ("UnknownEventError", "chain 'P' has no label 9")),
+    ("distance-uncoordinated", "skewed", distance, ("P", "Q", 9, 9),
+     ("UncoordinatedChainsError", "chains 'P' and 'Q' are not coordinated")),
+    ("distance-missing-q-on-p", "ladder", distance, ("P", "Q", 1, 7),
+     ("MissingProjectionError", "event 14 has no forward projection onto 'P'")),
+    ("distance-missing-p-on-q", "ladder", distance, ("P", "Q", 7, 1),
+     ("MissingProjectionError", "event 6 has no forward projection onto 'Q'")),
+    ("distance-missing-both", "ladder", distance, ("P", "Q", 8, 8),
+     ("MissingProjectionError", "event 15 has no forward projection onto 'P'")),
+    ("distance-ok", "between", distance, ("P", "Q", 3, 4), ("ok", "Fraction(2, 1)")),
+    ("distance-chainrefs", "ladder", distance, (P8, "Q", 2, 5), ("ok", "Fraction(2, 1)")),
+    ("interval-open", "open", quantify_interval, (0, 8, "P", "Q"), NOT_FINAL),
+    ("interval-open-unknown", "open", quantify_interval, (99, 8, "X", "Y"), NOT_FINAL),
+    ("interval-unknown-p", "ladder", quantify_interval, (2, 10, "X", "Q"),
+     ("UnknownChainError", "unknown chain 'X'")),
+    ("interval-unknown-q", "ladder", quantify_interval, (2, 10, "P", "Y"),
+     ("UnknownChainError", "unknown chain 'Y'")),
+    ("interval-unknown-chain-and-event", "ladder", quantify_interval, (99, 10, "P", "Y"),
+     ("UnknownChainError", "unknown chain 'Y'")),
+    ("interval-unknown-a", "ladder", quantify_interval, (99, 10, "P", "Q"),
+     ("UnknownEventError", "unknown event 99")),
+    ("interval-unknown-b", "ladder", quantify_interval, (2, 99, "P", "Q"),
+     ("UnknownEventError", "unknown event 99")),
+    ("interval-missing-a-before-unknown-b", "ladder", quantify_interval, (6, 99, "P", "Q"),
+     ("MissingProjectionError", "event 6 has no forward projection onto 'Q'")),
+    ("interval-missing-b", "ladder", quantify_interval, (2, 14, "P", "Q"),
+     ("MissingProjectionError", "event 14 has no forward projection onto 'P'")),
+    ("interval-missing-second-chain", "ladder", quantify_interval, (14, 2, "Q", "P"),
+     ("MissingProjectionError", "event 14 has no forward projection onto 'P'")),
+    ("interval-not-between-a", "ladder", quantify_interval, (0, 3, "P", "Q"),
+     ("NotBetweenError", "event 0 is not between chains 'P' and 'Q'")),
+    ("interval-not-between-b", "between", quantify_interval, (16, 0, "P", "Q"),
+     ("NotBetweenError", "event 0 is not between chains 'P' and 'Q'")),
+    ("interval-not-between-waived", "ladder", quantify_interval, (0, 3, "P", "Q", False),
+     ("ok", "IntervalQuantification(quadruple=(1, 3, 4, 6), pair=PairQuantification("
+            "dp=Fraction(3, 1), dq=Fraction(3, 1)), scalar=Fraction(9, 1))")),
+    ("interval-ok", "between", quantify_interval, (16, 17, "P", "Q"),
+     ("ok", "IntervalQuantification(quadruple=(4, 4, 7, 7), pair=PairQuantification("
+            "dp=Fraction(3, 1), dq=Fraction(3, 1)), scalar=Fraction(9, 1))")),
+    ("interval-chainrefs", "ladder", quantify_interval, (2, 10, P8, "Q"),
+     ("ok", "IntervalQuantification(quadruple=(3, 5, 5, 3), pair=PairQuantification("
+            "dp=Fraction(2, 1), dq=Fraction(-2, 1)), scalar=Fraction(-4, 1))")),
+    ("project-open-bad-direction", "open", project_interval,
+     (ChainInterval(P8, 2, 5), "X", "up"),
+     ("ValueError", "direction must be 'forward' or 'backward', got 'up'")),
+    ("project-open-unknown", "open", project_interval, (ChainInterval(P8, 2, 5), "X"),
+     ("UnknownChainError", "unknown chain 'X'")),
+    ("project-open", "open", project_interval, (ChainInterval(P8, 2, 5), "Q"), NOT_FINAL),
+    ("project-unknown", "ladder", project_interval, (ChainInterval(P8, 2, 5), "X"),
+     ("UnknownChainError", "unknown chain 'X'")),
+    ("project-foreign", "ladder", project_interval, (ChainInterval(FOREIGN, 1, 2), "Q"),
+     ("UnknownEventError", "unknown event 99")),
+    ("project-missing", "ladder", project_interval, (ChainInterval(P8, 2, 8), "Q"),
+     ("ok", "None")),
+    ("project-forward", "ladder", project_interval, (ChainInterval(P8, 2, 5), "Q"),
+     ("ok", "ChainInterval(chain=ChainRef(name='Q', events=(8, 9, 10, 11, 12, 13, 14, 15)), "
+            "lo=4, hi=7)")),
+    ("project-backward", "ladder", project_interval,
+     (ChainInterval(P8, 3, 6), "Q", "backward"),
+     ("ok", "ChainInterval(chain=ChainRef(name='Q', events=(8, 9, 10, 11, 12, 13, 14, 15)), "
+            "lo=1, hi=4)")),
+    ("forward-open-unknown", "open", forward_project, (99, "X"), NOT_FINAL),
+    ("forward-unknown", "ladder", forward_project, (99, "X"),
+     ("UnknownChainError", "unknown chain 'X'")),
+    ("backward-open-unknown", "open", backward_project, (99, "X"), NOT_FINAL),
+    ("backward-unknown-event", "ladder", backward_project, (99, "Q"),
+     ("UnknownEventError", "unknown event 99")),
+    ("coordinated-open-unknown", "open", is_coordinated, ("X", "Y"), NOT_FINAL),
+    ("between-open-unknown", "open", is_between, (99, "X", "Y"), NOT_FINAL),
+    ("between-unknown", "ladder", is_between, (99, "X", "Y"),
+     ("UnknownChainError", "unknown chain 'X'")),
+]
+
+
+def bad_call_network(name: str) -> InfluenceNetwork:
+    if name == "open":
+        return build_ladder()
+    if name == "between":
+        return build_ladder_with_between()[0].finalize()
+    return (build_ladder() if name == "ladder" else skewed_chains()).finalize()
+
+
+@pytest.mark.parametrize(
+    "network, call, args, expected", [case[1:] for case in BAD_CALLS], ids=[c[0] for c in BAD_CALLS]
+)
+def test_bad_calls_raise_as_pinned(network, call, args, expected):
+    assert outcome(call, bad_call_network(network), *args) == expected
+
+
+def reference_distance(net, p, q, p_label, q_label):
+    """distance from net.chain, is_coordinated and forward_project alone."""
+    ref_p, ref_q = net.chain(p), net.chain(q)
+    if not is_coordinated(net, p, q):
+        raise UncoordinatedChainsError(f"chains {p!r} and {q!r} are not coordinated")
+    p_event, q_event = ref_p.event_at(p_label), ref_q.event_at(q_label)
+    q_on_p, p_on_q = forward_project(net, q_event, p), forward_project(net, p_event, q)
+    for event, chain, label in ((q_event, p, q_on_p), (p_event, q, p_on_q)):
+        if label is None:
+            raise MissingProjectionError(f"event {event} has no forward projection onto {chain!r}")
+    return Fraction((q_on_p - p_label) - (q_label - p_on_q), 2)
+
+
+def reference_interval(net, a, b, p, q, require_between):
+    """quantify_interval from per-event forward_project and is_between calls."""
+    net.require_finalized()
+    for chain in (p, q):
+        net.chain(chain)  # an unknown chain is named before any event
+    labels = []
+    for event in (a, b):
+        for chain in (p, q):
+            label = forward_project(net, event, chain)
+            if label is None:
+                raise MissingProjectionError(
+                    f"event {event} has no forward projection onto {chain!r}"
+                )
+            labels.append(label)
+    for event in (a, b) if require_between else ():
+        if not is_between(net, event, p, q):
+            raise NotBetweenError(f"event {event} is not between chains {p!r} and {q!r}")
+    pair = PairQuantification(labels[2] - labels[0], labels[3] - labels[1])
+    return IntervalQuantification(quadruple=tuple(labels), pair=pair, scalar=pair.scalar)
+
+
+@st.composite
+def ladder_calls(draw):
+    """A finalized random ladder, one edge possibly dropped, and call arguments on it.
+
+    Events, chains and labels include unknown ones; returns (net, events,
+    chains, labels) as strategies over the arguments.
+    """
+    length = draw(st.integers(2, 12))
+    separation = draw(st.integers(1, length - 1))
+    slots = draw(st.lists(st.integers(0, length - separation - 1), unique=True, max_size=3))
+    chains, edges, n = ladder_parts(length, separation, sorted(slots))
+    if edges and draw(st.booleans()):
+        del edges[draw(st.integers(0, len(edges) - 1))]
+    net = InfluenceNetwork.from_parts("general", chains, edges, events=range(n)).finalize()
+    return net, st.integers(0, n), st.sampled_from("PQPQX"), st.integers(0, length + 1)
+
+
+class TestTableReads:
+    @settings(max_examples=300, deadline=None)
+    @given(ladder_calls(), st.data())
+    def test_match_per_event_reference(self, drawn, data):
+        net, events, chains, labels = drawn
+        p, q = data.draw(chains), data.draw(chains)
+        p_label, q_label = data.draw(labels), data.draw(labels)
+        assert outcome(distance, net, p, q, p_label, q_label) == outcome(
+            reference_distance, net, p, q, p_label, q_label
+        )
+        a, b, require = data.draw(events), data.draw(events), data.draw(st.booleans())
+        assert outcome(quantify_interval, net, a, b, p, q, require) == outcome(
+            reference_interval, net, a, b, p, q, require
+        )
