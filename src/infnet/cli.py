@@ -23,7 +23,7 @@ from typing import ContextManager, Optional, TextIO
 from . import checkerboard, freeparticle, geometry, kinematics, netformat, svg, transforms
 from .geometry import PairQuantification
 from .netformat import NetworkParseError, ViolationsError
-from .projection import _tables
+
 
 def _fmt(value) -> str:
     """Locale-independent full-precision rendering of one number."""
@@ -73,18 +73,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_quantify(args: argparse.Namespace) -> int:
     net = netformat.load_path(args.file, force=args.force)
-    chain = net.chain(args.chain)
-    pair_chain = net.chain(args.pair) if args.pair else None
-    coordinated = False
-    if pair_chain is not None:
-        coordinated = geometry.is_coordinated(net, chain, pair_chain)
-        if not coordinated:
-            print(
-                f"warning: chains {chain.name!r} and {pair_chain.name!r} are not "
-                "coordinated; classification skipped"
-            )
-    tables = _tables(net, chain)
-    pair_tables = _tables(net, pair_chain) if coordinated else None
+    tables = net._view(args.chain)
+    pair_tables = net._view(args.pair) if args.pair else None
+    if pair_tables is not None and not geometry.is_coordinated(net, args.chain, args.pair):
+        print(
+            f"warning: chains {args.chain!r} and {args.pair!r} are not "
+            "coordinated; classification skipped"
+        )
+        pair_tables = None
     rows = []
     for i, event in enumerate(net.event_ids()):
         forward, backward = tables.forward[i], tables.backward[i]
@@ -112,6 +108,14 @@ def _count(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+def _cap(text: str) -> int:
+    """argparse type: an enumeration cap, at most checkerboard.KERNEL_CAP."""
+    value = _count(text)
+    if value > checkerboard.KERNEL_CAP:
+        raise argparse.ArgumentTypeError(f"must not exceed {checkerboard.KERNEL_CAP}")
     return value
 
 
@@ -172,8 +176,6 @@ def cmd_kinematics(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.cap > checkerboard.KERNEL_CAP:
-        raise ValueError(f"cap must not exceed {checkerboard.KERNEL_CAP}")
     words = freeparticle.enumerate_sequences(args.p, args.q, cap=args.cap)
     if args.amplitudes is None:
         for word in words:
@@ -322,7 +324,7 @@ def _enumerate_args(p: argparse.ArgumentParser) -> None:
         help="append per-word amplitudes at this angle (default pi/4)",
     )
     p.add_argument("--initial", choices=("P", "Q"), default="P")
-    p.add_argument("--cap", type=_count, default=freeparticle.DEFAULT_CAP)
+    p.add_argument("--cap", type=_cap, default=freeparticle.DEFAULT_CAP)
 
 
 def _simulate_args(p: argparse.ArgumentParser) -> None:

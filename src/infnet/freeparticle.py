@@ -278,8 +278,7 @@ def zigzag_interval_pairs(
     observer.  On a free-particle fixture every pair contains a zero: each
     step is light-like.
     """
-    net.require_finalized()
-    chain = net.chain(particle)
+    chain = net._view(particle).ref
     on_left = [forward_project(net, e, left) for e in chain.events]
     on_right = [forward_project(net, e, right) for e in chain.events]
     pairs: list[tuple[Optional[int], Optional[int]]] = []

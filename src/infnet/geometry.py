@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Union
 
 from .network import ChainRef, InfluenceNetwork, _View
-from .projection import _name, _tables, forward_project
+from .projection import forward_project
 
 Number = Union[int, Fraction, float]
 
@@ -123,8 +123,7 @@ def is_coordinated(
     alike.  Endpoints lacking the relevant projection are skipped, so short
     chains are judged only on the part they can see of each other.
     """
-    net.require_finalized()
-    view_p, view_q = _tables(net, p), _tables(net, q)
+    view_p, view_q = net._view(p), net._view(q)
     return all(
         len({labels[i] - k for k, i in enumerate(source.at) if labels[i] is not None}) < 2
         for source, target in ((view_p, view_q), (view_q, view_p))
@@ -146,9 +145,7 @@ def distance(
     event.  Coordination is checked eagerly because the value is only
     endpoint-independent when it holds.
     """
-    # net.chain() names an unknown chain even on an unfinalized network,
-    # which is_coordinated() then refuses.
-    ref_p, ref_q = net.chain(_name(p)), net.chain(_name(q))
+    ref_p, ref_q = net._view(p).ref, net._view(q).ref
     if not is_coordinated(net, ref_p, ref_q):
         raise UncoordinatedChainsError(
             f"chains {ref_p.name!r} and {ref_q.name!r} are not coordinated"
@@ -180,8 +177,7 @@ def is_between(
     dual), plus both relations with the chains swapped.  Any absent
     projection along the way makes the answer False.
     """
-    net.require_finalized()
-    view_p, view_q = _tables(net, p), _tables(net, q)
+    view_p, view_q = net._view(p), net._view(q)
     return _between(net._require_event(x), view_p, view_q)
 
 
@@ -213,8 +209,7 @@ def quantify_interval(
     intervals along an uninfluenced source chain, whose events have no
     backward projections and so can never test as between.
     """
-    net.require_finalized()
-    view_p, view_q = _tables(net, p), _tables(net, q)
+    view_p, view_q = net._view(p), net._view(q)
     labels = []
     for event in (a, b):
         i = net._require_event(event)
@@ -247,9 +242,8 @@ def decompose(pair: PairQuantification) -> Decomposition:
 def minkowski_scalar(pair: PairQuantification):
     """The invariant scalar with its time/space split: (dp*dq, dt, dx).
 
-    dt = (dp + dq)/2, dx = (dp - dq)/2, and dp*dq == dt**2 - dx**2 holds
+    dt and dx come from `decompose`, and dp*dq == dt**2 - dx**2 holds
     exactly for rational input.
     """
-    dt = (pair.dp + pair.dq) / 2
-    dx = (pair.dp - pair.dq) / 2
-    return pair.scalar, dt, dx
+    split = decompose(pair)
+    return pair.scalar, split.dt, split.dx

@@ -67,8 +67,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 RESTRICTED = "restricted"
 GENERAL = "general"
@@ -124,19 +123,11 @@ class ChainRef:
     def labels(self) -> range:
         return range(1, len(self.events) + 1)
 
-    @cached_property
-    def _labels(self) -> dict[int, int]:
-        """Label by event; a member repeated in a --force file keeps its first label."""
-        labels: dict[int, int] = {}
-        for label, event in enumerate(self.events, 1):
-            labels.setdefault(event, label)
-        return labels
-
     def label_of(self, event: int) -> int:
-        """1-based label of an event on this chain."""
+        """1-based label of an event on this chain; a repeated member's first."""
         try:
-            return self._labels[event]
-        except KeyError:
+            return self.events.index(event) + 1
+        except ValueError:
             raise UnknownEventError(f"event {event} is not on chain {self.name!r}") from None
 
     def event_at(self, label: int) -> int:
@@ -446,8 +437,12 @@ class InfluenceNetwork:
         except KeyError:
             raise UnknownChainError(f"unknown chain {name!r}") from None
 
-    def _view(self, name: str) -> _View:
+    def _view(self, chain: Union[str, ChainRef]) -> _View:
         """A finalized network's view of a chain, built whole on first use.
+
+        Every chain query reaches its chain here, by name or by `ChainRef`.
+        It checks that the network is finalized before it looks up the name,
+        so an unfinalized network is reported before an unknown chain.
 
         The view is the chain's `ChainRef`, its members' indices (`at`) and,
         by event index, each event's forward and backward label on it, None
@@ -459,6 +454,7 @@ class InfluenceNetwork:
         weighted by how often the chain lists it.  Both are exact on cycles
         and repeated members.
         """
+        name = chain.name if isinstance(chain, ChainRef) else chain
         view = self._views.get(name)
         if view is None:
             self.require_finalized()

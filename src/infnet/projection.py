@@ -12,8 +12,10 @@ Each projection is one lookup in a per-chain label table that a finalized
 network builds on first use (see the network module).  Every network links
 consecutive chain members by an edge, so the chain events x influences form
 a suffix and those influencing x form a prefix, even on networks with
-cycles or repeated chain members; the tables rest on that.  Callers that
-ask about every event read a chain's tables once, through `_tables`.
+cycles or repeated chain members; the tables rest on that.  Every query
+reads them through `InfluenceNetwork._view`, which takes a chain name or a
+`ChainRef` and reports an unfinalized network before an unknown chain;
+callers that ask about every event read a chain's view once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .network import ChainRef, InfluenceNetwork, _View
+from .network import ChainRef, InfluenceNetwork
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -56,27 +58,18 @@ class ChainInterval:
             raise ValueError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
 
 
-def _name(chain: Union[str, ChainRef]) -> str:
-    return chain.name if isinstance(chain, ChainRef) else chain
-
-
-def _tables(net: InfluenceNetwork, chain: Union[str, ChainRef]) -> _View:
-    """A finalized network's label tables for a chain, indexed by event index."""
-    return net._view(_name(chain))
-
-
 def forward_project(
     net: InfluenceNetwork, x: int, chain: Union[str, ChainRef]
 ) -> Optional[int]:
     """Label of the least event on the chain that x influences, if any."""
-    return _tables(net, chain).forward[net._require_event(x)]
+    return net._view(chain).forward[net._require_event(x)]
 
 
 def backward_project(
     net: InfluenceNetwork, x: int, chain: Union[str, ChainRef]
 ) -> Optional[int]:
     """Label of the greatest event on the chain that influences x, if any."""
-    return _tables(net, chain).backward[net._require_event(x)]
+    return net._view(chain).backward[net._require_event(x)]
 
 
 def quantify_event(
@@ -110,7 +103,7 @@ def project_interval(
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
     project = forward_project if direction == FORWARD else backward_project
-    ref = net.chain(_name(target))
+    ref = net._view(target).ref
     lo = project(net, interval.chain.event_at(interval.lo), ref)
     hi = project(net, interval.chain.event_at(interval.hi), ref)
     if lo is None or hi is None:

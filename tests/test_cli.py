@@ -16,13 +16,14 @@ Covered claims:
     - quantify, distance, interval and hasse refuse a file that fails
       validation with exit 1 and validate's report, line hints included, on
       stderr; hasse --force draws an invalid but acyclic file by fixed rules
-    - enumerate prints "-" for the empty word
+    - enumerate prints "-" for the empty word; --cap above 24 is a usage error
     - quantify prints what the per-event public API (quantify_event,
       is_between) gives, byte for byte: coordinated ladders, the
       uncoordinated warning, no --pair, --force-loaded invalid networks
-    - quantify, distance and interval on tests/data/ladder.net, validate on
-      the broken files beside it (a cycle, a degree breach, a repeated
-      member, events on two chains and on none), hasse on ladder.net and
+    - quantify (with and without --pair), distance and interval on
+      tests/data/ladder.net, validate on the broken files beside it (a
+      cycle, a degree breach, a repeated member, events on two chains and
+      on none), hasse on ladder.net and
       two_particles.net, and propagate and simulate (words, and totals
       across many chunks), print or write the checked-in expected files
       that CI also diffs against
@@ -773,10 +774,11 @@ def test_hasse_drawings_match_the_checked_in_files(capsys, tmp_path, name):
     "argv, expected",
     [
         (["quantify", "--chain", "P", "--pair", "Q"], "ladder.quantify.out"),
+        (["quantify", "--chain", "Q"], "ladder.quantify_q.out"),
         (["distance", "--p-label", "3", "--q-label", "4"], "ladder.distance.out"),
         (["interval", "--a", "2", "--b", "5"], "ladder.interval.out"),
     ],
-    ids=["quantify", "distance", "interval"],
+    ids=["quantify", "quantify-q", "distance", "interval"],
 )
 def test_ladder_outputs_match_the_checked_in_files(capsys, argv, expected):
     command, *options = argv
@@ -918,10 +920,11 @@ class TestEnumerateCommand:
         assert code == 1
         assert "cap" in err
 
-    def test_cap_above_kernel_cap_exits_one(self, capsys):
-        code, _, err = run_cli(capsys, "enumerate", "--p", "13", "--q", "12", "--cap", "25")
-        assert code == 1
-        assert err.strip() == "cap must not exceed 24"
+    def test_cap_above_kernel_cap_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--p", "13", "--q", "12", "--cap", "25")
+        assert code == 2
+        assert out == ""
+        assert err.strip().endswith("--cap: must not exceed 24")
 
 
 @pytest.mark.parametrize(

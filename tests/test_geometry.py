@@ -15,6 +15,8 @@ Covered claims:
       projections raise pinned errors in a pinned order: unknown events,
       chains and labels, an unfinalized network, missing projections,
       uncoordinated chains and endpoints not between the chains
+    - every chain query reports an unfinalized network before an unknown
+      chain, and on a finalized one names the first unknown chain
     - distance and quantify_interval equal references built from per-event
       forward_project and is_between calls on random ladders, errors included
 """
@@ -34,8 +36,10 @@ from infnet import (
     IntervalQuantification,
     MissingProjectionError,
     NotBetweenError,
+    NotFinalizedError,
     PairQuantification,
     UncoordinatedChainsError,
+    UnknownChainError,
     backward_project,
     decompose,
     distance,
@@ -44,7 +48,9 @@ from infnet import (
     is_coordinated,
     minkowski_scalar,
     project_interval,
+    quantify_event,
     quantify_interval,
+    zigzag_interval_pairs,
 )
 
 from conftest import (
@@ -368,18 +374,17 @@ FOREIGN = ChainRef("Z", (99, 100))  # a chain no test network has
 
 # (id, network, call, arguments, outcome).  "open" is the ladder before
 # finalize(); its events are P = 0..7 and Q = 8..15, "between" adds the
-# midway events 16 and 17.  The outcomes were read off the per-event code
-# that quantify_interval replaced, so any change in the type, the text or
-# the order of the errors fails here.
+# midway events 16 and 17.  The outcomes pin the type, the text and the
+# order of the errors, so any change in them fails here.  The rule: every
+# query reaches its chains through InfluenceNetwork._view, which reports an
+# unfinalized network before an unknown chain, and an unknown chain comes
+# before an unknown event or label.
 NOT_FINAL = ("NotFinalizedError", "network must be finalized before this query")
 BAD_CALLS = [
     ("distance-open", "open", distance, ("P", "Q", 1, 1), NOT_FINAL),
-    ("distance-open-unknown-p", "open", distance, ("X", "Q", 1, 1),
-     ("UnknownChainError", "unknown chain 'X'")),
-    ("distance-open-unknown-q", "open", distance, ("P", "Y", 1, 1),
-     ("UnknownChainError", "unknown chain 'Y'")),
-    ("distance-open-unknown-both", "open", distance, ("X", "Y", 1, 1),
-     ("UnknownChainError", "unknown chain 'X'")),
+    ("distance-open-unknown-p", "open", distance, ("X", "Q", 1, 1), NOT_FINAL),
+    ("distance-open-unknown-q", "open", distance, ("P", "Y", 1, 1), NOT_FINAL),
+    ("distance-open-unknown-both", "open", distance, ("X", "Y", 1, 1), NOT_FINAL),
     ("distance-unknown-p", "ladder", distance, ("X", "Q", 1, 1),
      ("UnknownChainError", "unknown chain 'X'")),
     ("distance-unknown-q", "ladder", distance, ("P", "Y", 1, 1),
@@ -439,7 +444,7 @@ BAD_CALLS = [
      (ChainInterval(P8, 2, 5), "X", "up"),
      ("ValueError", "direction must be 'forward' or 'backward', got 'up'")),
     ("project-open-unknown", "open", project_interval, (ChainInterval(P8, 2, 5), "X"),
-     ("UnknownChainError", "unknown chain 'X'")),
+     NOT_FINAL),
     ("project-open", "open", project_interval, (ChainInterval(P8, 2, 5), "Q"), NOT_FINAL),
     ("project-unknown", "ladder", project_interval, (ChainInterval(P8, 2, 5), "X"),
      ("UnknownChainError", "unknown chain 'X'")),
@@ -480,6 +485,42 @@ def bad_call_network(name: str) -> InfluenceNetwork:
 )
 def test_bad_calls_raise_as_pinned(network, call, args, expected):
     assert outcome(call, bad_call_network(network), *args) == expected
+
+
+# (call, arguments, the first unknown chain among them) on the ladder: every
+# chain query, with the unknown chain in each place it can take.
+CHAIN_QUERIES = [
+    (forward_project, (0, "X"), "X"),
+    (backward_project, (0, "X"), "X"),
+    (quantify_event, (0, "X"), "X"),
+    (project_interval, (ChainInterval(P8, 2, 5), "X"), "X"),
+    (is_coordinated, ("P", "Y"), "Y"),
+    (is_coordinated, ("X", "Y"), "X"),
+    (is_between, (0, "P", "Y"), "Y"),
+    (is_between, (0, "X", "Y"), "X"),
+    (distance, ("P", "Y", 1, 1), "Y"),
+    (distance, ("X", "Y", 1, 1), "X"),
+    (distance, ("P", FOREIGN, 1, 1), "Z"),
+    (quantify_interval, (0, 8, "P", "Y"), "Y"),
+    (quantify_interval, (0, 8, "X", "Y"), "X"),
+    (zigzag_interval_pairs, ("P", "Q", "Y"), "Y"),
+    (zigzag_interval_pairs, ("P", "X", "Y"), "X"),
+    (zigzag_interval_pairs, ("X", "P", "Q"), "X"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, args, unknown",
+    CHAIN_QUERIES,
+    ids=[f"{call.__name__}-{i}" for i, (call, _, _) in enumerate(CHAIN_QUERIES)],
+)
+def test_every_chain_query_reports_unfinalized_before_unknown_chain(call, args, unknown):
+    net = build_ladder()
+    with pytest.raises(NotFinalizedError):
+        call(net, *args)
+    with pytest.raises(UnknownChainError) as caught:
+        call(net.finalize(), *args)
+    assert str(caught.value) == f"unknown chain {unknown!r}"
 
 
 def reference_distance(net, p, q, p_label, q_label):
