@@ -24,6 +24,7 @@ citing the line that breaks its rule.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -206,10 +207,13 @@ def dumps(net: InfluenceNetwork) -> str:
             raise ValueError(f"chain name {name!r} cannot be written in the text format")
         members = net._members(name)
         covered.update(members)
-        lines.append(f"chain {name}: " + " ".join(str(e) for e in members))
-    for source, target in sorted(net.edges() - net.chain_links()):
-        covered.update((source, target))
-        lines.append(f"influence {source} -> {target}")
+        lines.append(f"chain {name}: " + " ".join(map(str, members)))
+    links = net.chain_links()
+    edges = sorted(
+        [(s, t) for s, targets in net._succ.items() for t in targets if (s, t) not in links]
+    )
+    covered.update(itertools.chain.from_iterable(edges))
+    lines += [f"influence {source} -> {target}" for source, target in edges]
     isolated = [e for e in net.event_ids() if e not in covered]
     if isolated:
         raise ValueError(

@@ -40,12 +40,16 @@ lets chain members project onto themselves without special cases
 downstream.  The bitsets also answer the order questions: the events on
 cycles are those among their own ancestors (`validate` and `hasse_svg`
 share that test), and sorting events by ancestor count orders an acyclic
-network topologically, which gives `hasse_svg` its depths.  `_is_cross` is
-the one test of whether an edge joins two chains.  In restricted mode each
-event's count of cross-chain edges is kept where edges enter: `from_parts`
-counts the edges it loads, and `add_influence` refuses an edge at an event
-that already has one and counts the edges it accepts.  `validate` reads
-that count.
+network topologically, which gives `hasse_svg` its depths.  They also
+reduce: `transitive_reduction` ORs each source's successor bits into one
+mask, and an edge s -> t is redundant exactly when t's ancestors meet that
+mask without t's own bit.  `_is_cross` is the one test of whether an edge
+joins two chains.  In restricted mode each event's count of cross-chain
+edges is kept where edges enter: `from_parts` counts over its distinct
+influences only, because a chain link joins two members of one chain and
+is never cross, and `add_influence` refuses an edge at an event that
+already has one and counts the edges it accepts.  `validate` reads that
+count.
 
 Networks are append-only.  `finalize()` freezes the structure; a finalized
 network is immutable and safe to share across threads for read-only
@@ -323,16 +327,24 @@ class InfluenceNetwork:
         return bool(self._closure()[ib] >> ia & 1)
 
     def transitive_reduction(self) -> set[tuple[int, int]]:
-        """Minimal edge set with the same reachability (Hasse covering edges)."""
-        closure = self._closure()
+        """Minimal edge set with the same reachability (Hasse covering edges).
+
+        An edge s -> t is redundant when another successor of s reaches t.
+        With `mask` the OR of the bits of all of s's successors, that is one
+        AND per edge: t's ancestors meet `mask` without t's own bit.  The
+        bit is left out so that t's own successor bit does not count when t
+        lies on a cycle and is its own ancestor.
+        """
+        closure, index = self._closure(), self._index
         reduced = set()
-        for source, target in self.edges():
-            anc = closure[self._index[target]]
-            redundant = any(
-                mid != target and anc >> self._index[mid] & 1 for mid in self._succ[source]
-            )
-            if not redundant:
-                reduced.add((source, target))
+        for source, targets in self._succ.items():
+            mask = 0
+            for target in targets:
+                mask |= 1 << index[target]
+            for target in targets:
+                i = index[target]
+                if not closure[i] & (mask ^ 1 << i):
+                    reduced.add((source, target))
         return reduced
 
     def validate(self) -> list[Violation]:
@@ -348,20 +360,20 @@ class InfluenceNetwork:
                 detail = f"chain {name!r} lists an event more than once"
                 found.append(Violation("postulate-4", tuple(members), detail, name))
         if self._mode == RESTRICTED:
-            for event in self._ids:
-                homes = len(self._chains_of.get(event, ()))
-                if homes != 1:
-                    detail = (
-                        f"event {event} lies on {homes} chains; restricted mode requires exactly one"
-                    )
-                    found.append(Violation("postulate-3", (event,), detail))
-            for event, count in sorted(self._cross.items()):
-                if count > 1:
-                    detail = (
-                        f"event {event} takes part in {count} cross-chain influences; "
-                        "restricted mode allows one"
-                    )
-                    found.append(Violation("postulate-3", (event,), detail))
+            chains_of = self._chains_of
+            for event in [e for e in self._ids if len(chains_of.get(e, ())) != 1]:
+                homes = len(chains_of.get(event, ()))
+                detail = (
+                    f"event {event} lies on {homes} chains; restricted mode requires exactly one"
+                )
+                found.append(Violation("postulate-3", (event,), detail))
+            # Filter, then sort: a load fills _cross in hash order.
+            for event, count in sorted(item for item in self._cross.items() if item[1] > 1):
+                detail = (
+                    f"event {event} takes part in {count} cross-chain influences; "
+                    "restricted mode allows one"
+                )
+                found.append(Violation("postulate-3", (event,), detail))
         return found
 
     # -------------------------
@@ -389,8 +401,10 @@ class InfluenceNetwork:
         The order of the ids decides nothing but `_upward`, which stays set
         only if every edge runs from a lower id to a higher one, so a later
         `add_influence` keeps the cycle test it needs.  In restricted mode
-        one more pass over the edges counts each event's cross-chain edges
-        for `add_influence` and `validate`.
+        one more pass, over the distinct influences alone, counts each
+        event's cross-chain edges for `add_influence` and `validate`: a
+        chain link is never cross, so the links, most of a restricted
+        network's edges, need no test.
         """
         net = cls(mode)
         net._chains = {name: list(members) for name, members in chains.items()}
@@ -414,11 +428,8 @@ class InfluenceNetwork:
         net._upward = all(s < t for s, targets in succ.items() for t in targets)
         if mode == RESTRICTED:
             # Each distinct cross edge counts at both ends, a self-loop once.
-            for source, targets in succ.items():
-                homes = set(chains_of.get(source, ()))
-                for target in targets:
-                    if net._is_cross(source, target, homes):
-                        net._cross.update({source, target})
+            cross = [edge for edge in set(influences) if net._is_cross(*edge)]
+            net._cross.update(itertools.chain.from_iterable(map(set, cross)))
         return net
 
     # -------------------------
@@ -505,23 +516,20 @@ class InfluenceNetwork:
         event's depth is final when its turn comes, and it pushes that
         depth + 1 to its successors.
         """
-        anc = self._closure()
-        depth = dict.fromkeys(self._ids, 0)
-        for i in sorted(range(len(self._ids)), key=lambda i: anc[i].bit_count()):
-            event = self._ids[i]
-            for target in self._succ[event]:
-                depth[target] = max(depth[target], depth[event] + 1)
+        counts = [bits.bit_count() for bits in self._closure()]
+        ids, succ = self._ids, self._succ
+        depth = dict.fromkeys(ids, 0)
+        for i in sorted(range(len(ids)), key=counts.__getitem__):
+            event = ids[i]
+            deeper = depth[event] + 1
+            for target in succ[event]:
+                if depth[target] < deeper:
+                    depth[target] = deeper
         return depth
 
-    def _is_cross(self, source: int, target: int, homes: Optional[set[str]] = None) -> bool:
-        """True when no chain holds both events: a cross-chain influence.
-
-        `homes` is the set of source's chains, for a caller that tests many
-        edges from one source and builds it once.
-        """
-        if homes is None:
-            homes = set(self._chains_of.get(source, ()))
-        return homes.isdisjoint(self._chains_of.get(target, ()))
+    def _is_cross(self, source: int, target: int) -> bool:
+        """True when no chain holds both events: a cross-chain influence."""
+        return set(self._chains_of.get(source, ())).isdisjoint(self._chains_of.get(target, ()))
 
     def _closure(self) -> list[int]:
         """The ancestor bitsets, computed whole on the first read.

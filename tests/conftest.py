@@ -17,6 +17,7 @@ sharing no code with SpinorField.probabilities or checkerboard.norm_and_mean.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import deque
@@ -338,6 +339,37 @@ def restricted_parts(rng, n: int, n_chains: int, prob: float) -> tuple[dict, lis
                 used[source] = used[target] = True
                 break
     return chains, cross, homes
+
+
+def restricted_file_parts() -> tuple[dict, list]:
+    """Parts of tests/data/restricted.net: 240 events on 6 chains, valid in restricted mode.
+
+    restricted_parts draws the network (seed 20); then up to 8 pairs of
+    events outside every cross edge get a redundant cross edge s -> t:
+    s already reaches t by a path through a third chain, so the Hasse
+    drawing leaves the edge out.  Returns (chains, cross).
+    """
+    n = 240
+    chains, cross, homes = restricted_parts(random.Random(20), n, 6, 0.4)
+    succ: dict[int, set[int]] = {e: set() for e in range(n)}
+    for members in chains.values():
+        for a, b in zip(members, members[1:]):
+            succ[a].add(b)
+    for source, target in cross:
+        succ[source].add(target)
+    reach = {e: bfs_descendants(succ, e) for e in range(n)}  # redundant edges keep it exact
+    used = {e for edge in cross for e in edge}
+    added: list[tuple[int, int]] = []
+    for source, target in itertools.combinations(range(n), 2):
+        if len(added) == 8 or {source, target} & used or target not in reach[source]:
+            continue
+        sides = homes[source], homes[target]
+        if sides[0] != sides[1] and any(
+            homes[m] not in sides and target in reach[m] for m in reach[source]
+        ):
+            added.append((source, target))
+            used |= {source, target}
+    return chains, cross + added
 
 
 def build_ladder(length: int = 8, separation: int = 2) -> InfluenceNetwork:

@@ -23,10 +23,13 @@ Covered claims:
     - quantify (with and without --pair), distance and interval on
       tests/data/ladder.net, validate on the broken files beside it (a
       cycle, a degree breach, a repeated member, events on two chains and
-      on none), hasse on ladder.net and
-      two_particles.net, and propagate and simulate (words, and totals
+      on none), hasse on ladder.net, two_particles.net and
+      restricted.net, and propagate and simulate (words, and totals
       across many chunks), print or write the checked-in expected files
       that CI also diffs against
+    - restricted.net (240 events on 6 chains, 8 redundant cross edges) is
+      the dumps() text of its conftest parts, loaded whole, built edge by
+      edge or read back from the file
     - every numeric command reproduces the owning module's output
     - simulate honours --seed and the INFNET_SEED override; a negative or
       non-integer seed from either is a usage error
@@ -86,6 +89,7 @@ from conftest import (
     network_parts,
     norm_of,
     recount_p,
+    restricted_file_parts,
     seeded_ladder_parts,
 )
 
@@ -762,12 +766,34 @@ def test_validate_reports_match_the_checked_in_files(capsys, name):
     assert run_cli(capsys, "validate", str(DATA / f"{name}.net")) == (1, expected, "")
 
 
-@pytest.mark.parametrize("name", ["ladder", "two_particles"])
+@pytest.mark.parametrize("name", ["ladder", "two_particles", "restricted"])
 def test_hasse_drawings_match_the_checked_in_files(capsys, tmp_path, name):
     # The rows of a drawing are the events' longest-path depths.
     target = tmp_path / f"{name}.svg"
     assert run_cli(capsys, "hasse", str(DATA / f"{name}.net"), "--svg", str(target)) == (0, "", "")
     assert target.read_bytes() == (DATA / f"{name}.svg").read_bytes()
+
+
+def test_restricted_file_is_the_dump_of_its_parts():
+    # restricted.net is dumps() of restricted_file_parts(), loaded whole,
+    # built edge by edge as the network-build benchmark builds, or read
+    # back from the file; its last 8 cross edges are redundant.
+    chains, cross = restricted_file_parts()
+    text = (DATA / "restricted.net").read_text()
+    built = InfluenceNetwork("restricted")
+    for name in sorted(chains):
+        built.add_chain(name)
+    homes = {event: name for name, members in chains.items() for event in members}
+    for event in sorted(homes):
+        built.add_event(homes[event])
+    for source, target in cross:
+        built.add_influence(source, target)
+    loaded = InfluenceNetwork.from_parts("restricted", chains, cross)
+    read = netformat.loads(text)
+    for net in (loaded, built.finalize(), read):
+        assert netformat.dumps(net) == text
+    assert read.validate() == []
+    assert not set(cross[-8:]) & read.transitive_reduction()
 
 
 @pytest.mark.parametrize(

@@ -15,11 +15,14 @@ Covered claims:
       keeps add_influence's cycle test for later upward edges; and a
       falling chain of 4000 events loads in at most about 2.5 times the
       time of one of 2000
-    - transitive reduction drops exactly the implied edges
+    - transitive reduction drops exactly the implied edges: on raw parts
+      (cycles, self-loops, shared events, repeated members) it keeps an
+      edge s -> t iff no other successor of s reaches t by BFS
     - validate() reports rule names for broken invariants; a cross-chain
       degree counts each incident edge once, a self-loop included, and an
       event a chain lists twice lies on that chain once; a restricted load's
-      per-event count equals a recount over edges()
+      per-event count equals a recount over edges(), and the load tests
+      crossness at most once per distinct influence, never on a chain link
     - in a build by add_event and add_influence, inserts only record
       their edges until the first read, which closes them all in one Kahn
       pass reading each event's successors once, and every later insert
@@ -40,6 +43,7 @@ import math
 import random
 import statistics
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -527,6 +531,22 @@ class TestTransitiveReduction:
             for b in range(n):
                 assert bfs_reaches(slim, a, b) == bfs_reaches(full, a, b)
 
+    @settings(max_examples=150, deadline=None)
+    @given(network_parts())
+    def test_reduction_is_the_bfs_rule(self, parts):
+        # Cycles, self-loops, shared events and repeated members included:
+        # an edge s -> t stays unless another successor of s reaches t.
+        chains, edges, n = parts
+        net = InfluenceNetwork.from_parts("general", chains, edges, events=range(n))
+        adj = adjacency(net)
+        expected = {
+            (s, t)
+            for s, targets in adj.items()
+            for t in targets
+            if not any(bfs_reaches(adj, mid, t) for mid in targets - {t})
+        }
+        assert net.transitive_reduction() == expected
+
 
 # == 5. Validation ============================================================
 
@@ -609,6 +629,25 @@ class TestValidate:
             for e, count in recount.items()
             if count > 1 and mode == "restricted"
         ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(network_parts())
+    def test_restricted_load_tests_each_distinct_influence_once(self, parts):
+        # Links are never cross, so a load tests only its distinct
+        # influences, here repeated and mixed with some chain links.
+        chains, edges, n = parts
+        links = [(a, b) for members in chains.values() for a, b in zip(members, members[1:])]
+        influences = edges + links[::2] + edges
+        calls = []
+        is_cross = InfluenceNetwork._is_cross
+
+        def counted(net, *args):
+            calls.append(args)
+            return is_cross(net, *args)
+
+        with mock.patch.object(InfluenceNetwork, "_is_cross", counted):
+            InfluenceNetwork.from_parts("restricted", chains, influences, events=range(n))
+        assert len(calls) <= len(set(influences))
 
     @settings(max_examples=150, deadline=None)
     @given(network_parts())
