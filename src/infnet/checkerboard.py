@@ -20,13 +20,13 @@ theta is exposed as a knob: smaller theta means fewer reversals per unit
 time, i.e. a lighter particle.
 
 Positions are stored as doubled integers (x2 = 2x) so half-steps stay
-exact.  A field holds the x2 of its first site and one complex array per
-helicity, sites 2 apart; a step is two array expressions and a one-slot
-shift each way.  evolve() is the one stepping loop, under propagate(), the
-trace and the command line; norm_and_mean() is the one summation of a
-field's probabilities(), under the trace and the command line.  numpy is
-imported only in the function bodies that make arrays, so the module, the
-words' amplitudes, the kernel and the transfer matrices load without it.
+exact.  A field is the x2_lo of its first site and one complex array per
+helicity (phi_p, phi_q), read through those three, probabilities() and
+norm(); a step is two array expressions and a one-slot shift each way.
+evolve() is the one stepping loop and norm_and_mean() the one summation of
+probabilities(), under the trace and the command line.  numpy is imported
+only where arrays are made, so the module, the words' amplitudes, the
+kernel and the transfer matrices load without it.
 Summing amplitudes over all 2**N words with fixed endpoints
 (path_sum_kernel) reproduces N applications of step_field; the kernel is
 deliberately brute-force so it can serve as an independent oracle.
@@ -39,7 +39,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import truediv
 from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
@@ -111,8 +110,8 @@ class TransferMatrices:
 class SpinorField:
     """Spinor amplitudes over lattice sites at one time step.
 
-    Site k of the complex arrays phi_p, phi_q sits at the doubled position
-    x2 = x2_lo + 2k (x = x2 / 2).  Any sequences given are stored as arrays.
+    Site k of phi_p and phi_q sits at x2 = x2_lo + 2k (x = x2 / 2); a site
+    not stored has amplitude zero.  Sequences given are stored as arrays.
     """
 
     t: int = 0
@@ -131,9 +130,8 @@ class SpinorField:
     @classmethod
     def delta(cls, helicity: str = "P", x: Union[int, float, Fraction] = 0) -> "SpinorField":
         """A unit point source with the given arrival helicity."""
-        _check_helicity(helicity)
-        spinor = Spinor(phi_p=1 + 0j) if helicity == "P" else Spinor(phi_q=1 + 0j)
-        return cls(t=0, x2_lo=_to_x2(x), phi_p=[spinor.phi_p], phi_q=[spinor.phi_q])
+        phi_p, phi_q = {"P": ([1], [0]), "Q": ([0], [1])}[_check_helicity(helicity)]
+        return cls(t=0, x2_lo=_to_x2(x), phi_p=phi_p, phi_q=phi_q)
 
     def probabilities(self) -> tuple[list[float], list[float]]:
         """|phi_p|**2 and |phi_q|**2 per site, in ascending x: two lists.
@@ -149,28 +147,8 @@ class SpinorField:
         abs_p, abs_q = (np.hypot(a.real, a.imag).tolist() for a in (self.phi_p, self.phi_q))
         return list(map(pow, abs_p, repeat(2))), list(map(pow, abs_q, repeat(2)))
 
-    def densities(self) -> list[tuple[float, float, float]]:
-        """(x, |phi_p|**2, |phi_q|**2) per site, in ascending x."""
-        probs_p, probs_q = self.probabilities()
-        xs = map(truediv, range(self.x2_lo, self.x2_lo + 2 * len(probs_p), 2), repeat(2))
-        return list(zip(xs, probs_p, probs_q))
-
     def norm(self) -> float:
         return norm_and_mean(self.x2_lo, *self.probabilities())[0]
-
-    def mean_position(self) -> float:
-        """Position expectation <x> (in natural units, not doubled)."""
-        return norm_and_mean(self.x2_lo, *self.probabilities())[1]
-
-    def sites(self) -> list[tuple[Fraction, Spinor]]:
-        pairs = enumerate(zip(self.phi_p.tolist(), self.phi_q.tolist()))
-        return [(Fraction(self.x2_lo + 2 * k, 2), Spinor(p, q)) for k, (p, q) in pairs]
-
-    def spinor_at(self, x: Union[int, float, Fraction]) -> Spinor:
-        k, off_lattice = divmod(_to_x2(x) - self.x2_lo, 2)
-        if off_lattice or not 0 <= k < len(self.phi_p):
-            return Spinor()
-        return Spinor(complex(self.phi_p[k]), complex(self.phi_q[k]))
 
 
 def norm_and_mean(

@@ -152,11 +152,11 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 def cmd_transform(args: argparse.Namespace) -> int:
     rel = transforms.FrameRelation(args.m, args.n)
-    pair = PairQuantification(args.pair[0], args.pair[1])
-    moved = transforms.pair_transform(rel, pair)
+    moved = transforms.pair_transform(rel, PairQuantification(*args.pair))
+    k = rel.k  # first, so m or n beyond float range fails before any line prints
     boost = transforms.beta_gamma(args.m, args.n)
     _emit("pair", _fmt_pair(moved))
-    _emit("k", rel.k)
+    _emit("k", k)
     _emit("beta", boost.beta)
     _emit("gamma", boost.gamma)
     _emit("scalar", moved.scalar)

@@ -115,7 +115,7 @@ class ChainRef:
     """Immutable view of one chain: its name, events, and integer labels.
 
     Labels run 1..n in chain order, so label order is isomorphic to the
-    chain order by construction.
+    chain order by construction: the member with label k is events[k - 1].
     """
 
     name: str
@@ -126,13 +126,6 @@ class ChainRef:
 
     def labels(self) -> range:
         return range(1, len(self.events) + 1)
-
-    def label_of(self, event: int) -> int:
-        """1-based label of an event on this chain; a repeated member's first."""
-        try:
-            return self.events.index(event) + 1
-        except ValueError:
-            raise UnknownEventError(f"event {event} is not on chain {self.name!r}") from None
 
     def event_at(self, label: int) -> int:
         if not 1 <= label <= len(self.events):
@@ -228,9 +221,6 @@ class InfluenceNetwork:
     def has_event(self, event: int) -> bool:
         return event in self._index
 
-    def has_chain(self, name: str) -> bool:
-        return name in self._chains
-
     def chain(self, name: str) -> ChainRef:
         """The chain as a view; a finalized network returns the same one each call."""
         if self._finalized:
@@ -248,11 +238,6 @@ class InfluenceNetwork:
     def successors(self, event: int) -> frozenset[int]:
         self._require_event(event)
         return frozenset(self._succ[event])
-
-    def predecessors(self, event: int) -> frozenset[int]:
-        """The events with an edge into event; scans every edge."""
-        self._require_event(event)
-        return frozenset(s for s, targets in self._succ.items() if event in targets)
 
     # -------------------------
     # Mutation

@@ -17,6 +17,7 @@ from .network import InfluenceNetwork
 _X_SPACING = 120
 _Y_SPACING = 60
 _MARGIN = 50
+_PATH_SCALE = 60  # pixels per unit of x and of t
 
 _HEADER = (
     '<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -92,18 +93,18 @@ def hasse_svg(net: InfluenceNetwork) -> str:
     return "\n".join(parts)
 
 
-def path_svg(path: SpacetimePath, scale: int = 60) -> str:
+def path_svg(path: SpacetimePath) -> str:
     """Zig-zag spacetime picture of a path, time upward."""
     points = path.points()
     xs = [float(x) for x, _ in points]
     ts = [float(t) for _, t in points]
     x_min, x_max = min(xs), max(xs)
     t_min, t_max = min(ts), max(ts)
-    width = int((x_max - x_min) * scale) + 2 * _MARGIN
-    height = int((t_max - t_min) * scale) + 2 * _MARGIN
+    width = int((x_max - x_min) * _PATH_SCALE) + 2 * _MARGIN
+    height = int((t_max - t_min) * _PATH_SCALE) + 2 * _MARGIN
 
     def pos(x: float, t: float) -> tuple[float, float]:
-        return (_MARGIN + (x - x_min) * scale, height - _MARGIN - (t - t_min) * scale)
+        return (_MARGIN + (x - x_min) * _PATH_SCALE, height - _MARGIN - (t - t_min) * _PATH_SCALE)
 
     parts = [_HEADER.format(w=width, h=height)]
     svg_points = " ".join("{:g},{:g}".format(*pos(x, t)) for x, t in zip(xs, ts))

@@ -51,6 +51,14 @@ def _exact_sqrt(value: Union[int, Fraction]) -> Optional[Fraction]:
     return None
 
 
+def _sqrt(value: Number, name: str) -> float:
+    """math.sqrt, refusing a rational beyond float range as a ValueError."""
+    try:
+        return math.sqrt(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+
+
 @dataclass(frozen=True)
 class FrameRelation:
     """A consistent projection of one frame onto another: unit -> (m, n)."""
@@ -65,7 +73,7 @@ class FrameRelation:
     @property
     def k(self) -> float:
         """Length of the unit interval in the original frame: sqrt(m*n)."""
-        return math.sqrt(self.m) * math.sqrt(self.n)
+        return _sqrt(self.m, "m") * _sqrt(self.n, "n")
 
     @property
     def multiplier(self) -> Union[Fraction, float]:
@@ -74,7 +82,7 @@ class FrameRelation:
             exact = _exact_sqrt(Fraction(self.m) / Fraction(self.n))
             if exact is not None:
                 return exact
-        return math.sqrt(self.m / self.n)
+        return _sqrt(self.m / self.n, "m/n")
 
     def as_boost(self) -> "Boost":
         """The boost acting on (dt, dx) exactly as this rescaling does."""
@@ -98,9 +106,7 @@ def pair_transform(rel: FrameRelation, pair: PairQuantification) -> PairQuantifi
     factor = rel.multiplier
     if isinstance(factor, Fraction):
         return PairQuantification(pair.dp * factor, pair.dq / factor)
-    return PairQuantification(
-        pair.dp * math.sqrt(rel.m / rel.n), pair.dq * math.sqrt(rel.n / rel.m)
-    )
+    return PairQuantification(pair.dp * factor, pair.dq * _sqrt(rel.n / rel.m, "n/m"))
 
 
 def beta_gamma(m: Number, n: Number) -> Boost:

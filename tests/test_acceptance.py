@@ -245,16 +245,12 @@ def test_criterion_11_oracle_equivalence():
         tm = TransferMatrices(theta)
         for steps in range(13):
             field = propagate(SpinorField.delta("P"), steps, tm)
-            assert all((2 * x - steps) % 2 == 0 for x, _ in field.sites())
-            for x2 in range(-steps, steps + 1, 2):
-                x = Fraction(x2, 2)
-                spinor = field.spinor_at(x)
-                assert abs(
-                    spinor.phi_p - path_sum_kernel("P", 0, "P", x, steps, theta)
-                ) <= 1e-12
-                assert abs(
-                    spinor.phi_q - path_sum_kernel("P", 0, "Q", x, steps, theta)
-                ) <= 1e-12
+            # Sites x2 = -N, -N + 2, ..., N: all of the parity of N in the cone.
+            assert (field.x2_lo, len(field.phi_p)) == (-steps, steps + 1)
+            xs = [Fraction(x2, 2) for x2 in range(-steps, steps + 1, 2)]
+            for final, amplitudes in (("P", field.phi_p), ("Q", field.phi_q)):
+                kernel = [path_sum_kernel("P", 0, final, x, steps, theta) for x in xs]
+                assert np.abs(amplitudes - kernel).max() <= 1e-12
     assert time.perf_counter() - started < 30.0
 
 
@@ -269,7 +265,8 @@ def test_criterion_12_light_cone():
             assert abs(x - x0) <= t - t0
     steps = 40
     field = propagate(SpinorField.delta("P"), steps, TransferMatrices())
-    assert all(abs(2 * x) <= steps for x, _ in field.sites())
+    assert -steps <= field.x2_lo
+    assert field.x2_lo + 2 * (len(field.phi_p) - 1) <= steps
 
 
 @report(13, "free-particle fixture validates; every consecutive interval has dp = 0 or dq = 0, exact")

@@ -96,8 +96,10 @@ class TestTransferMatrices:
         tm = TransferMatrices(theta)
         for b in BASIS:
             stepped = step_field(SpinorField(phi_p=[b.phi_p], phi_q=[b.phi_q]), tm)
-            assert stepped.spinor_at(Fraction(-1, 2)) == Spinor(phi_p=tm.continue_p(b))
-            assert stepped.spinor_at(Fraction(1, 2)) == Spinor(phi_q=tm.continue_q(b))
+            # sites x = -1/2 and x = 1/2: P arrives only on the left, Q only on the right
+            assert stepped.x2_lo == -1
+            assert stepped.phi_p.tolist() == [tm.continue_p(b), 0]
+            assert stepped.phi_q.tolist() == [0, tm.continue_q(b)]
 
     def test_angle_range_enforced(self):
         with pytest.raises(ValueError):
@@ -148,26 +150,27 @@ class TestPathAmplitude:
 class TestStepField:
     def test_delta_splits_left_right(self):
         stepped = step_field(SpinorField.delta("P"), TransferMatrices())
-        left = stepped.spinor_at(Fraction(-1, 2))
-        right = stepped.spinor_at(Fraction(1, 2))
-        assert left.phi_p == pytest.approx(ROOT_HALF, rel=1e-12)
-        assert left.phi_q == 0
-        assert right.phi_q == pytest.approx(1j * ROOT_HALF, rel=1e-12)
-        assert right.phi_p == 0
+        assert stepped.x2_lo == -1  # sites x = -1/2 (left) and x = 1/2 (right)
+        (left_p, right_p), (left_q, right_q) = stepped.phi_p.tolist(), stepped.phi_q.tolist()
+        assert left_p == pytest.approx(ROOT_HALF, rel=1e-12)
+        assert left_q == 0
+        assert right_q == pytest.approx(1j * ROOT_HALF, rel=1e-12)
+        assert right_p == 0
         assert stepped.norm() == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_field_stays_zero(self):
         stepped = step_field(SpinorField(t=0), TransferMatrices())
-        assert stepped.sites() == []
+        assert len(stepped.phi_p) == len(stepped.phi_q) == 0
         assert stepped.t == 1
 
     def test_theta_zero_is_pure_transport(self):
         field = propagate(SpinorField.delta("P"), 5, TransferMatrices(0.0))
-        sites = [(x, s) for x, s in field.sites() if s.norm_sq() > 0]
+        probs_p, probs_q = field.probabilities()
+        sites = [k for k, (p, q) in enumerate(zip(probs_p, probs_q)) if p + q > 0]
         assert len(sites) == 1
-        x, spinor = sites[0]
-        assert x == Fraction(-5, 2)
-        assert spinor.phi_p == pytest.approx(1.0, rel=1e-12)
+        k = sites[0]
+        assert Fraction(field.x2_lo + 2 * k, 2) == Fraction(-5, 2)
+        assert field.phi_p[k] == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_unitary_on_random_fields(self, theta):
@@ -184,7 +187,8 @@ class TestStepField:
     def test_support_stays_in_light_cone(self):
         steps = 30
         field = propagate(SpinorField.delta("P"), steps, TransferMatrices())
-        assert all(abs(2 * x) <= steps for x, _ in field.sites())
+        assert -steps <= field.x2_lo
+        assert field.x2_lo + 2 * (len(field.phi_p) - 1) <= steps
 
 
 # == 4. Oracle equivalence ====================================================
@@ -219,17 +223,16 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("initial", ("P", "Q"))
     def test_propagate_matches_path_sum(self, theta, initial):
         steps = 7
-        tm = TransferMatrices(theta)
-        field = propagate(SpinorField.delta(initial), steps, tm)
-        for x2 in range(-steps, steps + 1):
-            x = Fraction(x2, 2)
-            spinor = field.spinor_at(x)
-            assert spinor.phi_p == pytest.approx(
-                path_sum_kernel(initial, 0, "P", x, steps, theta), abs=1e-12
+        field = propagate(SpinorField.delta(initial), steps, TransferMatrices(theta))
+        # The field stores x2 = -N, -N + 2, ..., N; every other site is zero.
+        assert (field.x2_lo, len(field.phi_p)) == (-steps, steps + 1)
+        x2s = range(-steps, steps + 1)
+        for final, amplitudes in (("P", field.phi_p), ("Q", field.phi_q)):
+            kernel = np.array(
+                [path_sum_kernel(initial, 0, final, Fraction(x2, 2), steps, theta) for x2 in x2s]
             )
-            assert spinor.phi_q == pytest.approx(
-                path_sum_kernel(initial, 0, "Q", x, steps, theta), abs=1e-12
-            )
+            np.testing.assert_allclose(amplitudes, kernel[::2], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(kernel[1::2], 0, rtol=0, atol=1e-12)
 
 
 class TestRunCountOracle:
@@ -258,23 +261,25 @@ class TestRunCountOracle:
         theta = math.pi / 4 if hypot is None else math.atan2(flip, stay)
         scale = 2 ** (steps // 2) if hypot is None else hypot**steps
         field = propagate(SpinorField.delta(initial), steps, TransferMatrices(theta))
-        assert len(field.sites()) == steps + 1
-        for x, spinor in field.sites():
-            for final, amplitude in (("P", spinor.phi_p), ("Q", spinor.phi_q)):
-                re, im = run_count_kernel(initial, final, int(2 * x), steps, stay, flip)
-                assert abs(amplitude - complex(re / scale, im / scale)) <= 1e-12
+        assert len(field.phi_p) == steps + 1
+        x2s = range(field.x2_lo, field.x2_lo + 2 * len(field.phi_p), 2)
+        for final, amplitudes in (("P", field.phi_p), ("Q", field.phi_q)):
+            counts = (run_count_kernel(initial, final, x2, steps, stay, flip) for x2 in x2s)
+            exact = [complex(re / scale, im / scale) for re, im in counts]
+            np.testing.assert_allclose(amplitudes, exact, rtol=0, atol=1e-12)
 
     def test_exact_at_1000_steps(self):
         steps = 1000
+        scale = 2 ** (steps // 2)
         for initial in "PQ":
             field = propagate(SpinorField.delta(initial), steps, TransferMatrices())
-            for x2 in range(-steps, steps + 1, 100):
-                spinor = field.spinor_at(Fraction(x2, 2))
-                for final, amplitude in (("P", spinor.phi_p), ("Q", spinor.phi_q)):
-                    re, im = run_count_kernel(initial, final, x2, steps, 1, 1)
-                    # correctly rounded 2**(-N/2) * (re + i im)
-                    exact = complex(re / 2 ** (steps // 2), im / 2 ** (steps // 2))
-                    assert abs(amplitude - exact) <= 1e-12
+            assert field.x2_lo == -steps  # so site k sits at x2 = -N + 2k
+            x2s = range(-steps, steps + 1, 100)
+            for final, amplitudes in (("P", field.phi_p), ("Q", field.phi_q)):
+                counts = (run_count_kernel(initial, final, x2, steps, 1, 1) for x2 in x2s)
+                # correctly rounded 2**(-N/2) * (re + i im)
+                exact = [complex(re / scale, im / scale) for re, im in counts]
+                np.testing.assert_allclose(amplitudes[::50], exact, rtol=0, atol=1e-12)
 
 
 class TestFourierOracle:
@@ -374,8 +379,9 @@ class TestDensitySums:
         assert norm_and_mean(0, [], []) == (0, 0)
         assert [type(total) for total in norm_and_mean(0, [], [])] == [int, int]
         empty = SpinorField(phi_p=[], phi_q=[])
-        assert (empty.norm(), empty.mean_position()) == (0, 0)
-        assert type(empty.norm()) is type(empty.mean_position()) is int
+        totals = (empty.norm(), *norm_and_mean(empty.x2_lo, *empty.probabilities()))
+        assert totals == (0, 0, 0)
+        assert [type(total) for total in totals] == [int, int, int]
 
     def test_zero_weights_left_of_the_origin_sum_to_positive_zero(self):
         # x * 0.0 is -0.0 for x < 0, and a loop from int 0 never returns -0.0.
@@ -395,8 +401,7 @@ class TestDensitySums:
         assert (type(norm), type(mean_x)) == (type(norm_of(rows)), type(mean_position_of(rows)))
 
     @pytest.mark.parametrize("theta", [0.0, 0.3, 1.2])
-    def test_probabilities_and_densities_equal_the_row_oracle(self, theta):
+    def test_probabilities_equal_the_row_oracle(self, theta):
         for field in evolve(SpinorField.delta("Q"), 40, TransferMatrices(theta)):
             rows = density_rows(field)
-            assert field.densities() == rows
             assert list(field.probabilities()) == [[p for _, p, _ in rows], [q for _, _, q in rows]]

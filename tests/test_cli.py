@@ -17,6 +17,8 @@ Covered claims:
       validation with exit 1 and validate's report, line hints included, on
       stderr; hasse --force draws an invalid but acyclic file by fixed rules
     - enumerate prints "-" for the empty word; --cap above 24 is a usage error
+    - transform with m, n, m/n or n/m beyond float range prints one error
+      line and nothing else, and exits 1
     - quantify prints what the per-event public API (quantify_event,
       is_between) gives, byte for byte: coordinated ladders, the
       uncoordinated warning, no --pair, --force-loaded invalid networks
@@ -24,9 +26,9 @@ Covered claims:
       tests/data/ladder.net, validate on the broken files beside it (a
       cycle, a degree breach, a repeated member, events on two chains and
       on none), hasse on ladder.net, two_particles.net and
-      restricted.net, and propagate and simulate (words, and totals
-      across many chunks), print or write the checked-in expected files
-      that CI also diffs against
+      restricted.net, paths on the word PQPPQPQ, and propagate and
+      simulate (words, and totals across many chunks), print or write the
+      checked-in expected files that CI also diffs against
     - restricted.net (240 events on 6 chains, 8 redundant cross edges) is
       the dumps() text of its conftest parts, loaded whole, built edge by
       edge or read back from the file
@@ -38,10 +40,11 @@ Covered claims:
       holds under 4 MiB; --emit-words prints exactly sample_sequences()
       ahead of the same totals
     - propagate CSV and SVG outputs are deterministic; the field CSV and the
-      trace equal a row-by-row reference read from SpinorField.sites(),
+      trace equal a row-by-row reference read from the field's two arrays,
       through --out/--trace and on stdout, and the (x, p, q) row loops of
       conftest
-    - every `infnet` line of the README's command block runs and exits 0
+    - every `infnet` line of the README's command block runs and exits 0,
+      and the README's library example prints the line its comment gives
     - a call naming a command builds only that command's subparser, and
       prints the same help, usage and error bytes as the full parser; the
       network, geometry and frame commands and enumerate run without
@@ -774,6 +777,12 @@ def test_hasse_drawings_match_the_checked_in_files(capsys, tmp_path, name):
     assert target.read_bytes() == (DATA / f"{name}.svg").read_bytes()
 
 
+def test_path_drawing_matches_the_checked_in_file(capsys, tmp_path):
+    target = tmp_path / "zigzag.svg"
+    assert run_cli(capsys, "paths", "--word", "PQPPQPQ", "--svg", str(target)) == (0, "", "")
+    assert target.read_bytes() == (DATA / "zigzag.svg").read_bytes()
+
+
 def test_restricted_file_is_the_dump_of_its_parts():
     # restricted.net is dumps() of restricted_file_parts(), loaded whole,
     # built edge by edge as the network-build benchmark builds, or read
@@ -873,6 +882,15 @@ class TestNumericCommands:
         )
         assert code == 1
         assert "positive" in err
+
+    @pytest.mark.parametrize(
+        "m, n, name",
+        [("1e400", "1", "m"), ("1", "1e400", "n"), ("2e400", "1", "m/n"), ("3", "1e400", "n/m")],
+    )
+    def test_transform_beyond_float_range_is_a_one_line_error(self, capsys, m, n, name):
+        # sqrt of a rational converts it to float first, which overflows.
+        argv = ["transform", "--m", m, "--n", n, "--pair", "1", "1"]
+        assert run_cli(capsys, *argv) == (1, "", f"{name} is too large for a float\n")
 
     def test_kinematics(self, capsys):
         code, out, _ = run_cli(
@@ -1128,8 +1146,10 @@ class TestSimulateCommand:
 def reference_propagate(steps: int, theta: float, initial: str) -> tuple[str, str]:
     """The field CSV and the trace of `propagate`, formatted one row at a time.
 
-    Values come from SpinorField.sites(): densities as abs(z) ** 2 on Python
-    complex, norm and <x> summed left to right from 0 in ascending x.
+    Values come from the field's arrays: densities as abs(z) ** 2 on the
+    Python complex of phi_p.tolist() and phi_q.tolist(), site k at
+    x = (x2_lo + 2k) / 2, norm and <x> summed left to right from 0 in
+    ascending x.
     """
     tm = TransferMatrices(theta)
     field = SpinorField.delta(initial)
@@ -1137,7 +1157,8 @@ def reference_propagate(steps: int, theta: float, initial: str) -> tuple[str, st
     for t in range(steps + 1):
         if t:
             field = step_field(field, tm)
-        densities = [(float(x), abs(s.phi_p) ** 2, abs(s.phi_q) ** 2) for x, s in field.sites()]
+        pairs = enumerate(zip(field.phi_p.tolist(), field.phi_q.tolist()))
+        densities = [((field.x2_lo + 2 * k) / 2, abs(p) ** 2, abs(q) ** 2) for k, (p, q) in pairs]
         norm = mean_x = 0
         for x, p, q in densities:
             norm += p + q
@@ -1301,7 +1322,7 @@ class TestOutputCommands:
         assert code == 1
 
 
-# == 7. The README's commands =================================================
+# == 7. The README's commands and example =====================================
 
 
 def test_readme_commands_run(capsys, tmp_path, monkeypatch):
@@ -1322,6 +1343,14 @@ def test_readme_commands_run(capsys, tmp_path, monkeypatch):
         written = [argv[i + 1] for i, arg in enumerate(argv) if arg in ("--svg", "--out", "--trace")]
         assert all((tmp_path / path).stat().st_size for path in written), argv
         assert written or out, argv
+
+
+def test_readme_library_example_prints_its_comment(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    (block,) = [block.split("```", 1)[0] for block in readme.split("```python\n")[1:]]
+    (printing,) = [line for line in block.splitlines() if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == printing.split("# ", 1)[1] + "\n"
 
 
 # == 8. The parser ============================================================

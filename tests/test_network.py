@@ -32,8 +32,7 @@ Covered claims:
     - the closure's self bits name the events on cycles, and its ancestor
       counts order an acyclic network for longest-path depths
     - from_parts links consecutive chain members on any input
-    - chain labels are order-isomorphic, and label_of gives a member
-      repeated in a --force file its first label
+    - chain labels are order-isomorphic
     - acyclicity survives random legal edit sequences
 """
 
@@ -58,7 +57,6 @@ from infnet import (
     NotFinalizedError,
     UnknownChainError,
     UnknownEventError,
-    netformat,
 )
 
 from conftest import adjacency, bfs_descendants, bfs_reaches, network_parts, restricted_parts
@@ -679,21 +677,6 @@ class TestChainLabels:
                     chain.event_at(first), chain.event_at(second)
                 )
                 assert (first <= second) == precedes
-
-    def test_label_round_trip(self, ladder):
-        chain = ladder.chain("Q")
-        for label in chain.labels():
-            assert chain.label_of(chain.event_at(label)) == label
-
-    @pytest.mark.parametrize("members", ["0 1 2", "0 1 0", "0 1 0 2 1 2", "5 5 5"])
-    def test_label_of_is_the_first_index_on_forced_files(self, tmp_path, members):
-        source = tmp_path / "repeat.net"
-        source.write_text(f"mode general\nchain P: {members}\nchain Q: 7 0\n")
-        chain = netformat.load_path(str(source), force=True).chain("P")
-        for event in chain.events:
-            assert chain.label_of(event) == chain.events.index(event) + 1
-        with pytest.raises(UnknownEventError):
-            chain.label_of(7)
 
 
 # == 7. Random edit sequences stay acyclic ===================================
