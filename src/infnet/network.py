@@ -21,8 +21,9 @@ bitsets, so `influences()` is O(1) after `finalize()`.  Event indices
 follow ids (`from_parts` indexes sorted ids, `add_event` appends the next
 one).  Every network closes the same way.  Until its first read
 (`finalize()` included), `from_parts`, `add_event` and `add_influence`
-only record edges in the successor sets, so a build whose ids rise with
-influence, as `add_event` numbers them, costs O(1) per edge until then.
+only record edges in the successor sets and keep no bitsets, so a build
+whose ids rise with influence, as `add_event` numbers them, costs O(1)
+per edge until then.
 The first read computes the bitsets whole in one Kahn order (CACM 5(11),
 1962), whatever order the ids run in.  The events it cannot place lie on
 or below a cycle; they start from the OR of their placed predecessors,
@@ -37,18 +38,21 @@ while every edge runs from a lower index to a higher one: index order is
 then topological, and no upward edge can close a cycle.
 Influence is reflexive by convention: every event influences itself, which
 lets chain members project onto themselves without special cases
-downstream.  The bitsets also answer the order questions: the events on
-cycles are those among their own ancestors (`validate` and `hasse_svg`
-share that test), and sorting events by ancestor count orders an acyclic
-network topologically, which gives `hasse_svg` its depths.  They also
-reduce: `transitive_reduction` ORs each source's successor bits into one
+downstream.  The closure pass also answers the order questions: only the
+events its Kahn order could not place can lie on a cycle (later inserts
+refuse cycles), so `_cyclic`, which `validate` and `hasse_svg` share,
+tests only those, none in an acyclic network; and index order while every
+edge runs upward, else ancestor count, gives `hasse_svg` its depths.  The
+bitsets also reduce: `_covering` ORs a source's successor bits into one
 mask, and an edge s -> t is redundant exactly when t's ancestors meet that
-mask without t's own bit.  `_is_cross` is the one test of whether an edge
-joins two chains.  In restricted mode each event's count of cross-chain
-edges is kept where edges enter: `from_parts` counts over its distinct
-influences only, because a chain link joins two members of one chain and
-is never cross, and `add_influence` refuses an edge at an event that
-already has one and counts the edges it accepts.  `validate` reads that
+mask without t's own bit.  `transitive_reduction` runs that rule on every
+edge, `hasse_svg` only on the edges that are not chain links.  `_is_cross`
+is the one test of whether an edge joins two chains.  In restricted mode each
+event's count of cross-chain edges is kept where edges enter:
+`from_parts` counts over its distinct influences only, because a chain
+link joins two members of one chain and is never cross, and
+`add_influence` refuses an edge at an event that already has one, so an
+edge it accepts sets both ends' counts from 0 to 1.  `validate` reads that
 count.
 
 Networks are append-only.  `finalize()` freezes the structure; a finalized
@@ -181,6 +185,9 @@ class InfluenceNetwork:
         # only record edges and _anc is not kept.  _upward holds while
         # every edge runs from a lower index to a higher one.
         self._anc: list[int] = []
+        # The indices the first read's Kahn pass could not place, in index
+        # order: the only events that can lie on a cycle (see _cyclic).
+        self._unplaced: list[int] = []
         self._upward = True
         self._stale = True
         self._finalized = False
@@ -259,14 +266,19 @@ class InfluenceNetwork:
         self._index[event] = len(self._ids)
         self._ids.append(event)
         self._succ[event] = set()
-        self._anc.append(0)
+        stale = self._stale
+        if not stale:
+            self._anc.append(0)
         if chain is not None:
-            # Membership first, so the tail link is classified as a chain
-            # edge rather than a cross-chain one.
             members = self._chains[chain]
             self._chains_of[event] = (chain,)
             if members:
-                self._insert_edge(members[-1], event)
+                # The new event has no successors, so its tail link closes
+                # no cycle and walks nothing below it.
+                if stale:
+                    self._succ[members[-1]].add(event)
+                else:
+                    self._walk(members[-1], event)
             members.append(event)
         return event
 
@@ -277,21 +289,26 @@ class InfluenceNetwork:
         itgt = self._require_event(target)
         if source == target:
             raise CycleError(f"cycle-would-form: self influence at event {source}")
-        if target in self._succ[source]:
+        targets = self._succ[source]
+        if target in targets:
             raise DuplicateEdgeError(f"duplicate influence {source} -> {target}")
         # While index order is topological, an upward edge cannot close a cycle.
         upward = self._upward and isrc < itgt
-        if not upward and self.influences(target, source):
+        if not upward and self._closure()[isrc] >> itgt & 1:
             raise CycleError(f"cycle-would-form: {target} already influences {source}")
         if self._mode == RESTRICTED and self._is_cross(source, target):
+            cross = self._cross
             for end in (source, target):
-                if self._cross[end]:
+                if cross.get(end):
                     raise DegreeViolationError(
                         f"degree-violation: event {end} already takes part in a cross-chain influence"
                     )
-            self._cross.update((source, target))
+            cross[source] = cross[target] = 1  # both ends were at 0
         self._upward = upward
-        self._insert_edge(source, target)
+        if self._stale:
+            targets.add(target)
+        else:
+            self._walk(source, target)
 
     def finalize(self) -> "InfluenceNetwork":
         """Freeze the network; further mutation raises FinalizedError."""
@@ -314,23 +331,10 @@ class InfluenceNetwork:
     def transitive_reduction(self) -> set[tuple[int, int]]:
         """Minimal edge set with the same reachability (Hasse covering edges).
 
-        An edge s -> t is redundant when another successor of s reaches t.
-        With `mask` the OR of the bits of all of s's successors, that is one
-        AND per edge: t's ancestors meet `mask` without t's own bit.  The
-        bit is left out so that t's own successor bit does not count when t
-        lies on a cycle and is its own ancestor.
+        An edge s -> t is redundant when another successor of s reaches t;
+        `_covering` states the test.
         """
-        closure, index = self._closure(), self._index
-        reduced = set()
-        for source, targets in self._succ.items():
-            mask = 0
-            for target in targets:
-                mask |= 1 << index[target]
-            for target in targets:
-                i = index[target]
-                if not closure[i] & (mask ^ 1 << i):
-                    reduced.add((source, target))
-        return reduced
+        return set(self._covering((s, targets, targets) for s, targets in self._succ.items()))
 
     def validate(self) -> list[Violation]:
         """Check every structural invariant; violations are data, not errors."""
@@ -489,32 +493,76 @@ class InfluenceNetwork:
             raise NotFinalizedError("network must be finalized before this query")
 
     def _cyclic(self) -> tuple[int, ...]:
-        """Events among their own ancestors, i.e. on directed cycles, in id order."""
-        anc = self._closure()
-        return tuple(e for i, e in enumerate(self._ids) if anc[i] >> i & 1)
+        """Events among their own ancestors, i.e. on directed cycles, in id order.
+
+        Only events that the Kahn pass of `_closure` could not place can lie
+        on a cycle, and every later insert refuses cycles, so only those
+        events are tested: none in an acyclic network.
+        """
+        anc, ids = self._closure(), self._ids
+        return tuple(ids[i] for i in self._unplaced if anc[i] >> i & 1)
 
     def _depths(self) -> dict[int, int]:
         """Longest-path depth of every event of an acyclic network; sources sit at 0.
 
-        Ancestor count orders events topologically: without cycles an event
-        has strictly more ancestors than each of its predecessors.  So each
+        Events go in a topological order: index order while every edge runs
+        upward, else ancestor count, since without cycles an event has
+        strictly more ancestors than each of its predecessors.  So each
         event's depth is final when its turn comes, and it pushes that
         depth + 1 to its successors.
         """
-        counts = [bits.bit_count() for bits in self._closure()]
         ids, succ = self._ids, self._succ
+        if self._upward:
+            order: Iterable[int] = ids
+        else:
+            counts = [bits.bit_count() for bits in self._closure()]
+            order = [ids[i] for i in sorted(range(len(ids)), key=counts.__getitem__)]
         depth = dict.fromkeys(ids, 0)
-        for i in sorted(range(len(ids)), key=counts.__getitem__):
-            event = ids[i]
+        for event in order:
             deeper = depth[event] + 1
             for target in succ[event]:
                 if depth[target] < deeper:
                     depth[target] = deeper
         return depth
 
+    def _covering(
+        self, sources: Iterable[tuple[int, set[int], Iterable[int]]]
+    ) -> Iterator[tuple[int, int]]:
+        """The covering edges source -> t, for each (source, targets, among).
+
+        `targets` are all of the source's successors and `among` the ones
+        to test.  A source covers its successor t when no other successor
+        reaches t, so a source with one successor covers it without a test.
+        Otherwise, with `mask` the OR of the bits of all its successors, the
+        test is one AND per edge: t's ancestors miss `mask` without t's own
+        bit.  The bit is left out so that t's own successor bit does not
+        count when t lies on a cycle and is its own ancestor.
+        `transitive_reduction` and `hasse_svg` both test through here.
+        """
+        closure, index = self._closure(), self._index
+        for source, targets, among in sources:
+            if len(targets) == 1:
+                for target in among:
+                    yield source, target
+                continue
+            mask = 0
+            for target in targets:
+                mask |= 1 << index[target]
+            for target in among:
+                i = index[target]
+                if not closure[i] & (mask ^ 1 << i):
+                    yield source, target
+
     def _is_cross(self, source: int, target: int) -> bool:
-        """True when no chain holds both events: a cross-chain influence."""
-        return set(self._chains_of.get(source, ())).isdisjoint(self._chains_of.get(target, ()))
+        """True when no chain holds both events: a cross-chain influence.
+
+        Two events that each lie on one chain are cross exactly when their
+        home tuples differ, which needs no set.
+        """
+        homes, other = self._chains_of.get(source, ()), self._chains_of.get(target, ())
+        if len(homes) == 1 == len(other):
+            return homes != other
+        return set(homes).isdisjoint(other)
 
     def _closure(self) -> list[int]:
         """The ancestor bitsets, computed whole on the first read.
@@ -545,20 +593,14 @@ class InfluenceNetwork:
             # A placed event has only placed predecessors, so the events left
             # waiting are closed under successors: take out the edges among
             # them, so that each walk below covers only the edges put back.
-            rest = [(ids[i], t) for i, count in enumerate(waiting) if count for t in succ[ids[i]]]
+            unplaced = self._unplaced = [i for i, count in enumerate(waiting) if count]
+            rest = [(ids[i], t) for i in unplaced for t in succ[ids[i]]]
             for source, target in rest:
                 succ[source].discard(target)
             self._stale = False
             for source, target in rest:
                 self._walk(source, target)
         return self._anc
-
-    def _insert_edge(self, source: int, target: int) -> None:
-        """Record source -> target before the first read; walk it in after."""
-        if self._stale:
-            self._succ[source].add(target)
-        else:
-            self._walk(source, target)
 
     def _walk(self, source: int, target: int) -> None:
         """Add source -> target to an up-to-date closure and walk down from target."""

@@ -1,15 +1,20 @@
 """SVG emitters: Hasse diagrams of networks and zig-zag spacetime paths.
 
 Pure string generation, no plotting dependency.  Hasse diagrams draw each
-chain as a thick vertical polyline with influence running upward; reduced
-cross-chain influences become arrows.  An event sits at its longest-path
-depth, read from the network's closure, which also names the events on
-cycles when a network cannot be drawn.  Each event takes the column of its
-first chain by name, or one of its own when it is on no chain.  Path
-pictures put time upward and position across.
+chain as a thick vertical polyline with influence running upward; the
+covering edges that are not chain links become arrows.  Only those edges
+take the network's covering test, the one `transitive_reduction` runs on
+every edge.  An event sits at its longest-path depth; the network's
+closure pass names the events on cycles when a network cannot be drawn.
+Each event takes the column of its first chain by name, or one of its own
+when it is on no chain, and its circle and label are put together from
+its column's and its row's text, each made once.  Path pictures put time
+upward and position across.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .freeparticle import SpacetimePath
 from .network import InfluenceNetwork
@@ -43,54 +48,84 @@ def hasse_svg(net: InfluenceNetwork) -> str:
     depth = net._depths()
     max_depth = max(depth.values())
 
-    # Each event's x and y, computed once for every loop below.  Events of
-    # one column or one row share its coordinate, so no object is made per
-    # event (a dict of (x, y) tuples measured slower, and it raised the
-    # benchmark's peak RSS).
-    x_of: dict[int, int] = {}
+    # Each event's column, the first chain by name holding it (so the later
+    # chains go in first), then one column per event on no chain.
     names = net.chain_names()
-    for col, name in enumerate(names):
-        x = _MARGIN + col * _X_SPACING
-        for event in net._members(name):
-            x_of.setdefault(event, x)
-    next_col = len(names)
-    for event in events:
-        if event not in x_of:
-            x_of[event] = _MARGIN + next_col * _X_SPACING
-            next_col += 1
+    col_of: dict[int, int] = {}
+    for col in reversed(range(len(names))):
+        col_of.update(dict.fromkeys(net._members(names[col]), col))
+    off_chain = sorted(set(events).difference(col_of))
+    col_of.update(zip(off_chain, itertools.count(len(names))))
+    n_cols = len(names) + len(off_chain)
+    xs = [_MARGIN + col * _X_SPACING for col in range(n_cols)]
     ys = [_MARGIN + (max_depth - d) * _Y_SPACING for d in range(max_depth + 1)]
-    y_of = {event: ys[depth[event]] for event in events}
+    # The text of each column's and each row's coordinates, made once.
+    x_text, y_text = list(map(str, xs)), list(map(str, ys))
 
-    reduced = net.transitive_reduction()
-
-    parts = [_HEADER.format(w=2 * _MARGIN + max(next_col - 1, 0) * _X_SPACING,
+    parts = [_HEADER.format(w=2 * _MARGIN + max(n_cols - 1, 0) * _X_SPACING,
                             h=2 * _MARGIN + max_depth * _Y_SPACING)]
     parts.append(_ARROW_DEFS)
     for name in names:
         members = net._members(name)
         if not members:
             continue
-        points = " ".join(f"{x_of[e]},{y_of[e]}" for e in members)
+        points = " ".join(f"{x_text[col_of[e]]},{y_text[depth[e]]}" for e in members)
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="#202020" stroke-width="4"/>'
         )
-        x, y = x_of[members[0]], y_of[members[0]]
+        x, y = xs[col_of[members[0]]], ys[depth[members[0]]]
         parts.append(f'<text x="{x - 6}" y="{y + 28}" font-size="16">{name}</text>')
-    for source, target in sorted(reduced - net.chain_links()):
-        x1, y1 = x_of[source], y_of[source]
-        x2, y2 = x_of[target], y_of[target]
+    for source, target in _arrows(net):
         parts.append(
-            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#d06000" '
+            f'<line x1="{x_text[col_of[source]]}" y1="{y_text[depth[source]]}" '
+            f'x2="{x_text[col_of[target]]}" y2="{y_text[depth[target]]}" stroke="#d06000" '
             'stroke-width="2" marker-end="url(#arrow)"/>'
         )
+    # An event's circle and label: the column's text up to its y, the row's
+    # y, the column's text up to the label's y, the row's label y.
+    circle_heads = [f'<circle cx="{x}" cy="' for x in xs]
+    label_heads = [f'" r="6" fill="#ffffff" stroke="#202020"/>\n<text x="{x + 9}" y="' for x in xs]
+    label_ys = [str(y + 4) for y in ys]
     for event in events:
-        x, y = x_of[event], y_of[event]
+        col, row = col_of[event], depth[event]
         parts.append(
-            f'<circle cx="{x}" cy="{y}" r="6" fill="#ffffff" stroke="#202020"/>\n'
-            f'<text x="{x + 9}" y="{y + 4}" font-size="12">{event}</text>'
+            f'{circle_heads[col]}{y_text[row]}{label_heads[col]}{label_ys[row]}" '
+            f'font-size="12">{event}</text>'
         )
     parts += ["</svg>", ""]  # the empty last part ends the text with \n, with no copy
     return "\n".join(parts)
+
+
+def _arrows(net: InfluenceNetwork) -> list[tuple[int, int]]:
+    """The covering edges of an acyclic network that are not chain links, sorted.
+
+    Only edges that are not chain links take the covering test (see
+    `InfluenceNetwork._covering`).  `nxt` maps each chain member to its
+    next member, the last chain listed winning for an event on several, so
+    a source whose one edge runs to its entry has nothing to draw.  For an
+    event on at most one chain the other targets are exactly its non-link
+    edges.  An event on several chains keeps its cross-chain targets
+    instead: an edge within one chain that is not a link is never covering,
+    since the source's next member on that chain lies between, so both
+    choices give the same arrows.
+    """
+    nxt: dict[int, int] = {}
+    for name in net.chain_names():
+        members = net._members(name)
+        nxt.update(zip(members, members[1:]))
+    chains_of = net._chains_of
+
+    def candidates():
+        for source, targets in net._succ.items():
+            link = nxt.get(source)
+            if len(targets) == 1 and link in targets:
+                continue
+            if len(chains_of.get(source, ())) > 1:
+                yield source, targets, [t for t in targets if net._is_cross(source, t)]
+            else:
+                yield source, targets, [t for t in targets if t != link]
+
+    return sorted(net._covering(candidates()))
 
 
 def path_svg(path: SpacetimePath) -> str:

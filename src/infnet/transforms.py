@@ -18,7 +18,10 @@ interval at rest in the old one, so the coordinate boost runs with the
 opposite sign.  FrameRelation.as_boost() encodes the correspondence.
 
 Arithmetic stays exact (Fraction) whenever m/n is a perfect-square
-rational; otherwise floats with 1e-12 relative accuracy take over.
+rational; otherwise floats with 1e-12 relative accuracy take over.  k,
+sqrt(m/n) and sqrt(n/m) are each taken from the exact rational and rounded
+once, so any of them that fits in a float is returned even when m, n or
+their ratio does not.
 """
 
 from __future__ import annotations
@@ -51,10 +54,25 @@ def _exact_sqrt(value: Union[int, Fraction]) -> Optional[Fraction]:
     return None
 
 
-def _sqrt(value: Number, name: str) -> float:
-    """math.sqrt, refusing a rational beyond float range as a ValueError."""
+def _sqrt(value: Fraction, name: str) -> float:
+    """The square root of a positive rational, rounded once to a float.
+
+    The value is not turned into a float first, so a root that fits in a
+    float is found even where the value itself would overflow or
+    underflow.  The root is taken in integers, scaled by 4**shift so that
+    it has at least 64 bits; when it is inexact its last bit is set, which
+    places it strictly between the two integers around the true root and
+    so rounds like it.  A root beyond float range is refused as a
+    ValueError naming `name`.
+    """
+    num, den = value.numerator, value.denominator
+    shift = max(0, 65 - (num.bit_length() - den.bit_length()) // 2)
+    scaled, rest = divmod(num << 2 * shift, den)
+    root = math.isqrt(scaled)
+    if rest or root * root != scaled:
+        root |= 1
     try:
-        return math.sqrt(value)
+        return root / (1 << shift)
     except OverflowError:
         raise ValueError(f"{name} is too large for a float") from None
 
@@ -73,16 +91,17 @@ class FrameRelation:
     @property
     def k(self) -> float:
         """Length of the unit interval in the original frame: sqrt(m*n)."""
-        return _sqrt(self.m, "m") * _sqrt(self.n, "n")
+        return _sqrt(Fraction(self.m) * Fraction(self.n), "m*n")
 
     @property
     def multiplier(self) -> Union[Fraction, float]:
         """The factor sqrt(m/n) applied to the forward component."""
+        ratio = Fraction(self.m) / Fraction(self.n)
         if isinstance(self.m, (int, Fraction)) and isinstance(self.n, (int, Fraction)):
-            exact = _exact_sqrt(Fraction(self.m) / Fraction(self.n))
+            exact = _exact_sqrt(ratio)
             if exact is not None:
                 return exact
-        return _sqrt(self.m / self.n, "m/n")
+        return _sqrt(ratio, "m/n")
 
     def as_boost(self) -> "Boost":
         """The boost acting on (dt, dx) exactly as this rescaling does."""
@@ -106,7 +125,7 @@ def pair_transform(rel: FrameRelation, pair: PairQuantification) -> PairQuantifi
     factor = rel.multiplier
     if isinstance(factor, Fraction):
         return PairQuantification(pair.dp * factor, pair.dq / factor)
-    return PairQuantification(pair.dp * factor, pair.dq * _sqrt(rel.n / rel.m, "n/m"))
+    return PairQuantification(pair.dp * factor, pair.dq * _sqrt(Fraction(rel.n) / Fraction(rel.m), "n/m"))
 
 
 def beta_gamma(m: Number, n: Number) -> Boost:

@@ -63,6 +63,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
 
@@ -839,6 +840,13 @@ def test_simulate_outputs_match_the_checked_in_files(capsys, monkeypatch, argv, 
     assert run_cli(capsys, *argv) == (0, (DATA / expected).read_text(), "")
 
 
+def test_transform_of_a_tiny_frame_matches_the_checked_in_file(capsys):
+    # m = 2e-400 underflows a float, yet every printed value is a normal
+    # float (checked against 2000-bit arithmetic when the file was made).
+    argv = ["transform", "--m", "2e-400", "--n", "1", "--pair", "1", "1"]
+    assert run_cli(capsys, *argv) == (0, (DATA / "transform.tiny.out").read_text(), "")
+
+
 def test_enumerate_amplitudes_match_the_checked_in_file(capsys):
     argv = ["enumerate", "--p", "3", "--q", "2", "--amplitudes", "0.3", "--initial", "Q"]
     assert run_cli(capsys, *argv) == (0, (DATA / "enumerate.amplitudes.out").read_text(), "")
@@ -885,12 +893,31 @@ class TestNumericCommands:
 
     @pytest.mark.parametrize(
         "m, n, name",
-        [("1e400", "1", "m"), ("1", "1e400", "n"), ("2e400", "1", "m/n"), ("3", "1e400", "n/m")],
+        [("1e700", "1", "m*n"), ("1", "1e700", "m*n"), ("2e700", "1", "m/n"), ("3", "1e700", "n/m")],
     )
     def test_transform_beyond_float_range_is_a_one_line_error(self, capsys, m, n, name):
-        # sqrt of a rational converts it to float first, which overflows.
+        # Each root named here exceeds the largest float, about 1.8e308:
+        # sqrt(m*n) = 1e350 in the first two, sqrt(m/n) and sqrt(n/m) in the
+        # others.  sqrt(1e700) itself is exact, so 1e700 alone passes
+        # through sqrt(m/n) or sqrt(n/m).
         argv = ["transform", "--m", m, "--n", n, "--pair", "1", "1"]
         assert run_cli(capsys, *argv) == (1, "", f"{name} is too large for a float\n")
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [("1e-400", "1"), ("2e-400", "1"), ("1e400", "1"), ("1", "3e400"), ("1e-400", "1e400")],
+    )
+    def test_transform_roots_that_fit_a_float_are_printed(self, capsys, m, n):
+        # m, n or n/m lies beyond float range here, but k, sqrt(m/n) and
+        # sqrt(n/m) do not; each squares back to its rational within 2e-12.
+        code, out, err = run_cli(capsys, "transform", "--m", m, "--n", n, "--pair", "1", "1")
+        assert (code, err) == (0, "")
+        lines = dict(line.split(" ", 1) for line in out.strip().splitlines())
+        dp, dq = (Fraction(part) for part in lines["pair"].strip("()").split(", "))
+        exact_m, exact_n = Fraction(m), Fraction(n)
+        for value, square in [(Fraction(float(lines["k"])), exact_m * exact_n),
+                              (dp, exact_m / exact_n), (dq, exact_n / exact_m)]:
+            assert abs(value * value / square - 1) < 2e-12
 
     def test_kinematics(self, capsys):
         code, out, _ = run_cli(

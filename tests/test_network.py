@@ -18,6 +18,9 @@ Covered claims:
     - transitive reduction drops exactly the implied edges: on raw parts
       (cycles, self-loops, shared events, repeated members) it keeps an
       edge s -> t iff no other successor of s reaches t by BFS
+    - the arrows read back from a Hasse drawing are the BFS covering edges
+      minus the chain links, on random acyclic parts in any id order and
+      on tests/data/restricted.net's parts
     - validate() reports rule names for broken invariants; a cross-chain
       degree counts each incident edge once, a self-loop included, and an
       event a chain lists twice lies on that chain once; a restricted load's
@@ -29,7 +32,9 @@ Covered claims:
       walks from its target; the closure matches BFS between
       inserts, after a downward edge, and at the benchmark's network-build
       size, and after finalize() no read writes it
-    - the closure's self bits name the events on cycles, and its ancestor
+    - the events on cycles are the closure's self bits among the events
+      its Kahn pass could not place, read after a load or a build and
+      between later inserts; index order (every edge upward) or ancestor
       counts order an acyclic network for longest-path depths
     - from_parts links consecutive chain members on any input
     - chain labels are order-isomorphic
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import statistics
 import time
 from unittest import mock
@@ -58,8 +64,16 @@ from infnet import (
     UnknownChainError,
     UnknownEventError,
 )
+from infnet.svg import hasse_svg
 
-from conftest import adjacency, bfs_descendants, bfs_reaches, network_parts, restricted_parts
+from conftest import (
+    adjacency,
+    bfs_descendants,
+    bfs_reaches,
+    network_parts,
+    restricted_file_parts,
+    restricted_parts,
+)
 
 
 def assert_closure_matches_bfs(net: InfluenceNetwork) -> None:
@@ -546,6 +560,61 @@ class TestTransitiveReduction:
         assert net.transitive_reduction() == expected
 
 
+def drawn_arrows(net: InfluenceNetwork) -> set[tuple[int, int]]:
+    """The arrows of net's Hasse drawing, read back from the SVG text.
+
+    Each event is found by its circle's position, which its label names;
+    no two events of an acyclic network share one.
+    """
+    text = hasse_svg(net)
+    at = {
+        (x, y): int(event)
+        for x, y, event in re.findall(
+            r'<circle cx="(\d+)" cy="(\d+)"[^\n]*\n<text [^>]*>(\d+)</text>', text
+        )
+    }
+    assert sorted(at.values()) == sorted(net.event_ids())
+    lines = re.findall(r'<line x1="(\d+)" y1="(\d+)" x2="(\d+)" y2="(\d+)"', text)
+    return {(at[x1, y1], at[x2, y2]) for x1, y1, x2, y2 in lines}
+
+
+def bfs_arrows(net: InfluenceNetwork, chains: dict) -> set[tuple[int, int]]:
+    """Covering edges by BFS, without the chain links, which the drawing shows as lines."""
+    adj = adjacency(net)
+    links = {(a, b) for members in chains.values() for a, b in zip(members, members[1:])}
+    return {
+        (s, t)
+        for s, targets in adj.items()
+        for t in targets
+        if (s, t) not in links and not any(bfs_reaches(adj, mid, t) for mid in targets - {t})
+    }
+
+
+class TestDrawnArrows:
+    """hasse_svg's arrows are the BFS covering edges minus the chain links."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_acyclic_parts(self, data):
+        # network_parts made acyclic: its edges and chains run up a hidden
+        # rank order, and a drawn permutation names the ranks, so ids may
+        # run against influence.  Shared events stay.
+        chains, edges, n = data.draw(network_parts(), label="parts")
+        ids = data.draw(st.permutations(range(n)), label="ids")
+        chains = {name: [ids[r] for r in sorted(members)] for name, members in chains.items()}
+        edges = [(ids[min(a, b)], ids[max(a, b)]) for a, b in edges if a != b]
+        mode = data.draw(st.sampled_from(["general", "restricted"]), label="mode")
+        net = InfluenceNetwork.from_parts(mode, chains, edges, events=range(n))
+        assert drawn_arrows(net) == bfs_arrows(net, chains)
+
+    def test_restricted_file(self):
+        chains, cross = restricted_file_parts()
+        net = InfluenceNetwork.from_parts("restricted", chains, cross)
+        arrows = drawn_arrows(net)
+        assert arrows == bfs_arrows(net, chains)
+        assert len(arrows) < len(cross)  # its redundant cross edges are not drawn
+
+
 # == 5. Validation ============================================================
 
 
@@ -648,21 +717,51 @@ class TestValidate:
         assert len(calls) <= len(set(influences))
 
     @settings(max_examples=150, deadline=None)
-    @given(network_parts())
-    def test_closure_finds_cycles_and_depths(self, parts):
+    @given(
+        network_parts(),
+        st.booleans(),
+        st.lists(st.tuples(st.sampled_from(["event", "influence", "read"]), st.integers(0, 40),
+                           st.integers(0, 40)), max_size=16),
+    )
+    def test_closure_finds_cycles_and_depths(self, parts, loaded, edits):
+        # A from_parts load (cycles included) or an empty network, then
+        # add_event and add_influence calls with reads in between: the first
+        # read closes what is recorded in one Kahn pass and later inserts
+        # walk.  At every read the events on cycles are BFS's.
         chains, edges, n = parts
-        net = InfluenceNetwork.from_parts("general", chains, edges, events=range(n))
-        adj = adjacency(net)
-        cyclic = tuple(e for e in range(n) if e in bfs_descendants(adj, e))
-        assert net._cyclic() == cyclic
-        if cyclic:
+        if loaded:
+            net = InfluenceNetwork.from_parts("general", chains, edges, events=range(n))
+        else:
+            net = InfluenceNetwork("general")
+            for name in chains:
+                net.add_chain(name)
+
+        def assert_cycles_match_bfs() -> tuple[int, ...]:
+            adj = adjacency(net)
+            cyclic = tuple(e for e in net.event_ids() if e in bfs_descendants(adj, e))
+            assert net._cyclic() == cyclic
+            return cyclic
+
+        names = [None, *chains]
+        for kind, a, b in edits:
+            ids = net.event_ids()
+            if kind == "event" or not ids:
+                net.add_event(names[a % len(names)])
+            elif kind == "influence":
+                try:
+                    net.add_influence(ids[a % len(ids)], ids[b % len(ids)])
+                except (CycleError, DuplicateEdgeError):
+                    pass
+            else:
+                assert_cycles_match_bfs()
+        if assert_cycles_match_bfs():
             return
-        preds = {e: [s for s, t in net.edges() if t == e] for e in range(n)}
+        preds = {e: [s for s, t in net.edges() if t == e] for e in net.event_ids()}
 
         def longest(e: int) -> int:
             return max((longest(p) + 1 for p in preds[e]), default=0)
 
-        assert net._depths() == {e: longest(e) for e in range(n)}
+        assert net._depths() == {e: longest(e) for e in net.event_ids()}
 
 
 # == 6. Chain labels ==========================================================

@@ -74,6 +74,34 @@ class TestPairTransform:
         assert rel.k == pytest.approx(2.0, rel=REL_TOL)
         assert rel.k**2 == pytest.approx(rel.m * rel.n, rel=REL_TOL)
 
+    @pytest.mark.parametrize(
+        "m, n",
+        [
+            (Fraction(1, 10**400), 1),
+            (Fraction(2, 10**400), 1),
+            (3 * 10**400, 1),
+            (Fraction(1, 10**400), 10**400),
+            (7, Fraction(1, 10**330)),
+        ],
+        ids=["1e-400,1", "2e-400,1", "3e400,1", "1e-400,1e400", "7,1e-330"],
+    )
+    def test_roots_come_from_the_exact_rational(self, m, n):
+        # m, n or their ratio lies beyond float range, but k, sqrt(m/n) and
+        # sqrt(n/m) do not.  Squared exactly, each is its rational to within
+        # 2e-12, a relative error within 1e-12.
+        rel = FrameRelation(m, n)
+        moved = pair_transform(rel, PairQuantification(1, 1))
+        assert isinstance(rel.k, float)
+        for root, square in [
+            (rel.k, Fraction(m) * n),
+            (rel.multiplier, Fraction(m) / n),
+            (moved.dq, Fraction(n) / m),
+        ]:
+            assert abs(Fraction(root) ** 2 / square - 1) < 2e-12
+
+    def test_k_of_a_square_is_a_float(self):
+        assert FrameRelation(4, 1).k == 2.0 and isinstance(FrameRelation(4, 1).k, float)
+
     def test_nonpositive_frame_rejected(self):
         with pytest.raises(ValueError):
             FrameRelation(0, 1)
