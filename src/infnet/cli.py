@@ -7,6 +7,9 @@ owning module and printed at full precision; the environment variable
 INFNET_SEED overrides --seed wherever sampling is involved.  numpy is
 imported only inside the library functions that make arrays, so only
 simulate and propagate load it; every other command starts without it.
+A call that names a command builds one argument parser, that command's;
+the parser of all commands is built only for a call that names none, or
+to report arguments the command's parser left over.
 """
 
 from __future__ import annotations
@@ -356,53 +359,68 @@ def _paths_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--start-t", type=int, default=0)
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The `infnet` parser: only `command`'s subparser when that names one, else all.
+# name -> (help, the function that adds the command's arguments).  Handlers
+# are not held here: main looks up cmd_<name> in this module when it
+# dispatches, so a handler rebound in the module (as bench/tracer.py does)
+# is the one that runs.
+_COMMANDS = {
+    "validate": ("check a network file against all invariants", _validate_args),
+    "quantify": ("per-event chain coordinates", _quantify_args),
+    "interval": ("quantify an interval pair", _interval_args),
+    "distance": ("separation of two coordinated chains", _distance_args),
+    "transform": ("re-quantify a pair in another frame", _transform_args),
+    "kinematics": ("mass/energy/momentum from counts and spans", _kinematics_args),
+    "enumerate": ("all influence words with given symbol counts", _enumerate_args),
+    "simulate": ("sample random influence words and report rates", _simulate_args),
+    "propagate": ("run the lattice propagator from a point source", _propagate_args),
+    "hasse": ("render a network file as a Hasse diagram", _hasse_args),
+    "paths": ("render a word as a zig-zag spacetime path", _paths_args),
+}
 
-    Building every subparser costs several times building one.  Usage
-    lines must still list every command, as the "unrecognized arguments"
-    error prints, so a selected command carries that list as its metavar.
-    The full parser keeps argparse's default, which names the positional
-    "command" in the missing- and unknown-command errors only it can raise.
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full `infnet` parser: a subparser for every command.
+
+    `main` uses it only when argv names no command, or to report arguments
+    that a command's own parser left over; a named command is parsed by
+    that command's parser alone (see `_parse`).
     """
-    # name, help, handler, and the function that adds the command's
-    # arguments.  Made per call, so a handler rebound in this module (as
-    # bench/tracer.py does) is the one the parser dispatches to.
-    commands = (
-        ("validate", "check a network file against all invariants", cmd_validate, _validate_args),
-        ("quantify", "per-event chain coordinates", cmd_quantify, _quantify_args),
-        ("interval", "quantify an interval pair", cmd_interval, _interval_args),
-        ("distance", "separation of two coordinated chains", cmd_distance, _distance_args),
-        ("transform", "re-quantify a pair in another frame", cmd_transform, _transform_args),
-        ("kinematics", "mass/energy/momentum from counts and spans", cmd_kinematics, _kinematics_args),
-        ("enumerate", "all influence words with given symbol counts", cmd_enumerate, _enumerate_args),
-        ("simulate", "sample random influence words and report rates", cmd_simulate, _simulate_args),
-        ("propagate", "run the lattice propagator from a point source", cmd_propagate, _propagate_args),
-        ("hasse", "render a network file as a Hasse diagram", cmd_hasse, _hasse_args),
-        ("paths", "render a word as a zig-zag spacetime path", cmd_paths, _paths_args),
-    )
     parser = argparse.ArgumentParser(
         prog="infnet", description="Influence-network construction, geometry, and propagation."
     )
-    selected = [entry for entry in commands if entry[0] == command]
-    metavar = "{" + ",".join(entry[0] for entry in commands) + "}" if selected else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_text, handler, add_arguments in selected or commands:
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(func=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the full parser would, building one parser where argv[0] names a command.
+
+    That parser is the one the full parser's subparsers action would build
+    and hand argv[1:] to, so help, usage and errors are its own.  Leftover
+    arguments are an error only the full parser reports, with a usage line
+    listing every command, so it parses them again.
+    """
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is not None:
+        parser = argparse.ArgumentParser(prog=f"infnet {argv[0]}")
+        entry[1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except NetworkParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

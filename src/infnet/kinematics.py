@@ -92,7 +92,7 @@ def transform_rates(rel: FrameRelation, rates: RatePair) -> RatePair:
     factors: r_p * sqrt(n/m) and r_q * sqrt(m/n).  The product, hence the
     mass, is untouched.
     """
-    factor = math.sqrt(rel.m / rel.n)
+    factor = float(rel.multiplier)  # from the exact rational, so extreme frames keep their root
     return RatePair(rates.r_p / factor, rates.r_q * factor)
 
 

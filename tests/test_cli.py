@@ -45,7 +45,7 @@ Covered claims:
       conftest
     - every `infnet` line of the README's command block runs and exits 0,
       and the README's library example prints the line its comment gives
-    - a call naming a command builds only that command's subparser, and
+    - a call naming a command builds one parser, that command's, and
       prints the same help, usage and error bytes as the full parser; the
       network, geometry and frame commands and enumerate run without
       importing numpy, and so does `from infnet import *`, which binds the
@@ -1411,12 +1411,26 @@ def built_subparsers(monkeypatch):
     return names
 
 
+@pytest.fixture
+def built_parsers(monkeypatch):
+    """The prog of every argparse.ArgumentParser constructed since, in order."""
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return progs
+
+
 @pytest.mark.parametrize("command", COMMANDS)
-def test_a_named_command_builds_only_its_subparser(capsys, built_subparsers, command):
+def test_a_named_command_builds_one_parser(capsys, built_parsers, command):
     code, out, _ = run_cli(capsys, command, "--help")
     assert code == 0
     assert out.startswith(f"usage: infnet {command} ")
-    assert built_subparsers == [command]
+    assert built_parsers == [f"infnet {command}"]
 
 
 @pytest.mark.parametrize("argv", [(), ("--help",), ("bogus",), ("val", "x")])
@@ -1430,6 +1444,12 @@ PARSER_CASES = [
     (),
     ("--help",),
     ("bogus",),
+    ("quantify", "x", "--ch", "P", "--pa", "Q"),
+    ("interval", "--pair", "1"),
+    ("enumerate", "--p", "1", "--q", "1", "--amplitudes"),
+    ("hasse", "x", "--svg"),
+    ("quantify", "x", "--chain", "P", "--help"),
+    ("propagate", "--steps", "3", "extra"),
 ]
 
 
@@ -1437,21 +1457,24 @@ PARSER_CASES = [
 def test_parser_output_matches_the_full_parser(capsys, monkeypatch, tmp_path, argv):
     """Exit code, stdout and stderr equal those of main() over the parser of all commands.
 
-    `validate a b c` covers the top-level "unrecognized arguments" error,
-    whose usage line lists every command; `none` and `bogus` cover the
-    missing- and unknown-command errors, which name the positional
-    "command".
+    The reference parses with `cli.build_parser()` and nothing else.
+    `validate a b c` and `propagate --steps 3 extra` cover the top-level
+    "unrecognized arguments" error, whose usage line lists every command;
+    `none` and `bogus` cover the missing- and unknown-command errors,
+    which name the positional "command".
     """
-    monkeypatch.chdir(tmp_path)  # `a` is no file here; outputs would land here
+    monkeypatch.chdir(tmp_path)  # `a` and `x` are no files here; outputs would land here
     got = run_cli(capsys, *argv)
-    full_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
     assert run_cli(capsys, *argv) == got
-    if argv[-1:] == ("--help",):
+    if "--help" in argv:
         assert got[0] == 0
-    elif argv[-1:] in [("--bogus",), ("bogus",), ("c",)]:
+    elif argv[-1:] in [("--bogus",), ("bogus",), ("c",), ("extra",)]:
         assert got[0] == 2
         assert "usage: infnet " in got[2]
+    if argv[-1:] == ("extra",):
+        assert got[2].startswith("usage: infnet [-h]")
+        assert got[2].endswith("infnet: error: unrecognized arguments: extra\n")
 
 
 @pytest.mark.parametrize(

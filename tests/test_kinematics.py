@@ -5,7 +5,8 @@ Covered claims:
       beta_consistency reject nan and infinite inputs
     - mass/energy/momentum satisfy m**2 = E**2 - p**2 identically
     - the worked rate pair (0.5, 2) gives (m, E, p, beta) = (1, 1.25, 0.75, 0.6)
-    - frame changes leave the mass alone and boost (E, p) like (dt, dx)
+    - frame changes leave the mass alone and boost (E, p) like (dt, dx),
+      also for frames whose m underflows a float but whose root does not
     - beta from spans equals beta from rates, for any shared count
     - sampled words reproduce the expected beta within binomial error
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -118,6 +120,21 @@ class TestTransformRates:
     def test_identity_frame(self):
         rates = RatePair(0.7, 1.3)
         assert transform_rates(FrameRelation(5, 5), rates) == rates
+
+    @pytest.mark.parametrize(
+        "m, root",
+        [(Fraction(1, 10**400), 1e-200), (Fraction(2, 10**400), 2**0.5 * 1e-200)],
+        ids=["square", "not-a-square"],
+    )
+    def test_frames_beyond_float_range_take_the_exact_root(self, m, root):
+        # m itself underflows a float; its root sqrt(m/n) does not.
+        rates = RatePair(1.0, 1.0)
+        moved = transform_rates(FrameRelation(m, 1), rates)
+        assert moved.r_p == pytest.approx(1 / root, rel=REL_TOL)
+        assert moved.r_q == pytest.approx(root, rel=REL_TOL)
+        assert kinematics_from_rates(moved).mass == pytest.approx(
+            kinematics_from_rates(rates).mass, rel=REL_TOL
+        )
 
     def test_mass_and_rate_product_invariant(self):
         rng = random.Random(33)
