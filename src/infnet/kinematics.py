@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .geometry import Number
-from .transforms import FrameRelation
+from .transforms import FrameRelation, _sqrt
 
 # Compton-scale size of one half-step for an electron: documentation values.
 COMPTON_TICK_SECONDS = 8e-21
@@ -90,10 +91,21 @@ def transform_rates(rel: FrameRelation, rates: RatePair) -> RatePair:
 
     Spans transform like pair components, so rates pick up the inverse
     factors: r_p * sqrt(n/m) and r_q * sqrt(m/n).  The product, hence the
-    mass, is untouched.
+    mass, is untouched.  Each new rate is the root of the exact rational
+    r_p**2 * n/m (r_q**2 * m/n) rounded once, so a rate that fits in a
+    float is returned even where its factor does not; a zero rate stays
+    zero, and a rate beyond float range is a ValueError.
     """
-    factor = float(rel.multiplier)  # from the exact rational, so extreme frames keep their root
-    return RatePair(rates.r_p / factor, rates.r_q * factor)
+    ratio = Fraction(rel.n) / Fraction(rel.m)
+    return RatePair(
+        _rescaled(rates.r_p, ratio, "r_p * sqrt(n/m)"),
+        _rescaled(rates.r_q, 1 / ratio, "r_q * sqrt(m/n)"),
+    )
+
+
+def _rescaled(rate: float, ratio: Fraction, name: str) -> float:
+    """rate * sqrt(ratio), rounded once from the exact rational."""
+    return _sqrt(Fraction(rate) ** 2 * ratio, name) if rate else rate
 
 
 def beta_consistency(dp: Number, dq: Number) -> float:

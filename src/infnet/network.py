@@ -24,10 +24,16 @@ one).  Every network closes the same way.  Until its first read
 only record edges in the successor sets and keep no bitsets, so a build
 whose ids rise with influence, as `add_event` numbers them, costs O(1)
 per edge until then.
-The first read computes the bitsets whole in one Kahn order (CACM 5(11),
-1962), whatever order the ids run in.  The events it cannot place lie on
-or below a cycle; they start from the OR of their placed predecessors,
-and the edges among them go in one at a time through the walk below.
+The first read computes the bitsets whole.  While every edge runs from a
+lower index to a higher one, index order is topological, and one pass
+over the events in that order ORs each event's ancestors, and itself,
+into its successors.  Otherwise the pass goes in one Kahn order (CACM
+5(11), 1962), whatever order the ids run in.  In both, an event's first
+incoming bitset is its source's own int, not a copy: ints are immutable,
+so a later OR just binds a new one.  The events the Kahn order cannot
+place lie on or below a cycle; they start from the OR of their placed
+predecessors, and the edges among them go in one at a time through the
+walk below.
 After the first read every insert walks:
 inserting s -> t ORs the ancestors of s, and s, into t and walks down from
 t, stopping at every event that already has s as an ancestor, so each
@@ -39,10 +45,11 @@ then topological, and no upward edge can close a cycle.
 Influence is reflexive by convention: every event influences itself, which
 lets chain members project onto themselves without special cases
 downstream.  The closure pass also answers the order questions: only the
-events its Kahn order could not place can lie on a cycle (later inserts
-refuse cycles), so `_cyclic`, which `validate` and `hasse_svg` share,
-tests only those, none in an acyclic network; and index order while every
-edge runs upward, else ancestor count, gives `hasse_svg` its depths.  The
+events its Kahn order could not place can lie on a cycle (an upward
+network has none, and later inserts refuse cycles), so `_cyclic`, which
+`validate` and `hasse_svg` share, tests only those, none in an acyclic
+network; and index order while every edge runs upward, else ancestor
+count, gives `hasse_svg` its depths.  The
 bitsets also reduce: `_covering` ORs a source's successor bits into one
 mask, and an edge s -> t is redundant exactly when t's ancestors meet that
 mask without t's own bit.  `transitive_reduction` runs that rule on every
@@ -73,6 +80,7 @@ view.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
@@ -387,8 +395,14 @@ class InfluenceNetwork:
 
         The successor sets are built whole in one pass; like every
         network's, the closure waits for the first read (see `_closure`).
-        The order of the ids decides nothing but `_upward`, which stays set
-        only if every edge runs from a lower id to a higher one, so a later
+        The other tables come from bulk calls: each chain's members map to
+        its one (name,) tuple through one `dict.fromkeys`, and only when
+        the key count shows an event on two chains are the homes collected
+        event by event; the index is `dict(zip(ids, range(n)))`.  The order
+        of the ids decides nothing but `_upward`, which stays set only if
+        every edge runs from a lower id to a higher one: every chain's
+        members never fall (equal neighbours make no link) and every
+        influence rises.  It picks the first read's pass, and a later
         `add_influence` keeps the cycle test it needs.  In restricted mode
         one more pass, over the distinct influences alone, counts each
         event's cross-chain edges for `add_influence` and `validate`: a
@@ -398,23 +412,31 @@ class InfluenceNetwork:
         net = cls(mode)
         net._chains = {name: list(members) for name, members in chains.items()}
         chains_of = net._chains_of
-        for name, members in net._chains.items():
-            home = (name,)  # () + home is home itself: one tuple for the whole chain
-            for event in dict.fromkeys(members):
-                chains_of[event] = chains_of.get(event, ()) + home
+        homes = [dict.fromkeys(members, (name,)) for name, members in net._chains.items()]
+        for home in homes:
+            chains_of.update(home)
+        if len(chains_of) < sum(map(len, homes)):
+            # An event lies on two chains: collect its homes one by one.
+            chains_of.clear()
+            for name, members in net._chains.items():
+                home = (name,)  # () + home is home itself: one tuple for the whole chain
+                for event in dict.fromkeys(members):
+                    chains_of[event] = chains_of.get(event, ()) + home
         influences = list(influences)
         ids = sorted({*events, *chains_of, *itertools.chain.from_iterable(influences)})
         if ids and ids[0] < 0:
             raise NetworkError(f"event ids are non-negative, got {ids[0]}")
-        index = {event: i for i, event in enumerate(ids)}
         succ: dict[int, set[int]] = {event: set() for event in ids}
         # Chain links in chain order, not as the chain_links() set: hash
         # order would scatter these writes over memory.
         for source, target in itertools.chain(net._links(), influences):
             succ[source].add(target)
-        net._ids, net._index, net._succ = ids, index, succ
-        # Indices follow the sorted ids, so an edge runs upward iff its ids rise.
-        net._upward = all(s < t for s, targets in succ.items() for t in targets)
+        net._ids, net._index, net._succ = ids, dict(zip(ids, range(len(ids)))), succ
+        # Indices follow the sorted ids, so an edge runs upward iff its ids
+        # rise.  A chain's links skip equal neighbours, hence le, not lt.
+        net._upward = all(
+            all(map(operator.le, members, members[1:])) for members in net._chains.values()
+        ) and all(itertools.starmap(operator.lt, influences))
         if mode == RESTRICTED:
             # Each distinct cross edge counts at both ends, a self-loop once.
             cross = [edge for edge in set(influences) if net._is_cross(*edge)]
@@ -567,18 +589,35 @@ class InfluenceNetwork:
     def _closure(self) -> list[int]:
         """The ancestor bitsets, computed whole on the first read.
 
-        The first read closes every recorded edge in one Kahn order (CACM
-        5(11), 1962): it counts each event's in-degree over the successor
-        sets, and each event, once all its predecessors are placed, ORs its
-        ancestors and itself into each successor.  The events that are
-        never placed lie on or below a cycle; each then holds the OR of its
-        placed predecessors, and the edges among them go back in one at a
-        time through the walk, which is exact on cycles.  Later reads
-        return the bitsets as the walks keep them.
+        The first read closes every recorded edge in one pass, in which
+        each event, once all its predecessors are done, ORs its ancestors
+        and itself into each successor.  While `_upward` holds, index order
+        is that order, and the pass needs no bookkeeping.  Otherwise it
+        goes in one Kahn order (CACM 5(11), 1962): it counts each event's
+        in-degree over the successor sets and places an event when its
+        last predecessor is done.  In both passes the first bitset an event
+        receives is the source's own int, which later ORs rebind rather
+        than change.  The events that are never placed lie on or below a
+        cycle; each then holds the OR of its placed predecessors, and the
+        edges among them go back in one at a time through the walk, which
+        is exact on cycles.  Later reads return the bitsets as the walks
+        keep them.
         """
         if self._stale:
             ids, index, succ = self._ids, self._index, self._succ
             anc = self._anc = [0] * len(ids)
+            if self._upward:
+                # Index order is topological: no Kahn bookkeeping.
+                for i, event in enumerate(ids):
+                    targets = succ[event]
+                    if targets:
+                        gained = anc[i] | 1 << i
+                        for target in targets:
+                            j = index[target]
+                            bits = anc[j]
+                            anc[j] = bits | gained if bits else gained
+                self._stale = False
+                return anc
             indegree = Counter(itertools.chain.from_iterable(succ.values()))
             waiting = [indegree[event] for event in ids]
             order = [i for i, count in enumerate(waiting) if not count]
@@ -586,7 +625,8 @@ class InfluenceNetwork:
                 gained = anc[i] | 1 << i
                 for target in succ[ids[i]]:
                     j = index[target]
-                    anc[j] |= gained
+                    bits = anc[j]
+                    anc[j] = bits | gained if bits else gained
                     waiting[j] -= 1
                     if not waiting[j]:
                         order.append(j)

@@ -26,7 +26,9 @@ Covered claims:
       tests/data/ladder.net, validate on the broken files beside it (a
       cycle, a degree breach, a repeated member, events on two chains and
       on none), hasse on ladder.net, two_particles.net and
-      restricted.net, paths on the word PQPPQPQ, and propagate and
+      restricted.net, hasse --force on the acyclic broken files
+      (degree.net, repeated.net, two_chains.net), paths on the word
+      PQPPQPQ, and propagate and
       simulate (words, and totals across many chunks), print or write the
       checked-in expected files that CI also diffs against
     - restricted.net (240 events on 6 chains, 8 redundant cross edges) is
@@ -776,6 +778,15 @@ def test_hasse_drawings_match_the_checked_in_files(capsys, tmp_path, name):
     target = tmp_path / f"{name}.svg"
     assert run_cli(capsys, "hasse", str(DATA / f"{name}.net"), "--svg", str(target)) == (0, "", "")
     assert target.read_bytes() == (DATA / f"{name}.svg").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["degree", "repeated", "two_chains"])
+def test_forced_hasse_drawings_match_the_checked_in_files(capsys, tmp_path, name):
+    # Each file fails validation but has no cycle, so --force draws it.
+    target = tmp_path / f"{name}.force.svg"
+    argv = ["hasse", str(DATA / f"{name}.net"), "--force", "--svg", str(target)]
+    assert run_cli(capsys, *argv) == (0, "", "")
+    assert target.read_bytes() == (DATA / f"{name}.force.svg").read_bytes()
 
 
 def test_path_drawing_matches_the_checked_in_file(capsys, tmp_path):

@@ -6,7 +6,10 @@ Covered claims:
     - mass/energy/momentum satisfy m**2 = E**2 - p**2 identically
     - the worked rate pair (0.5, 2) gives (m, E, p, beta) = (1, 1.25, 0.75, 0.6)
     - frame changes leave the mass alone and boost (E, p) like (dt, dx),
-      also for frames whose m underflows a float but whose root does not
+      also for frames whose m underflows a float but whose root does not;
+      a new rate is rounded once from the exact rational, so it is found
+      even where its factor sqrt(n/m) or sqrt(m/n) is beyond float range,
+      and a rate beyond that range is a ValueError
     - beta from spans equals beta from rates, for any shared count
     - sampled words reproduce the expected beta within binomial error
 """
@@ -135,6 +138,24 @@ class TestTransformRates:
         assert kinematics_from_rates(moved).mass == pytest.approx(
             kinematics_from_rates(rates).mass, rel=REL_TOL
         )
+
+    @pytest.mark.parametrize(
+        "m, rates, moved",
+        [
+            (Fraction(1, 10**800), RatePair(1e-300, 1.0), RatePair(1e100, 0.0)),
+            (10**800, RatePair(1.0, 1e-300), RatePair(0.0, 1e100)),
+        ],
+        ids=["m-underflows", "m-overflows"],
+    )
+    def test_rates_in_float_range_survive_factors_beyond_it(self, m, rates, moved):
+        # sqrt(n/m) is 1e400 or 1e-400, which no float holds; the rates
+        # 1e-300 * 1e400 and 1e-300 / 1e-400 do fit, and the other one
+        # underflows to 0.
+        assert transform_rates(FrameRelation(m, 1), rates) == moved
+
+    def test_rate_beyond_float_range_is_refused(self):
+        with pytest.raises(ValueError, match=r"^r_q \* sqrt\(m/n\) is too large for a float$"):
+            transform_rates(FrameRelation(10**800, 1), RatePair(1.0, 1.0))
 
     def test_mass_and_rate_product_invariant(self):
         rng = random.Random(33)

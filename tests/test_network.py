@@ -9,12 +9,19 @@ Covered claims:
     - influences() is reflexive-transitive and matches a BFS oracle, after
       random add_event/add_influence sequences (rejected attempts included)
       and on from_parts input in any id order, cyclic input included
-    - a loaded network closes in one Kahn pass on its first read: its
-      bitsets equal BFS at 300 and 2000 events on permuted, reversed, cyclic,
-      self-loop and repeated-member input; a load with a downward edge
-      keeps add_influence's cycle test for later upward edges; and a
-      falling chain of 4000 events loads in at most about 2.5 times the
-      time of one of 2000
+    - a loaded network closes whole on its first read: its bitsets equal
+      BFS at 300 and 2000 events on permuted, reversed, cyclic, self-loop
+      and repeated-member input; a load with a downward edge keeps
+      add_influence's cycle test for later upward edges; and a falling
+      chain of 4000 events loads in at most about 2.5 times the time of
+      one of 2000
+    - from_parts' bulk tables equal per-event references on raw parts:
+      _upward holds exactly when every edge of edges() rises, and each
+      event's chains, key order included; repeated.net loads upward
+    - an upward network closes in index order and the same parts with
+      falling ids in Kahn order, to the same BFS bitsets with no event
+      left unplaced; inserts after an upward load's first read keep every
+      bitset equal to BFS
     - transitive reduction drops exactly the implied edges: on raw parts
       (cycles, self-loops, shared events, repeated members) it keeps an
       edge s -> t iff no other successor of s reaches t by BFS
@@ -48,6 +55,7 @@ import random
 import re
 import statistics
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -64,6 +72,7 @@ from infnet import (
     UnknownChainError,
     UnknownEventError,
 )
+from infnet import netformat
 from infnet.svg import hasse_svg
 
 from conftest import (
@@ -74,6 +83,8 @@ from conftest import (
     restricted_file_parts,
     restricted_parts,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def assert_closure_matches_bfs(net: InfluenceNetwork) -> None:
@@ -433,6 +444,17 @@ def large_parts(shape: str, n: int, seed: int) -> tuple[dict, list]:
     return chains, [(ids[a], ids[b]) for a, b in edges]
 
 
+def bfs_bitsets(net: InfluenceNetwork) -> list[int]:
+    """Each event's ancestor bitset over event indices, by BFS over edges()."""
+    adj = adjacency(net)
+    index = {e: i for i, e in enumerate(net.event_ids())}
+    below: list[set[int]] = [set() for _ in index]
+    for a, i in index.items():
+        for b in bfs_descendants(adj, a):
+            below[index[b]].add(i)
+    return [sum(1 << i for i in ancestors) for ancestors in below]
+
+
 class TestBulkLoad:
     """from_parts builds the adjacency whole; the first read closes it in one Kahn order."""
 
@@ -441,15 +463,28 @@ class TestBulkLoad:
     def test_closure_matches_bfs_at_bulk_sizes(self, shape, n):
         chains, edges = large_parts(shape, n, seed=n)
         net = InfluenceNetwork.from_parts("general", chains, edges, events=range(n))
-        adj = adjacency(net)
-        index = {e: i for i, e in enumerate(net.event_ids())}
-        below: list[set[int]] = [set() for _ in index]
-        for a, i in index.items():
-            for b in bfs_descendants(adj, a):
-                below[index[b]].add(i)
-        expected = [sum(1 << i for i in ancestors) for ancestors in below]
-        assert net._closure() == expected
+        assert net._closure() == bfs_bitsets(net)
         assert bool(net._cyclic()) == (shape not in ("permuted", "reversed"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(network_parts(), st.sampled_from(["general", "restricted"]))
+    def test_bulk_tables_match_per_event_references(self, parts, mode):
+        # Shared events, repeated members, self-loops and duplicate
+        # influences included.
+        chains, edges, n = parts
+        net = InfluenceNetwork.from_parts(mode, chains, edges, events=range(n))
+        assert net._upward == all(s < t for s, t in net.edges())
+        homes: dict[int, tuple[str, ...]] = {}
+        for name, members in chains.items():
+            for event in members:
+                if name not in homes.get(event, ()):
+                    homes[event] = homes.get(event, ()) + (name,)
+        assert list(net._chains_of.items()) == list(homes.items())
+
+    def test_repeated_member_file_loads_upward(self):
+        # chain P: 0 1 1 2 links 0 -> 1 -> 2; its equal neighbours make no edge.
+        net = netformat.loads((DATA / "repeated.net").read_text())
+        assert net._upward and net.chain("P").events == (0, 1, 1, 2)
 
     def test_upward_insert_after_a_downward_load_still_tests_for_cycles(self):
         # 3 -> 1 -> 2 loads with one downward edge; 2 -> 3 runs upward and
@@ -500,6 +535,57 @@ class TestBulkLoad:
                 up, down = min(up, load(rising)), min(down, load(falling))
             ratios.append(down / up)
         assert statistics.median(ratios) <= 1.5, sorted(ratios)
+
+
+@st.composite
+def upward_parts(draw):
+    """`network_parts` with every chain sorted and every edge turned to run upward.
+
+    Chains may still share events and repeat members; self-loops are
+    dropped.  Returns (chains, edges, n).
+    """
+    chains, edges, n = draw(network_parts(max_events=16))
+    chains = {name: sorted(members) for name, members in chains.items()}
+    return chains, [(min(edge), max(edge)) for edge in edges if edge[0] != edge[1]], n
+
+
+class TestClosurePasses:
+    """An upward network closes in index order, any other in Kahn order; both give the BFS closure."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(upward_parts())
+    def test_index_order_and_kahn_order_give_the_same_bitsets(self, parts):
+        chains, edges, n = parts
+        net = InfluenceNetwork.from_parts("general", chains, edges, events=range(n))
+        assert net._upward
+        assert net._closure() == bfs_bitsets(net) and net._unplaced == []
+        # Relabelled by e -> n - 1 - e every edge runs downward, so the load
+        # takes the Kahn pass; index i becomes n - 1 - i.
+        falling = InfluenceNetwork.from_parts(
+            "general",
+            {name: [n - 1 - e for e in members] for name, members in chains.items()},
+            [(n - 1 - s, n - 1 - t) for s, t in edges],
+            events=range(n),
+        )
+        assert falling._upward == (not net.edges())
+        flipped = [sum(1 << (n - 1 - i) for i in range(n) if bits >> i & 1) for bits in net._closure()]
+        assert falling._closure() == flipped[::-1] and falling._unplaced == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(upward_parts(), st.randoms(use_true_random=False))
+    def test_inserts_after_an_upward_load_keep_every_bitset_exact(self, parts, rng):
+        # The first read hands an event's first incoming bitset over as its
+        # source's own int; the walks of later inserts rebind, never share.
+        chains, edges, n = parts
+        net = InfluenceNetwork.from_parts("general", chains, edges, events=range(n))
+        assert net._closure() == bfs_bitsets(net)
+        for _ in range(2 * n):
+            source, target = rng.randrange(n), rng.randrange(n)
+            try:
+                net.add_influence(source, target)
+            except (CycleError, DuplicateEdgeError):
+                continue
+            assert net._closure() == bfs_bitsets(net), (source, target)
 
 
 # == 4. Transitive reduction ==================================================
