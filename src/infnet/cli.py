@@ -135,12 +135,11 @@ def cmd_interval(args: argparse.Namespace) -> int:
         )
         _emit("quadruple", " ".join(str(v) for v in quantified.quadruple))
         pair = quantified.pair
-    scalar, dt, dx = geometry.minkowski_scalar(pair)
     split = geometry.decompose(pair)
     _emit("pair", _fmt_pair(pair))
-    _emit("scalar", scalar)
-    _emit("dt", dt)
-    _emit("dx", dx)
+    _emit("scalar", pair.scalar)
+    _emit("dt", split.dt)
+    _emit("dx", split.dx)
     _emit("symmetric", _fmt_pair(split.symmetric))
     _emit("antisymmetric", _fmt_pair(split.antisymmetric))
     return 0

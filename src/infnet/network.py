@@ -16,65 +16,52 @@ Two connectivity modes are supported:
       connect freely.  Off-chain events are tracked as isolated.
 
 The edges are stored once, as each event's set of successors; nothing
-keeps the predecessors.  Reachability is kept as per-event ancestor
-bitsets, so `influences()` is O(1) after `finalize()`.  Event indices
-follow ids (`from_parts` indexes sorted ids, `add_event` appends the next
-one).  Every network closes the same way.  Until its first read
-(`finalize()` included), `from_parts`, `add_event` and `add_influence`
-only record edges in the successor sets and keep no bitsets, so a build
-whose ids rise with influence, as `add_event` numbers them, costs O(1)
-per edge until then.
-The first read computes the bitsets whole.  While every edge runs from a
-lower index to a higher one, index order is topological, and one pass
-over the events in that order ORs each event's ancestors, and itself,
-into its successors.  Otherwise the pass goes in one Kahn order (CACM
-5(11), 1962), whatever order the ids run in.  In both, an event's first
-incoming bitset is its source's own int, not a copy: ints are immutable,
-so a later OR just binds a new one.  The events the Kahn order cannot
-place lie on or below a cycle; they start from the OR of their placed
-predecessors, and the edges among them go in one at a time through the
-walk below.
-After the first read every insert walks:
-inserting s -> t ORs the ancestors of s, and s, into t and walks down from
-t, stopping at every event that already has s as an ancestor, so each
-event is updated at most once and only events that gain bits are touched
-(Italiano, TCS 48, 1986).  Both give the same exact closure, cycles
-included.  `add_influence` reads the closure for its cycle test, except
-while every edge runs from a lower index to a higher one: index order is
-then topological, and no upward edge can close a cycle.
+keeps the predecessors.  Event indices follow ids (`from_parts` indexes
+sorted ids, `add_event` appends the next one).  Reachability is kept as
+per-event ancestor bitsets, so `influences()` is O(1) after the first read.
+
+Lifecycle.  `from_parts`, `add_event` and `add_influence` record edges in
+the successor sets; `finalize()` only freezes the network.  The first read
+that needs reachability builds the bitsets whole (`_closure`): in index
+order while every edge runs from a lower index to a higher one, else in
+one Kahn order, and the events that order cannot place, on or below a
+cycle, take their edges one at a time.  From then on each insert spreads
+its edge s -> t: it ORs the ancestors of s, and s, into t and below,
+stopping at every event that already has s (Italiano, TCS 48, 1986).  Both
+give the same exact closure, cycles included.  While every edge runs
+upward, index order is topological, so no upward insert can close a cycle
+and `_cyclic` knows there is none without a bitset: a build whose ids
+rise with influence, as `add_event` numbers them, costs O(1) per edge,
+and `validate` and `dumps` of an upward network build no bitsets.
+
+Storage.  The closure and each chain's view are built whole by the first
+read that needs them and stored on the network; nothing builds them
+earlier.  A view is the `ChainRef` that `chain()` returns plus the chain's
+forward and backward projection labels of every event (the chain-indexed
+closure of Jagadish, ACM TODS 15, 1990, computed once rather than kept up
+edge by edge); it is never invalidated.  A finalized network is immutable
+and safe to share across threads for read-only queries: threads racing on
+a first read may each build a copy, the copies are equal, and a view's
+first stored copy is the one every caller gets.  `validate()`,
+`transitive_reduction()`, `dumps` and `hasse_svg` build no view.
+
 Influence is reflexive by convention: every event influences itself, which
 lets chain members project onto themselves without special cases
 downstream.  The closure pass also answers the order questions: only the
-events its Kahn order could not place can lie on a cycle (an upward
-network has none, and later inserts refuse cycles), so `_cyclic`, which
-`validate` and `hasse_svg` share, tests only those, none in an acyclic
-network; and index order while every edge runs upward, else ancestor
-count, gives `hasse_svg` its depths.  The
-bitsets also reduce: `_covering` ORs a source's successor bits into one
-mask, and an edge s -> t is redundant exactly when t's ancestors meet that
-mask without t's own bit.  `transitive_reduction` runs that rule on every
-edge, `hasse_svg` only on the edges that are not chain links.  `_is_cross`
-is the one test of whether an edge joins two chains.  In restricted mode each
-event's count of cross-chain edges is kept where edges enter:
-`from_parts` counts over its distinct influences only, because a chain
-link joins two members of one chain and is never cross, and
-`add_influence` refuses an edge at an event that already has one, so an
-edge it accepts sets both ends' counts from 0 to 1.  `validate` reads that
-count.
-
-Networks are append-only.  `finalize()` freezes the structure; a finalized
-network is immutable and safe to share across threads for read-only
-queries, because `finalize()` brings the closure up to date and no read
-then writes it.  It keeps one view per chain, made on first use and never
-invalidated: the `ChainRef` that `chain()` returns, plus the chain's
-forward and backward projection labels of every event.  The first
-`chain()` call or projection onto a chain builds its view whole from the
-ancestor bitsets (the chain-indexed closure of Jagadish, ACM TODS 15,
-1990, computed once rather than kept up edge by edge).  Threads racing on
-a first query share one view; each may build its own copy, the copies are
-equal, and the first one stored is the one every caller gets.
-`validate()`, `transitive_reduction()`, `dumps` and `hasse_svg` build no
-view.
+events its Kahn order could not place can lie on a cycle, so `_cyclic`,
+which `validate` and `hasse_svg` share, tests only those; and index order
+while every edge runs upward, else ancestor count, gives `hasse_svg` its
+depths.  The bitsets also reduce: `_covering` ORs a source's successor
+bits into one mask, and an edge s -> t is redundant exactly when t's
+ancestors meet that mask without t's own bit.  `transitive_reduction` runs
+that rule on every edge, `hasse_svg` only on the edges that are not chain
+links.  `_is_cross` is the one test of whether an edge joins two chains.
+In restricted mode each event's count of cross-chain edges is kept where
+edges enter: `from_parts` counts over its distinct influences only,
+because a chain link joins two members of one chain and is never cross,
+and `add_influence` refuses an edge at an event that already has one, so
+an edge it accepts sets both ends' counts from 0 to 1.  `validate` reads
+that count.
 """
 
 from __future__ import annotations
@@ -189,15 +176,14 @@ class InfluenceNetwork:
         self._cross: Counter[int] = Counter()
         # _anc[i] is a bitmask over the indices of the events that reach
         # event i through one or more edges (non-reflexive closure); read it
-        # through _closure().  While _stale, before the first read, inserts
-        # only record edges and _anc is not kept.  _upward holds while
-        # every edge runs from a lower index to a higher one.
-        self._anc: list[int] = []
+        # through _closure().  It is None until the first read builds it.
+        # _upward holds while every edge runs from a lower index to a
+        # higher one.
+        self._anc: Optional[list[int]] = None
         # The indices the first read's Kahn pass could not place, in index
         # order: the only events that can lie on a cycle (see _cyclic).
         self._unplaced: list[int] = []
         self._upward = True
-        self._stale = True
         self._finalized = False
         self._views: dict[str, _View] = {}
 
@@ -274,19 +260,15 @@ class InfluenceNetwork:
         self._index[event] = len(self._ids)
         self._ids.append(event)
         self._succ[event] = set()
-        stale = self._stale
-        if not stale:
+        if self._anc is not None:
             self._anc.append(0)
         if chain is not None:
             members = self._chains[chain]
             self._chains_of[event] = (chain,)
             if members:
                 # The new event has no successors, so its tail link closes
-                # no cycle and walks nothing below it.
-                if stale:
-                    self._succ[members[-1]].add(event)
-                else:
-                    self._walk(members[-1], event)
+                # no cycle and spreads to nothing below it.
+                self._record(members[-1], event)
             members.append(event)
         return event
 
@@ -297,8 +279,7 @@ class InfluenceNetwork:
         itgt = self._require_event(target)
         if source == target:
             raise CycleError(f"cycle-would-form: self influence at event {source}")
-        targets = self._succ[source]
-        if target in targets:
+        if target in self._succ[source]:
             raise DuplicateEdgeError(f"duplicate influence {source} -> {target}")
         # While index order is topological, an upward edge cannot close a cycle.
         upward = self._upward and isrc < itgt
@@ -313,14 +294,14 @@ class InfluenceNetwork:
                     )
             cross[source] = cross[target] = 1  # both ends were at 0
         self._upward = upward
-        if self._stale:
-            targets.add(target)
-        else:
-            self._walk(source, target)
+        self._record(source, target)
 
     def finalize(self) -> "InfluenceNetwork":
-        """Freeze the network; further mutation raises FinalizedError."""
-        self._closure()
+        """Freeze the network; further mutation raises FinalizedError.
+
+        It builds nothing: the closure and the chain views wait for the
+        first read that needs them.
+        """
         self._finalized = True
         return self
 
@@ -517,10 +498,14 @@ class InfluenceNetwork:
     def _cyclic(self) -> tuple[int, ...]:
         """Events among their own ancestors, i.e. on directed cycles, in id order.
 
-        Only events that the Kahn pass of `_closure` could not place can lie
-        on a cycle, and every later insert refuses cycles, so only those
-        events are tested: none in an acyclic network.
+        While `_upward` holds, no edge runs back down the index order, so
+        there is no cycle and no bitset is read.  Otherwise only events that
+        the Kahn pass of `_closure` could not place can lie on a cycle, and
+        every later insert refuses cycles, so only those events are tested:
+        none in an acyclic network.
         """
+        if self._upward:
+            return ()
         anc, ids = self._closure(), self._ids
         return tuple(ids[i] for i in self._unplaced if anc[i] >> i & 1)
 
@@ -587,37 +572,41 @@ class InfluenceNetwork:
         return set(homes).isdisjoint(other)
 
     def _closure(self) -> list[int]:
-        """The ancestor bitsets, computed whole on the first read.
+        """The ancestor bitsets, built whole by the first read that needs them.
 
-        The first read closes every recorded edge in one pass, in which
-        each event, once all its predecessors are done, ORs its ancestors
-        and itself into each successor.  While `_upward` holds, index order
-        is that order, and the pass needs no bookkeeping.  Otherwise it
-        goes in one Kahn order (CACM 5(11), 1962): it counts each event's
-        in-degree over the successor sets and places an event when its
-        last predecessor is done.  In both passes the first bitset an event
-        receives is the source's own int, which later ORs rebind rather
-        than change.  The events that are never placed lie on or below a
-        cycle; each then holds the OR of its placed predecessors, and the
-        edges among them go back in one at a time through the walk, which
-        is exact on cycles.  Later reads return the bitsets as the walks
-        keep them.
+        Each event, once all its predecessors are done, ORs its ancestors
+        and itself into each successor: in index order while `_upward`
+        holds, with no bookkeeping, else in one Kahn order (CACM 5(11),
+        1962), which places an event when its last predecessor is done.
+        An event's first incoming bitset is its source's own int, which
+        later ORs rebind rather than change.  The events never placed lie
+        on or below a cycle and hold the OR of their placed predecessors;
+        the edges among them go back one at a time into a table of their
+        own, `back`, each spread over it as an insert is, which is exact on
+        cycles and keeps each walk among the edges put back so far.
+
+        The pass reads `_succ`, `_ids` and `_index` and writes none of them.
+        It stores `_unplaced` and then, last, `_anc`, so a read racing on a
+        finalized network builds an equal copy, and whoever finds `_anc`
+        finds `_unplaced` with it.
         """
-        if self._stale:
-            ids, index, succ = self._ids, self._index, self._succ
-            anc = self._anc = [0] * len(ids)
-            if self._upward:
-                # Index order is topological: no Kahn bookkeeping.
-                for i, event in enumerate(ids):
-                    targets = succ[event]
-                    if targets:
-                        gained = anc[i] | 1 << i
-                        for target in targets:
-                            j = index[target]
-                            bits = anc[j]
-                            anc[j] = bits | gained if bits else gained
-                self._stale = False
-                return anc
+        anc = self._anc
+        if anc is not None:
+            return anc
+        ids, index, succ = self._ids, self._index, self._succ
+        anc = [0] * len(ids)
+        unplaced: list[int] = []
+        if self._upward:
+            # Index order is topological: no Kahn bookkeeping.
+            for i, event in enumerate(ids):
+                targets = succ[event]
+                if targets:
+                    gained = anc[i] | 1 << i
+                    for target in targets:
+                        j = index[target]
+                        bits = anc[j]
+                        anc[j] = bits | gained if bits else gained
+        else:
             indegree = Counter(itertools.chain.from_iterable(succ.values()))
             waiting = [indegree[event] for event in ids]
             order = [i for i, count in enumerate(waiting) if not count]
@@ -631,30 +620,39 @@ class InfluenceNetwork:
                     if not waiting[j]:
                         order.append(j)
             # A placed event has only placed predecessors, so the events left
-            # waiting are closed under successors: take out the edges among
-            # them, so that each walk below covers only the edges put back.
-            unplaced = self._unplaced = [i for i, count in enumerate(waiting) if count]
-            rest = [(ids[i], t) for i in unplaced for t in succ[ids[i]]]
-            for source, target in rest:
-                succ[source].discard(target)
-            self._stale = False
-            for source, target in rest:
-                self._walk(source, target)
-        return self._anc
+            # waiting are closed under successors, and so is `back`.
+            unplaced = [i for i, count in enumerate(waiting) if count]
+            back: dict[int, set[int]] = {ids[i]: set() for i in unplaced}
+            for i in unplaced:
+                source = ids[i]
+                for target in succ[source]:
+                    back[source].add(target)
+                    self._spread(anc, back, i, target)
+        self._unplaced = unplaced
+        self._anc = anc
+        return anc
 
-    def _walk(self, source: int, target: int) -> None:
-        """Add source -> target to an up-to-date closure and walk down from target."""
-        isrc = self._index[source]
+    def _record(self, source: int, target: int) -> None:
+        """Add the edge source -> target; once a closure exists, spread it there."""
         self._succ[source].add(target)
-        # An event that already has source as an ancestor holds all of
-        # `gained` by transitivity, and so does everything below it.  Exact
-        # even when the edge closes a cycle: source then gains only itself.
-        anc = self._anc
-        gained = anc[isrc] | (1 << isrc)
+        if self._anc is not None:
+            self._spread(self._anc, self._succ, self._index[source], target)
+
+    def _spread(self, anc: list[int], succ: dict[int, set[int]], isrc: int, target: int) -> None:
+        """OR the ancestors of the event at isrc, and itself, into target and below.
+
+        `succ` holds the edges the bitsets already close, plus the new one.
+        An event that already has the source as an ancestor holds all of
+        `gained` by transitivity, and so does everything below it, so the
+        walk stops there (Italiano, TCS 48, 1986).  Exact even when the
+        edge closes a cycle: the source then gains only itself.
+        """
+        index = self._index
+        gained = anc[isrc] | 1 << isrc
         stack = [target]
         while stack:
             event = stack.pop()
-            i = self._index[event]
+            i = index[event]
             if not anc[i] >> isrc & 1:
                 anc[i] |= gained
-                stack.extend(self._succ[event])
+                stack.extend(succ[event])

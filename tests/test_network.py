@@ -14,7 +14,7 @@ Covered claims:
       and repeated-member input; a load with a downward edge keeps
       add_influence's cycle test for later upward edges; and a falling
       chain of 4000 events loads in at most about 2.5 times the time of
-      one of 2000
+      one of 2000, first read included
     - from_parts' bulk tables equal per-event references on raw parts:
       _upward holds exactly when every edge of edges() rises, and each
       event's chains, key order included; repeated.net loads upward
@@ -36,9 +36,14 @@ Covered claims:
     - in a build by add_event and add_influence, inserts only record
       their edges until the first read, which closes them all in one Kahn
       pass reading each event's successors once, and every later insert
-      walks from its target; the closure matches BFS between
+      spreads from its target; the closure matches BFS between
       inserts, after a downward edge, and at the benchmark's network-build
-      size, and after finalize() no read writes it
+      size; finalize() builds no bitsets, the first read builds them once
+      and later reads write nothing; validate() and dumps of an upward
+      load, and a build shaped as the network-build benchmark's, build none
+    - eight threads racing first reads (influences on all pairs, chain())
+      of a finalized, never-read network get BFS's answers and one view
+      per chain, and leave edges() as it was
     - the events on cycles are the closure's self bits among the events
       its Kahn pass could not place, read after a load or a build and
       between later inserts; index order (every edge upward) or ancestor
@@ -54,7 +59,10 @@ import math
 import random
 import re
 import statistics
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -407,16 +415,33 @@ class TestDeferredClosure:
         assert net.influences(20, 99)
         assert succ.read == []
 
-    def test_finalize_closes_so_reads_write_nothing(self):
+    def test_finalize_freezes_and_the_first_read_closes_once(self):
         net = InfluenceNetwork()
         a, b, c = (net.add_event() for _ in range(3))
         net.add_influence(a, b)
         net.add_influence(b, c)
-        before = list(net.finalize()._anc)
-        assert before == [0, 0b1, 0b11]
+        assert net.finalize()._anc is None
+        assert net.influences(a, c) and net._anc == [0, 0b1, 0b11]
+        closure = net._anc
         net._succ = log = _ReadLog(net._succ)
-        assert net.influences(a, c) and net._cyclic() == ()
-        assert log.read == [] and net._anc == before
+        assert net.influences(a, c) and not net.influences(c, a) and net._cyclic() == ()
+        assert log.read == [] and net._anc is closure and closure == [0, 0b1, 0b11]
+
+    def test_validate_and_dumps_of_an_upward_network_build_no_bitsets(self):
+        text = (DATA / "restricted.net").read_text()
+        loaded = netformat.loads(text)
+        assert loaded._upward and loaded.validate() == [] and netformat.dumps(loaded) == text
+        # A build shaped as the network-build benchmark's: inserts, finalize, dumps.
+        chains, cross, homes = restricted_parts(random.Random(500), 600, 8, 0.5)
+        built = InfluenceNetwork("restricted")
+        for name in sorted(chains):
+            built.add_chain(name)
+        for home in homes:
+            built.add_event(home)
+        for source, target in cross:
+            built.add_influence(source, target)
+        netformat.dumps(built.finalize())
+        assert loaded._anc is None and built._anc is None
 
 
 def large_parts(shape: str, n: int, seed: int) -> tuple[dict, list]:
@@ -495,6 +520,38 @@ class TestBulkLoad:
             net.add_influence(2, 3)
         assert not net.influences(2, 3)
 
+    @pytest.mark.parametrize("shape", ["permuted", "reversed", "cyclic", "self-loop", "repeated-member"])
+    def test_threads_racing_first_reads_get_the_bfs_answers(self, shape):
+        # Eight threads start together on a finalized network that no read
+        # has closed; half ask for the chains first, half for reachability.
+        chains, edges = large_parts(shape, 300, seed=7)
+        net = InfluenceNetwork.from_parts("general", chains, edges, events=range(300)).finalize()
+        snapshot, expected, ids = net.edges(), bfs_bitsets(net), net.event_ids()
+        assert net._anc is None
+        start = threading.Barrier(8)
+
+        def race(k: int) -> tuple[list[int], dict]:
+            start.wait()
+            refs = {name: net.chain(name) for name in chains} if k % 2 else {}
+            bits = [sum(net.influences(a, b) << i for i, a in enumerate(ids)) for b in ids]
+            return bits, refs or {name: net.chain(name) for name in chains}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch often, so first reads interleave
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                answers = list(pool.map(race, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+        reflexive = [bits | 1 << i for i, bits in enumerate(expected)]
+        for bits, refs in answers:
+            assert bits == reflexive
+            assert all(refs[name] is answers[0][1][name] for name in chains)
+            assert {name: ref.events for name, ref in refs.items()} == {
+                name: tuple(members) for name, members in chains.items()
+            }
+        assert net._anc == expected and net.edges() == snapshot
+
     def test_falling_ids_load_in_near_linear_time(self):
         # A 4000-event chain costs at most about 2.5 times a 2000-event
         # one.  Before the bulk load, falling ids took the walk on every
@@ -503,7 +560,8 @@ class TestBulkLoad:
         # pause on a shared machine hit.
         def load(n: int) -> float:
             start = time.perf_counter()
-            InfluenceNetwork.from_parts("general", {"P": falling[n]}, []).finalize()
+            net = InfluenceNetwork.from_parts("general", {"P": falling[n]}, []).finalize()
+            assert net.influences(n - 1, 0)  # the first read closes the chain
             return time.perf_counter() - start
 
         falling = {n: list(range(n - 1, -1, -1)) for n in (2000, 4000)}
@@ -524,7 +582,8 @@ class TestBulkLoad:
         # drops a round that a pause on a shared machine hit.
         def load(members: list[int]) -> float:
             start = time.perf_counter()
-            InfluenceNetwork.from_parts("general", {"P": members}, []).finalize()
+            net = InfluenceNetwork.from_parts("general", {"P": members}, []).finalize()
+            assert net.influences(members[0], members[-1])  # the first read closes the chain
             return time.perf_counter() - start
 
         rising, falling = list(range(4000)), list(range(3999, -1, -1))
