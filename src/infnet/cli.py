@@ -7,9 +7,11 @@ owning module and printed at full precision; the environment variable
 INFNET_SEED overrides --seed wherever sampling is involved.  numpy is
 imported only inside the library functions that make arrays, so only
 simulate and propagate load it; every other command starts without it.
-A call that names a command builds one argument parser, that command's;
-the parser of all commands is built only for a call that names none, or
-to report arguments the command's parser left over.
+A call that names a command builds one argument parser, that command's,
+and prints the help, usage and errors the full parser would; the parser
+of all commands is built only for a call that names none, or to report
+arguments the command's parser left over.  quantify's rows read each
+chain's label tables by event index, with no per-event projection call.
 """
 
 from __future__ import annotations
@@ -228,8 +230,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_propagate(args: argparse.Namespace) -> int:
     tm = checkerboard.TransferMatrices(args.theta)
     initial = checkerboard.SpinorField.delta(args.initial)
-    # Each field is formatted a column at a time.  x_text[x2 + steps] is the
-    # x column's text for doubled position x2; the run never leaves [-steps, steps].
+    # Each field is formatted a column at a time and written before the next
+    # step, so memory grows with the steps, not with the rows of the CSV.
+    # x_text[x2 + steps] is the x column's text for doubled position x2; the
+    # run never leaves [-steps, steps].
     x_text = [repr(x2 / 2) for x2 in range(-args.steps, args.steps + 1)]
     trace_rows = ["t,mean_x,norm"]
     with _open_text(args.out) as out:

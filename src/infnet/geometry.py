@@ -120,8 +120,10 @@ def is_coordinated(
 
     That holds exactly when label minus position takes one value over the
     events of each chain that project onto the other, forward and backward
-    alike.  Endpoints lacking the relevant projection are skipped, so short
-    chains are judged only on the part they can see of each other.
+    alike, so one pass over each chain's members decides it, with no
+    comparison of label pairs.  Endpoints lacking the relevant projection
+    are skipped, so short chains are judged only on the part they can see
+    of each other.
     """
     view_p, view_q = net._view(p), net._view(q)
     return all(

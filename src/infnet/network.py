@@ -195,10 +195,6 @@ class InfluenceNetwork:
     def mode(self) -> str:
         return self._mode
 
-    @property
-    def is_finalized(self) -> bool:
-        return self._finalized
-
     def event_ids(self) -> tuple[int, ...]:
         return tuple(self._ids)
 
@@ -219,9 +215,6 @@ class InfluenceNetwork:
     def chain_names(self) -> list[str]:
         return sorted(self._chains)
 
-    def has_event(self, event: int) -> bool:
-        return event in self._index
-
     def chain(self, name: str) -> ChainRef:
         """The chain as a view; a finalized network returns the same one each call."""
         if self._finalized:
@@ -231,14 +224,6 @@ class InfluenceNetwork:
     def chains_of(self, event: int) -> tuple[str, ...]:
         self._require_event(event)
         return self._chains_of.get(event, ())
-
-    def off_chain_events(self) -> tuple[int, ...]:
-        """Events on no chain at all (isolated in general mode)."""
-        return tuple(e for e in self._ids if not self._chains_of.get(e))
-
-    def successors(self, event: int) -> frozenset[int]:
-        self._require_event(event)
-        return frozenset(self._succ[event])
 
     # -------------------------
     # Mutation
@@ -460,7 +445,7 @@ class InfluenceNetwork:
         name = chain.name if isinstance(chain, ChainRef) else chain
         view = self._views.get(name)
         if view is None:
-            self.require_finalized()
+            self._require_finalized()
             ref = ChainRef(name, tuple(self._members(name)))
             at = [self._index[member] for member in ref.events]
             anc = self._closure()
@@ -491,7 +476,7 @@ class InfluenceNetwork:
         if self._finalized:
             raise FinalizedError("network is finalized; mutation is not allowed")
 
-    def require_finalized(self) -> None:
+    def _require_finalized(self) -> None:
         if not self._finalized:
             raise NotFinalizedError("network must be finalized before this query")
 

@@ -36,10 +36,6 @@ class EventCoordinate:
     forward: Optional[int]
     backward: Optional[int]
 
-    @property
-    def is_symmetric(self) -> bool:
-        return self.forward is not None and self.forward == self.backward
-
 
 @dataclass(frozen=True)
 class ChainInterval:

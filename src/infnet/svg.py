@@ -74,7 +74,9 @@ def hasse_svg(net: InfluenceNetwork) -> str:
             f'<polyline points="{points}" fill="none" stroke="#202020" stroke-width="4"/>'
         )
         x, y = xs[col_of[members[0]]], ys[depth[members[0]]]
-        parts.append(f'<text x="{x - 6}" y="{y + 28}" font-size="16">{name}</text>')
+        # A chain name may hold any character but ':', '#' and line breaks.
+        text = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        parts.append(f'<text x="{x - 6}" y="{y + 28}" font-size="16">{text}</text>')
     for source, target in _arrows(net):
         parts.append(
             f'<line x1="{x_text[col_of[source]]}" y1="{y_text[depth[source]]}" '

@@ -26,8 +26,9 @@ Covered claims:
       tests/data/ladder.net, validate on the broken files beside it (a
       cycle, a degree breach, a repeated member, events on two chains and
       on none, events on and below a cycle, which quantify --force also
-      reads: cycle_tail.net), hasse on ladder.net, two_particles.net and
-      restricted.net, hasse --force on the acyclic broken files
+      reads: cycle_tail.net), hasse on ladder.net, two_particles.net,
+      restricted.net and escape.net (chain names holding &, < and >, each
+      drawing well-formed XML), hasse --force on the acyclic broken files
       (degree.net, repeated.net, two_chains.net), paths on the word
       PQPPQPQ, and propagate and
       simulate (words, and totals across many chunks), print or write the
@@ -48,6 +49,8 @@ Covered claims:
       conftest
     - every `infnet` line of the README's command block runs and exits 0,
       and the README's library example prints the line its comment gives
+    - the names `import infnet` binds and the README's commands are pinned:
+      the commands are exactly the CLI's
     - a call naming a command builds one parser, that command's, and
       prints the same help, usage and error bytes as the full parser; the
       network, geometry and frame commands and enumerate run without
@@ -66,9 +69,11 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import xml.dom.minidom
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -155,7 +160,7 @@ class TestNetFormat:
         with pytest.raises(ViolationsError):
             netformat.load_path(str(target))
         net = netformat.load_path(str(target), force=True)
-        assert net.has_event(0)
+        assert 0 in net.event_ids()
 
     def test_isolated_events_cannot_serialize(self):
         from infnet import InfluenceNetwork
@@ -773,12 +778,14 @@ def test_validate_reports_match_the_checked_in_files(capsys, name):
     assert run_cli(capsys, "validate", str(DATA / f"{name}.net")) == (1, expected, "")
 
 
-@pytest.mark.parametrize("name", ["ladder", "two_particles", "restricted"])
+@pytest.mark.parametrize("name", ["ladder", "two_particles", "restricted", "escape"])
 def test_hasse_drawings_match_the_checked_in_files(capsys, tmp_path, name):
-    # The rows of a drawing are the events' longest-path depths.
+    # The rows of a drawing are the events' longest-path depths.  escape.net's
+    # chain names hold &, < and >, which the drawing must escape.
     target = tmp_path / f"{name}.svg"
     assert run_cli(capsys, "hasse", str(DATA / f"{name}.net"), "--svg", str(target)) == (0, "", "")
     assert target.read_bytes() == (DATA / f"{name}.svg").read_bytes()
+    xml.dom.minidom.parse(str(target))
 
 
 @pytest.mark.parametrize("name", ["degree", "repeated", "two_chains"])
@@ -1406,6 +1413,46 @@ def test_readme_library_example_prints_its_comment(capsys):
     (printing,) = [line for line in block.splitlines() if line.startswith("print(")]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out == printing.split("# ", 1)[1] + "\n"
+
+
+# The contract: the names `import infnet` binds and the commands the README
+# lists.  A deletion from either shows here as a contract change.
+PUBLIC_NAMES = [
+    "Boost", "COMPTON_STEP_METERS", "COMPTON_TICK_SECONDS", "ChainInterval", "ChainRef",
+    "CycleError", "Decomposition", "DegreeViolationError", "DuplicateEdgeError",
+    "EventCoordinate", "FinalizedError", "FrameRelation", "GENERAL", "InfluenceNetwork",
+    "IntervalQuantification", "Kinematics", "LightlikeBoostError", "MissingProjectionError",
+    "NetworkError", "NotBetweenError", "NotFinalizedError", "PairQuantification", "RESTRICTED",
+    "RatePair", "SpacelikeIntervalError", "SpacetimePath", "Spinor", "SpinorField",
+    "TransferMatrices", "UncoordinatedChainsError", "UnknownChainError", "UnknownEventError",
+    "Violation", "backward_project", "beta_consistency", "beta_gamma",
+    "build_free_particle_fixture", "chain_interval_length", "consistent_orderings", "decompose",
+    "distance", "enumerate_sequences", "forward_project", "interval_length", "is_between",
+    "is_coordinated", "kinematics_from_rates", "lorentz_boost", "minkowski_scalar",
+    "observer_spans", "one_step_probability_total", "pair_transform", "path_amplitude",
+    "path_sum_kernel", "project_interval", "propagate", "quantify_event", "quantify_interval",
+    "rates_from_counts", "sample_sequences", "sequence_to_path", "step_field", "transform_rates",
+    "zigzag_interval_pairs", "zitterbewegung_trace",
+]
+
+
+def test_public_names_and_readme_commands_are_the_contract():
+    import infnet
+
+    bound = [
+        name
+        for name, value in vars(infnet).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    ]
+    assert sorted(bound) == PUBLIC_NAMES
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    listed = {
+        line.split()[1]
+        for block in readme.split("```sh\n")[1:]
+        for line in block.split("```", 1)[0].splitlines()
+        if line.startswith("infnet ")
+    }
+    assert listed == set(cli._COMMANDS)
 
 
 # == 8. The parser ============================================================

@@ -538,7 +538,6 @@ def reference_distance(net, p, q, p_label, q_label):
 
 def reference_interval(net, a, b, p, q, require_between):
     """quantify_interval from per-event forward_project and is_between calls."""
-    net.require_finalized()
     for chain in (p, q):
         net.chain(chain)  # an unknown chain is named before any event
     labels = []

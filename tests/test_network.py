@@ -3,6 +3,7 @@
 Covered claims:
     - add_event appends, links chain tails, and rejects unknown chains
     - add_influence rejects cycles, duplicates, and restricted-degree breaches,
+      in the order README gives when a call breaks two rules, and
       on a restricted load too (the load counts its cross edges); in random
       restricted builds it refuses exactly the edges a recount over edges()
       calls breaches, and validate() then reports none
@@ -14,7 +15,8 @@ Covered claims:
       and repeated-member input; a load with a downward edge keeps
       add_influence's cycle test for later upward edges; and a falling
       chain of 4000 events loads in at most about 2.5 times the time of
-      one of 2000, first read included
+      one of 2000, and of its rising twin in at most 1.5 times, first read
+      included, with no edge taking the per-edge walk
     - from_parts' bulk tables equal per-event references on raw parts:
       _upward holds exactly when every edge of edges() rises, and each
       event's chains, key order included; repeated.net loads upward
@@ -136,7 +138,7 @@ class TestAddEvent:
     def test_chainless_event(self):
         net = InfluenceNetwork()
         event = net.add_event()
-        assert net.off_chain_events() == (event,)
+        assert net.chains_of(event) == ()
 
     def test_ids_never_reused(self):
         net = InfluenceNetwork()
@@ -213,6 +215,34 @@ class TestAddInfluence:
         net.add_event()
         with pytest.raises(UnknownEventError):
             net.add_influence(0, 99)
+
+    def test_errors_come_in_the_documented_order(self):
+        # Each call breaks two rules and gets the error of the one README
+        # lists first: finalized, unknown event, self-influence, duplicate,
+        # cycle, second cross edge.  a0 -> b1 makes both ends busy.
+        net = InfluenceNetwork("restricted")
+        net.add_chain("A")
+        net.add_chain("B")
+        a0 = net.add_event("A")
+        _, b1, b2 = (net.add_event("B") for _ in range(3))
+        net.add_influence(a0, b1)
+        with pytest.raises(UnknownEventError):
+            net.add_influence(99, 99)
+        with pytest.raises(CycleError, match="self influence"):
+            net.add_influence(a0, a0)
+        with pytest.raises(DuplicateEdgeError):
+            net.add_influence(a0, b1)
+        with pytest.raises(CycleError, match="already influences"):
+            net.add_influence(b2, a0)
+        # Only a load can hold a self-loop or a cycle to insert again.
+        loaded = InfluenceNetwork.from_parts("general", {"P": [0, 1]}, [(1, 0), (0, 0)])
+        with pytest.raises(CycleError, match="self influence"):
+            loaded.add_influence(0, 0)
+        with pytest.raises(DuplicateEdgeError):
+            loaded.add_influence(0, 1)
+        net.finalize()
+        with pytest.raises(FinalizedError):
+            net.add_influence(99, 99)
 
 
 # == 3. Reachability ==========================================================
@@ -345,7 +375,7 @@ class TestDeferredClosure:
         for _ in range(rng.randint(10, 60)):
             net.add_event(rng.choice([None, "P"]))
             source, target = sorted(rng.sample(net.event_ids(), 2))
-            if target not in net.successors(source):
+            if (source, target) not in net.edges():
                 net.add_influence(source, target)
         # A fresh event has no ancestors, so its edge down cannot close a cycle.
         fresh = net.add_event()
@@ -575,11 +605,12 @@ class TestBulkLoad:
 
     def test_falling_ids_load_as_fast_as_rising_ids(self):
         # The same 4000-event chain with ids falling against influence loads
-        # in at most 1.5 times the time of its rising twin (about 1 here;
-        # about 200 before the bulk load).  Both orders grow the same
-        # bitsets, so this ratio carries none of their growth.  Each round
-        # times both orders best of 3, interleaved; the median of 7 rounds
-        # drops a round that a pause on a shared machine hit.
+        # in at most 1.5 times the time of its rising twin (about 200 before
+        # the bulk load).  The bound is tight: falling ids close in Kahn
+        # order, and each event's ancestors sit above it, so the bitsets
+        # hold the same bits in twice the bytes.  Each round times both
+        # orders best of 3, interleaved; the median of 7 rounds drops a
+        # round that a pause on a shared machine hit.
         def load(members: list[int]) -> float:
             start = time.perf_counter()
             net = InfluenceNetwork.from_parts("general", {"P": members}, []).finalize()
@@ -594,6 +625,23 @@ class TestBulkLoad:
                 up, down = min(up, load(rising)), min(down, load(falling))
             ratios.append(down / up)
         assert statistics.median(ratios) <= 1.5, sorted(ratios)
+
+    def test_falling_ids_load_runs_no_walk(self, monkeypatch):
+        # The work the timings above bound, counted: a falling chain closes
+        # in the one pass, and no edge takes the per-edge walk (before the
+        # bulk load, each of its 3999 links did).
+        walks = []
+        spread = InfluenceNetwork._spread
+
+        def counting(net, *args):
+            walks.append(args)
+            spread(net, *args)
+
+        monkeypatch.setattr(InfluenceNetwork, "_spread", counting)
+        falling = list(range(3999, -1, -1))
+        net = InfluenceNetwork.from_parts("general", {"P": falling}, []).finalize()
+        assert net.influences(3999, 0) and not net.influences(0, 3999)
+        assert walks == []
 
 
 @st.composite

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from infnet import (
     ChainInterval,
+    FinalizedError,
     InfluenceNetwork,
     UnknownEventError,
     backward_project,
@@ -55,7 +56,6 @@ class TestChainCloud:
         member = net.chain("P").event_at(3)
         coord = quantify_event(net, member, "P")
         assert (coord.forward, coord.backward) == (3, 3)
-        assert coord.is_symmetric
 
     def test_upstream_event_has_no_backward(self, chain_cloud):
         net, ids = chain_cloud
@@ -222,7 +222,8 @@ def ladder_file() -> str:
 
 def test_reading_whole_networks_builds_no_view():
     net = loads(ladder_file())
-    assert net.is_finalized
+    with pytest.raises(FinalizedError):
+        net.add_event()
     net.validate()
     net.transitive_reduction()
     dumps(net)
