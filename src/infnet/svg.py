@@ -34,6 +34,12 @@ _ARROW_DEFS = (
     "<path d=\"M 0 0 L 10 5 L 0 10 z\" fill=\"#d06000\"/></marker></defs>"
 )
 
+# A chain name's text escapes &, < and >, and draws as U+FFFD each character
+# XML 1.0 forbids even as a reference: C0 controls but tab and line ends,
+# surrogates, U+FFFE and U+FFFF.  The text format keeps all but surrogates.
+_XML_FORBIDDEN = [*range(0x9), 0xB, 0xC, *range(0xE, 0x20), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF]
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"} | dict.fromkeys(_XML_FORBIDDEN, "\ufffd"))
+
 
 def hasse_svg(net: InfluenceNetwork) -> str:
     """Hasse diagram of the transitive reduction, influence running upward."""
@@ -74,8 +80,7 @@ def hasse_svg(net: InfluenceNetwork) -> str:
             f'<polyline points="{points}" fill="none" stroke="#202020" stroke-width="4"/>'
         )
         x, y = xs[col_of[members[0]]], ys[depth[members[0]]]
-        # A chain name may hold any character but ':', '#' and line breaks.
-        text = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        text = name.translate(_XML_TEXT)
         parts.append(f'<text x="{x - 6}" y="{y + 28}" font-size="16">{text}</text>')
     for source, target in _arrows(net):
         parts.append(

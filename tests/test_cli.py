@@ -27,8 +27,9 @@ Covered claims:
       cycle, a degree breach, a repeated member, events on two chains and
       on none, events on and below a cycle, which quantify --force also
       reads: cycle_tail.net), hasse on ladder.net, two_particles.net,
-      restricted.net and escape.net (chain names holding &, < and >, each
-      drawing well-formed XML), hasse --force on the acyclic broken files
+      restricted.net and escape.net (chain names holding &, <, > and
+      characters XML forbids, each drawing well-formed XML), hasse --force
+      on the acyclic broken files
       (degree.net, repeated.net, two_chains.net), paths on the word
       PQPPQPQ, and propagate and
       simulate (words, and totals across many chunks), print or write the
@@ -781,7 +782,8 @@ def test_validate_reports_match_the_checked_in_files(capsys, name):
 @pytest.mark.parametrize("name", ["ladder", "two_particles", "restricted", "escape"])
 def test_hasse_drawings_match_the_checked_in_files(capsys, tmp_path, name):
     # The rows of a drawing are the events' longest-path depths.  escape.net's
-    # chain names hold &, < and >, which the drawing must escape.
+    # chain names hold &, < and >, which the drawing must escape, and U+0001
+    # and U+FFFE, which XML forbids even as references.
     target = tmp_path / f"{name}.svg"
     assert run_cli(capsys, "hasse", str(DATA / f"{name}.net"), "--svg", str(target)) == (0, "", "")
     assert target.read_bytes() == (DATA / f"{name}.svg").read_bytes()
@@ -1399,6 +1401,8 @@ def test_readme_commands_run(capsys, tmp_path, monkeypatch):
     shutil.copy(DATA / "ladder.net", tmp_path / "examples.net")
     monkeypatch.chdir(tmp_path)
     assert len(commands) >= 10
+    # The README lists every command and no other (see PUBLIC_NAMES below).
+    assert {argv[1] for argv in commands} == set(cli._COMMANDS)
     for argv in commands:
         code, out, _ = run_cli(capsys, *argv[1:])
         assert code == 0, argv
@@ -1415,8 +1419,9 @@ def test_readme_library_example_prints_its_comment(capsys):
     assert capsys.readouterr().out == printing.split("# ", 1)[1] + "\n"
 
 
-# The contract: the names `import infnet` binds and the commands the README
-# lists.  A deletion from either shows here as a contract change.
+# The contract: the names `import infnet` binds and, in
+# test_readme_commands_run, the commands the README lists.  A deletion from
+# either shows there as a contract change.
 PUBLIC_NAMES = [
     "Boost", "COMPTON_STEP_METERS", "COMPTON_TICK_SECONDS", "ChainInterval", "ChainRef",
     "CycleError", "Decomposition", "DegreeViolationError", "DuplicateEdgeError",
@@ -1436,7 +1441,7 @@ PUBLIC_NAMES = [
 ]
 
 
-def test_public_names_and_readme_commands_are_the_contract():
+def test_public_names_are_the_contract():
     import infnet
 
     bound = [
@@ -1445,14 +1450,6 @@ def test_public_names_and_readme_commands_are_the_contract():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     ]
     assert sorted(bound) == PUBLIC_NAMES
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
-    listed = {
-        line.split()[1]
-        for block in readme.split("```sh\n")[1:]
-        for line in block.split("```", 1)[0].splitlines()
-        if line.startswith("infnet ")
-    }
-    assert listed == set(cli._COMMANDS)
 
 
 # == 8. The parser ============================================================
