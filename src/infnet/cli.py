@@ -99,13 +99,30 @@ def cmd_quantify(args: argparse.Namespace) -> int:
     return 0
 
 
+_DIGITS = 4300  # the most digits int() reads from a string, so also an id's limit
+_TOO_BIG = 10**_DIGITS
+
+
 def _rational(text: str) -> Fraction:
-    """argparse type: exact rationals from '4', '0.5', or '1/3'."""
+    """argparse type: exact rationals from '4', '0.5', '1/3' or '2e-400'.
+
+    A numerator or denominator of more than _DIGITS digits is refused.
+    Fraction(text) builds 10**exponent first, in time that grows without
+    bound, so an exponent that alone passes the limit (by more than the
+    digits written) is refused before it; that also refuses a zero
+    written with such an exponent.
+    """
+    # A ValueError makes argparse report a usage error, as for 'nan'.
+    mantissa, _, exponent = text.lower().partition("e")
+    if exponent and abs(int(exponent)) > _DIGITS + sum(map(str.isdecimal, mantissa)):
+        raise ValueError(f"more than {_DIGITS} digits in {text!r}")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
-        # A ValueError makes argparse report a usage error, as for 'nan'.
         raise ValueError(f"zero denominator in {text!r}") from None
+    if abs(value.numerator) >= _TOO_BIG or value.denominator >= _TOO_BIG:
+        raise ValueError(f"more than {_DIGITS} digits in {text!r}")
+    return value
 
 
 def _count(text: str) -> int:

@@ -29,7 +29,6 @@ import numpy in their bodies, so importing this module does not load it.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,10 +68,6 @@ class SpacetimePath:
             out.append((x, t))
         return out
 
-    @property
-    def end(self) -> tuple[Fraction, Fraction]:
-        return self.points()[-1]
-
 
 def _check_word(word: str) -> str:
     if any(symbol not in "PQ" for symbol in word):
@@ -90,10 +85,7 @@ def enumerate_sequences(n_p: int, n_q: int, cap: int = DEFAULT_CAP) -> list[str]
         raise ValueError("symbol counts must be non-negative")
     total = n_p + n_q
     if total > cap:
-        raise ValueError(
-            f"enumeration of {total} symbols exceeds the cap of {cap} "
-            f"({math.comb(total, n_p)} sequences)"
-        )
+        raise ValueError(f"enumeration of {total} symbols exceeds the cap of {cap}")
     words = []
     for p_positions in combinations(range(total), n_p):
         letters = ["Q"] * total

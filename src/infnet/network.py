@@ -365,11 +365,14 @@ class InfluenceNetwork:
         its one (name,) tuple through one `dict.fromkeys`, and only when
         the key count shows an event on two chains are the homes collected
         event by event; the index is `dict(zip(ids, range(n)))`.  The order
-        of the ids decides nothing but `_upward`, which stays set only if
-        every edge runs from a lower id to a higher one: every chain's
-        members never fall (equal neighbours make no link) and every
-        influence rises.  It picks the first read's pass, and a later
-        `add_influence` keeps the cycle test it needs.  In restricted mode
+        of the ids sets `_upward`, which stays set only if every edge runs
+        from a lower id to a higher one: every chain's members never fall
+        (equal neighbours make no link) and every influence rises.  It picks
+        the first read's pass, index order or Kahn, and a later
+        `add_influence` keeps the cycle test it needs.  The order also sets
+        each ancestor's bit, so when ids fall against influence every
+        bitset reaches the top index: a falling chain of 4000 events closes
+        into about twice the bytes of a rising one.  In restricted mode
         one more pass, over the distinct influences alone, counts each
         event's cross-chain edges for `add_influence` and `validate`: a
         chain link is never cross, so the links, most of a restricted

@@ -83,7 +83,7 @@ class TestEnumerateSequences:
 class TestSequenceToPath:
     def test_all_p_is_ballistic_left(self):
         path = sequence_to_path("PPPP")
-        assert path.end == (Fraction(-2), Fraction(2))
+        assert path.points()[-1] == (Fraction(-2), Fraction(2))
         for dt, dx in path.steps:
             assert dx / dt == -1
 
@@ -98,12 +98,12 @@ class TestSequenceToPath:
     def test_reference_word_endpoint(self):
         path = sequence_to_path("PQPPQPQ")
         assert len(path.steps) == 7
-        assert path.end == (-HALF, Fraction(7, 2))
+        assert path.points()[-1] == (-HALF, Fraction(7, 2))
 
     def test_custom_start(self):
         path = sequence_to_path("Q", start=(Fraction(3), Fraction(1)))
         assert path.points()[0] == (Fraction(3), Fraction(1))
-        assert path.end == (Fraction(7, 2), Fraction(3, 2))
+        assert path.points()[-1] == (Fraction(7, 2), Fraction(3, 2))
 
     def test_bad_symbol_rejected(self):
         with pytest.raises(ValueError):
@@ -117,7 +117,7 @@ class TestSequenceToPath:
         for x, t in path.points()[1:]:
             assert abs(x - x0) <= t - t0
         if word:
-            x_end, t_end = path.end
+            x_end, t_end = path.points()[-1]
             ballistic = abs(x_end - x0) == t_end - t0
             assert ballistic == (len(set(word)) == 1)
 
@@ -273,7 +273,7 @@ def test_observer_spans_are_crossed():
     assert observer_spans("QQQ") == (3, 0)
     dp, dq = observer_spans("PQPPQPQ")
     assert (dp, dq) == (3, 4)
-    x_end, t_end = sequence_to_path("PQPPQPQ").end
+    x_end, t_end = sequence_to_path("PQPPQPQ").points()[-1]
     assert Fraction(dp - dq, dp + dq) == x_end / t_end
 
 

@@ -433,7 +433,7 @@ class TestDeferredClosure:
         net.add_influence(10, 60)
         net.add_influence(20, 50)
         assert set(succ.read) == {10, 20}
-        # The first read closes the whole network in one Kahn pass.
+        # The first read closes the whole network in one pass, in index order.
         succ.read.clear()
         assert net.influences(20, 50)
         assert sorted(succ.read) == list(range(100))
@@ -511,7 +511,7 @@ def bfs_bitsets(net: InfluenceNetwork) -> list[int]:
 
 
 class TestBulkLoad:
-    """from_parts builds the adjacency whole; the first read closes it in one Kahn order."""
+    """from_parts builds the adjacency whole; the first read closes it in index or Kahn order."""
 
     @pytest.mark.parametrize("n", [300, 2000])
     @pytest.mark.parametrize("shape", ["permuted", "reversed", "cyclic", "self-loop", "repeated-member"])
@@ -919,8 +919,9 @@ class TestValidate:
     def test_closure_finds_cycles_and_depths(self, parts, loaded, edits):
         # A from_parts load (cycles included) or an empty network, then
         # add_event and add_influence calls with reads in between: the first
-        # read closes what is recorded in one Kahn pass and later inserts
-        # walk.  At every read the events on cycles are BFS's.
+        # read closes what is recorded in one pass (index order while every
+        # edge rises, else Kahn) and later inserts walk.  At every read the
+        # events on cycles are BFS's.
         chains, edges, n = parts
         if loaded:
             net = InfluenceNetwork.from_parts("general", chains, edges, events=range(n))
