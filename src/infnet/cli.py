@@ -30,8 +30,15 @@ from .geometry import PairQuantification
 from .netformat import NetworkParseError, ViolationsError
 
 
+# The most digits int() reads from a string and str() writes of an int, so
+# also an id's limit.
+_DIGITS = 4300
+
+
 def _fmt(value) -> str:
-    """Locale-independent full-precision rendering of one number."""
+    """Locale-independent full-precision rendering of one number or pair."""
+    if isinstance(value, PairQuantification):
+        return f"({_fmt(value.dp)}, {_fmt(value.dq)})"
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, complex):
@@ -41,12 +48,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _fmt_pair(pair: PairQuantification) -> str:
-    return f"({_fmt(pair.dp)}, {_fmt(pair.dq)})"
+def _emit(*rows: tuple[str, object]) -> None:
+    """Print one `label value` line per row, all rendered before the first is written.
 
-
-def _emit(label: str, value) -> None:
-    print(f"{label} {_fmt(value)}")
+    So a value that cannot be printed leaves stdout empty: str() refuses
+    an int of more than _DIGITS digits, and that is reported in its place.
+    """
+    lines = []
+    for label, value in rows:
+        try:
+            lines.append(f"{label} {_fmt(value)}\n")
+        except ValueError:
+            message = f"{label} has more than {_DIGITS} digits, too many to print"
+            raise ValueError(message) from None
+    sys.stdout.write("".join(lines))
 
 
 def _open_text(path: Optional[str]) -> ContextManager[TextIO]:
@@ -99,7 +114,6 @@ def cmd_quantify(args: argparse.Namespace) -> int:
     return 0
 
 
-_DIGITS = 4300  # the most digits int() reads from a string, so also an id's limit
 _TOO_BIG = 10**_DIGITS
 
 
@@ -142,6 +156,7 @@ def _cap(text: str) -> int:
 
 
 def cmd_interval(args: argparse.Namespace) -> int:
+    rows = []
     if args.pair is not None:
         pair = PairQuantification(*args.pair)
     else:
@@ -152,47 +167,35 @@ def cmd_interval(args: argparse.Namespace) -> int:
         quantified = geometry.quantify_interval(
             net, args.a, args.b, args.chain_p, args.chain_q
         )
-        _emit("quadruple", " ".join(str(v) for v in quantified.quadruple))
+        rows = [("quadruple", " ".join(map(str, quantified.quadruple)))]
         pair = quantified.pair
     split = geometry.decompose(pair)
-    _emit("pair", _fmt_pair(pair))
-    _emit("scalar", pair.scalar)
-    _emit("dt", split.dt)
-    _emit("dx", split.dx)
-    _emit("symmetric", _fmt_pair(split.symmetric))
-    _emit("antisymmetric", _fmt_pair(split.antisymmetric))
+    _emit(*rows, ("pair", pair), ("scalar", pair.scalar), ("dt", split.dt), ("dx", split.dx),
+          ("symmetric", split.symmetric), ("antisymmetric", split.antisymmetric))
     return 0
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
     net = netformat.load_path(args.file, force=args.force)
     value = geometry.distance(net, args.chain_p, args.chain_q, args.p_label, args.q_label)
-    _emit("distance", value)
+    _emit(("distance", value))
     return 0
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
     rel = transforms.FrameRelation(args.m, args.n)
     moved = transforms.pair_transform(rel, PairQuantification(*args.pair))
-    k = rel.k  # first, so m or n beyond float range fails before any line prints
     boost = transforms.beta_gamma(args.m, args.n)
-    _emit("pair", _fmt_pair(moved))
-    _emit("k", k)
-    _emit("beta", boost.beta)
-    _emit("gamma", boost.gamma)
-    _emit("scalar", moved.scalar)
+    _emit(("pair", moved), ("k", rel.k), ("beta", boost.beta), ("gamma", boost.gamma),
+          ("scalar", moved.scalar))
     return 0
 
 
 def cmd_kinematics(args: argparse.Namespace) -> int:
     rates = kinematics.rates_from_counts(args.count, args.dp, args.dq)
     state = kinematics.kinematics_from_rates(rates)
-    _emit("r_p", rates.r_p)
-    _emit("r_q", rates.r_q)
-    _emit("m", state.mass)
-    _emit("E", state.energy)
-    _emit("p", state.momentum)
-    _emit("beta", state.beta)
+    _emit(("r_p", rates.r_p), ("r_q", rates.r_q), ("m", state.mass), ("E", state.energy),
+          ("p", state.momentum), ("beta", state.beta))
     return 0
 
 
@@ -209,8 +212,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         final = word[-1] if word else args.initial
         totals[final] += amplitude
         print(f"{word or '-'} {_fmt(amplitude)}")
-    for final in ("P", "Q"):
-        _emit(f"sum_final_{final}", totals[final])
+    _emit(*((f"sum_final_{final}", total) for final, total in totals.items()))
     return 0
 
 
@@ -232,15 +234,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         total_p = freeparticle.count_p(args.steps, args.prob_p, seed, args.count)
     total_q = args.steps * args.count - total_p
     dp, dq = total_q, total_p  # crossed light-cone bookkeeping
-    _emit("seed", seed)
-    _emit("words", args.count)
-    _emit("steps", args.steps)
-    _emit("dp", dp)
-    _emit("dq", dq)
+    rows = [("seed", seed), ("words", args.count), ("steps", args.steps), ("dp", dp), ("dq", dq)]
     if dp + dq > 0:
-        beta = kinematics.beta_consistency(dp, dq)
-        _emit("beta", beta)
-        _emit("beta_expected", 1.0 - 2.0 * args.prob_p)
+        rows += [("beta", kinematics.beta_consistency(dp, dq)),
+                 ("beta_expected", 1.0 - 2.0 * args.prob_p)]
+    _emit(*rows)
     return 0
 
 

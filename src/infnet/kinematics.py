@@ -77,10 +77,9 @@ def rates_from_counts(count: float, dp: Number, dq: Number) -> RatePair:
 def kinematics_from_rates(rates: RatePair) -> Kinematics:
     """Mass, energy, momentum, and speed of a rate pair.
 
-    The geometric mean is evaluated as sqrt(r_p)*sqrt(r_q) so extreme rate
-    ratios cannot overflow the intermediate product.
+    The mass is the root of the exact rational r_p*r_q, rounded once.
     """
-    mass = math.sqrt(rates.r_p) * math.sqrt(rates.r_q)
+    mass = _sqrt(Fraction(rates.r_p) * Fraction(rates.r_q), "mass")
     energy = (rates.r_p + rates.r_q) / 2
     momentum = (rates.r_q - rates.r_p) / 2
     return Kinematics(mass=mass, energy=energy, momentum=momentum, beta=momentum / energy)

@@ -17,11 +17,11 @@ quantity (m - n)/(m + n) is the speed the new frame *attributes to* an
 interval at rest in the old one, so the coordinate boost runs with the
 opposite sign.  FrameRelation.as_boost() encodes the correspondence.
 
-Arithmetic stays exact (Fraction) whenever m/n is a perfect-square
-rational; otherwise floats with 1e-12 relative accuracy take over.  k,
-sqrt(m/n) and sqrt(n/m) are each taken from the exact rational and rounded
-once, so any of them that fits in a float is returned even when m, n or
-their ratio does not.
+Every root follows one rule.  sqrt(m/n), sqrt(n/m) and the length
+sqrt(dp*dq) of rational input are exact (Fraction) where the root is
+rational; any other root, k and gamma = sqrt((m+n)**2/(4*m*n)) included, is
+rounded once from its exact rational, so a root that fits in a float is
+returned even where the rational does not.  A gamma past float range is inf.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .geometry import Number, PairQuantification
 
@@ -42,20 +42,8 @@ class SpacelikeIntervalError(ValueError):
     """Raised when a length is requested for a pair with negative scalar."""
 
 
-def _exact_sqrt(value: Union[int, Fraction]) -> Optional[Fraction]:
-    """Square root of a non-negative rational, if it is itself rational."""
-    value = Fraction(value)
-    if value < 0:
-        return None
-    num = math.isqrt(value.numerator)
-    den = math.isqrt(value.denominator)
-    if num * num == value.numerator and den * den == value.denominator:
-        return Fraction(num, den)
-    return None
-
-
 def _sqrt(value: Fraction, name: str) -> float:
-    """The square root of a positive rational, rounded once to a float.
+    """The square root of a non-negative rational, rounded once to a float.
 
     The value is not turned into a float first, so a root that fits in a
     float is found even where the value itself would overflow or
@@ -77,6 +65,14 @@ def _sqrt(value: Fraction, name: str) -> float:
         raise ValueError(f"{name} is too large for a float") from None
 
 
+def _root(value: Fraction, name: str) -> Union[Fraction, float]:
+    """The square root of a non-negative rational: exact when rational, else _sqrt's."""
+    num, den = math.isqrt(value.numerator), math.isqrt(value.denominator)
+    if num * num == value.numerator and den * den == value.denominator:
+        return Fraction(num, den)
+    return _sqrt(value, name)
+
+
 @dataclass(frozen=True)
 class FrameRelation:
     """A consistent projection of one frame onto another: unit -> (m, n)."""
@@ -85,8 +81,10 @@ class FrameRelation:
     n: Number
 
     def __post_init__(self):
-        if not (self.m > 0 and self.n > 0):
-            raise ValueError(f"frame projections must be positive, got m={self.m}, n={self.n}")
+        if not (0 < self.m < math.inf and 0 < self.n < math.inf):
+            raise ValueError(
+                f"frame projections must be positive and finite, got m={self.m}, n={self.n}"
+            )
 
     @property
     def k(self) -> float:
@@ -96,12 +94,8 @@ class FrameRelation:
     @property
     def multiplier(self) -> Union[Fraction, float]:
         """The factor sqrt(m/n) applied to the forward component."""
-        ratio = Fraction(self.m) / Fraction(self.n)
-        if isinstance(self.m, (int, Fraction)) and isinstance(self.n, (int, Fraction)):
-            exact = _exact_sqrt(ratio)
-            if exact is not None:
-                return exact
-        return _sqrt(ratio, "m/n")
+        exact = isinstance(self.m, (int, Fraction)) and isinstance(self.n, (int, Fraction))
+        return (_root if exact else _sqrt)(Fraction(self.m) / Fraction(self.n), "m/n")
 
     def as_boost(self) -> "Boost":
         """The boost acting on (dt, dx) exactly as this rescaling does."""
@@ -110,7 +104,7 @@ class FrameRelation:
 
 @dataclass(frozen=True)
 class Boost:
-    """A velocity parameter with its dilation factor; gamma is inf at |beta| = 1."""
+    """A velocity parameter with its dilation factor; gamma is inf past float range."""
 
     beta: float
     gamma: float
@@ -131,18 +125,23 @@ def pair_transform(rel: FrameRelation, pair: PairQuantification) -> PairQuantifi
 def beta_gamma(m: Number, n: Number) -> Boost:
     """The speed (m - n)/(m + n) a frame pair assigns, with its gamma factor.
 
-    Reaches |beta| = 1 exactly when m or n is zero -- the light-like case,
-    flagged with infinite gamma.
+    Both come from the exact m and n, gamma as the root of
+    (m+n)**2/(4*m*n).  |beta| = 1 exactly when m or n is zero -- the
+    light-like case, flagged with infinite gamma.
     """
-    if m < 0 or n < 0:
-        raise ValueError(f"projections must be non-negative, got m={m}, n={n}")
+    if not (0 <= m < math.inf and 0 <= n < math.inf):
+        raise ValueError(f"projections must be non-negative and finite, got m={m}, n={n}")
     if m == 0 and n == 0:
         raise ValueError("m and n cannot both be zero")
-    beta = (m - n) / (m + n)
-    beta = float(beta)
-    if abs(beta) >= 1.0:
-        return Boost(beta=math.copysign(1.0, beta), gamma=math.inf)
-    return Boost(beta=beta, gamma=1.0 / math.sqrt(1.0 - beta * beta))
+    m, n = Fraction(m), Fraction(n)
+    beta = float((m - n) / (m + n))
+    if m == 0 or n == 0:
+        return Boost(beta=beta, gamma=math.inf)
+    try:
+        gamma = _sqrt((m + n) ** 2 / (4 * m * n), "gamma")
+    except ValueError:  # beyond float range, where IEEE rounding gives inf
+        gamma = math.inf
+    return Boost(beta=beta, gamma=gamma)
 
 
 def lorentz_boost(boost: Boost, dt: Number, dx: Number) -> tuple[float, float]:
@@ -159,17 +158,18 @@ def lorentz_boost(boost: Boost, dt: Number, dx: Number) -> tuple[float, float]:
 def interval_length(pair: PairQuantification) -> Union[Fraction, float]:
     """Length sqrt(dp*dq) of a time-like or null pair.
 
-    Exact when the scalar is a perfect-square rational.  A negative scalar
-    has no length; it is reported as the space-like case it is.
+    Exact when dp and dq are rational and so is the root of dp*dq, else
+    rounded once from that exact product.  A negative product has no
+    length; it is reported as the space-like case it is.
     """
-    scalar = pair.scalar
+    dp, dq = pair
+    if not (abs(dp) < math.inf and abs(dq) < math.inf):
+        raise ValueError(f"pair components must be finite, got ({dp}, {dq})")
+    scalar = Fraction(dp) * Fraction(dq)
     if scalar < 0:
         raise SpacelikeIntervalError(
-            f"pair ({pair.dp}, {pair.dq}) has negative scalar {scalar}; "
+            f"pair ({dp}, {dq}) has a negative scalar; "
             "space-like separations have a distance, not a length"
         )
-    if isinstance(scalar, Fraction):
-        exact = _exact_sqrt(scalar)
-        if exact is not None:
-            return exact
-    return math.sqrt(scalar)
+    exact = isinstance(dp, Fraction) and isinstance(dq, Fraction)
+    return (_root if exact else _sqrt)(scalar, "interval length")

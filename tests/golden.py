@@ -49,9 +49,14 @@ ROWS: list[tuple[str, int, Optional[str]]] = [
     ("hasse {data}/repeated.net --force --svg {out}/repeated.force.svg", 0, None),
     ("hasse {data}/two_chains.net --force --svg {out}/two_chains.force.svg", 0, None),
     ("paths --word PQPPQPQ --svg {out}/zigzag.svg", 0, None),
-    # m = 2e-400 underflows a float, yet every printed value is a normal
-    # float (checked against 2000-bit arithmetic when the file was made).
+    # m = 2e-400 underflows a float, yet k, the pair and gamma are each the
+    # float nearest their exact root, gamma that of (m+n)**2/(4*m*n),
+    # checked in Fractions when the file was made.  beta rounds to -1.0
+    # there and in transform.fast.out, whose gamma is 5e9.
     ("transform --m 2e-400 --n 1 --pair 1 1", 0, "transform.tiny.out"),
+    ("transform --m 1 --n 1e-20 --pair 1 1", 0, "transform.fast.out"),
+    # The README's example: the mass is sqrt(0.5 * 2) = 1.0 exactly.
+    ("kinematics --count 4 --dp 8 --dq 2", 0, "kinematics.readme.out"),
     ("propagate --steps 24 --theta 0.3 --initial Q --out {out}/propagate.csv --trace {out}/propagate.trace",
      0, None),
     ("enumerate --p 3 --q 2 --amplitudes 0.3 --initial Q", 0, "enumerate.amplitudes.out"),

@@ -14,6 +14,8 @@ Covered claims:
     - field support stays inside the light cone; <x> traces come out sane
     - norms and <x> add left to right, so every Python prints the same digits,
       equal to plain loops over (x, p, q) rows, the empty field included
+    - a bad helicity, an off-lattice position, unequal component arrays,
+      negative kernel steps and an unnormalized trace source are refused
 """
 
 from __future__ import annotations
@@ -218,6 +220,22 @@ class TestOracleEquivalence:
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             path_sum_kernel("P", 0, "P", 0, 30)
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: path_sum_kernel("X", 0, "P", 0, 0), "helicity must be 'P' or 'Q'"),
+            (lambda: SpinorField.delta("P", Fraction(1, 3)), "not on the half-step lattice"),
+            (lambda: SpinorField(t=0, x2_lo=0, phi_p=[1], phi_q=[1, 0]), "equal length"),
+            (lambda: path_sum_kernel("P", 0, "P", 0, -1), "steps must be non-negative"),
+            (lambda: zitterbewegung_trace(SpinorField(t=0, x2_lo=0, phi_p=[2], phi_q=[0]), 1,
+                                          TransferMatrices()), "must be normalized"),
+        ],
+        ids=["helicity", "off-lattice", "unequal-arrays", "negative-steps", "unnormalized-trace"],
+    )
+    def test_bad_arguments_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
     @pytest.mark.parametrize("theta", THETAS)
     @pytest.mark.parametrize("initial", ("P", "Q"))

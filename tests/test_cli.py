@@ -17,11 +17,13 @@ Covered claims:
       validation with exit 1 and validate's report, line hints included, on
       stderr; hasse --force draws an invalid but acyclic file by fixed rules
     - enumerate prints "-" for the empty word; --cap above 24 is a usage
-      error; past the cap it exits 1 at once, naming no word count
+      error and one within it is used; past the cap it exits 1 at once,
+      naming no word count
     - a rational of zero denominator, or of more than 4300 digits however
       large its exponent, is a usage error, given at once
     - transform with m, n, m/n or n/m beyond float range prints one error
-      line and nothing else, and exits 1
+      line and nothing else, and exits 1; so do interval and transform
+      when a value they print has more than 4300 digits
     - quantify prints what the per-event public API (quantify_event,
       is_between) gives, byte for byte: coordinated ladders, the
       uncoordinated warning, no --pair, --force-loaded invalid networks
@@ -890,7 +892,7 @@ class TestNumericCommands:
         )
         assert code == 0
         lines = dict(line.split(" ", 1) for line in out.strip().splitlines())
-        assert float(lines["m"]) == pytest.approx(1.0, rel=1e-12)
+        assert lines["m"] == "1.0"
         assert lines["E"] == "1.25"
         assert lines["p"] == "0.75"
         assert lines["beta"] == "0.6"
@@ -907,6 +909,20 @@ class TestNumericCommands:
         assert code == 1
         assert out == ""
         assert err.strip()
+
+    @pytest.mark.parametrize(
+        "argv, label",
+        [
+            (("interval", "--pair", "4e4000", "1e4000"), "scalar"),
+            (("interval", "--pair", "1e-4000", "1e4000"), "dt"),
+            (("transform", "--m", "4", "--n", "1", "--pair", "1e4000", "1e4000"), "scalar"),
+        ],
+        ids=["interval-scalar", "interval-dt", "transform-scalar"],
+    )
+    def test_value_past_the_digit_limit_prints_nothing_but_one_error_line(self, capsys, argv, label):
+        # Each input has at most 4001 digits; the value named has over 8000,
+        # more than str() writes of an int.
+        assert run_cli(capsys, *argv) == (1, "", f"{label} has more than 4300 digits, too many to print\n")
 
 
 # == 5. enumerate / simulate ==================================================
@@ -965,6 +981,13 @@ class TestEnumerateCommand:
             1, "", f"enumeration of {2 * count} symbols exceeds the cap of 20\n"
         )
 
+    def test_cap_within_the_kernel_cap_is_used(self, capsys):
+        # 3 + 2 symbols: a cap of 5 lists the 10 words, a cap of 4 refuses them.
+        code, out, _ = run_cli(capsys, "enumerate", "--p", "3", "--q", "2", "--cap", "5")
+        assert (code, len(out.splitlines())) == (0, 10)
+        code, out, err = run_cli(capsys, "enumerate", "--p", "3", "--q", "2", "--cap", "4")
+        assert (code, out, err) == (1, "", "enumeration of 5 symbols exceeds the cap of 4\n")
+
     def test_cap_above_kernel_cap_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "enumerate", "--p", "13", "--q", "12", "--cap", "25")
         assert code == 2
@@ -1008,11 +1031,13 @@ def test_negative_count_is_usage_error(capsys, argv):
         # 30 s for the last two, so they run in a process a timeout can end.
         (("interval", "--pair", "1e5000", "1"), False),
         (("interval", "--pair", "1e-5000", "1"), False),
+        # The exponent passes the pre-check; the value's 4301 digits do not.
+        (("interval", "--pair", "9e4300", "1"), False),
         (("transform", "--m", "1e1000000", "--n", "1", "--pair", "1", "1"), False),
         (("interval", "--pair", "1e999999999", "1"), True),
         (("transform", "--m", "1e3000000", "--n", "1", "--pair", "1", "1"), True),
     ],
-    ids=["interval-pair", "transform-m", "interval-1e5000", "interval-1e-5000",
+    ids=["interval-pair", "transform-m", "interval-1e5000", "interval-1e-5000", "interval-9e4300",
          "transform-1e1000000", "interval-1e999999999", "transform-1e3000000"],
 )
 def test_zero_denominator_is_usage_error(capsys, argv, fresh):

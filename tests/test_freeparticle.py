@@ -1,7 +1,8 @@
 """Sequence enumeration, zig-zag paths, sampling, and the fixture builder.
 
 Covered claims:
-    - enumerate_sequences lists C(n_p + n_q, n_p) words in lex order
+    - enumerate_sequences lists C(n_p + n_q, n_p) words in lex order and
+      refuses negative symbol counts
     - consistent_orderings agrees with it while being built independently
     - paths run at the invariant speed, half-step by half-step
     - sampling is seed-deterministic with the right marginals; its chunks
@@ -68,6 +69,11 @@ class TestEnumerateSequences:
         with pytest.raises(ValueError):
             enumerate_sequences(11, 10)
         assert len(enumerate_sequences(11, 10, cap=21)) == math.comb(21, 11)
+
+    @pytest.mark.parametrize("n_p, n_q", [(-1, 2), (2, -1)])
+    def test_negative_counts_rejected(self, n_p, n_q):
+        with pytest.raises(ValueError, match="symbol counts must be non-negative"):
+            enumerate_sequences(n_p, n_q)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 6), st.integers(0, 6))

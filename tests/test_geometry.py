@@ -11,6 +11,7 @@ Covered claims:
     - decompose splits into symmetric + antisymmetric parts that re-sum
     - dp*dq == dt**2 - dx**2 bit-exactly for random rationals
     - antisymmetric pairs have non-positive scalar, symmetric non-negative
+    - a pair refuses a bool or a value that is not a number as a component
     - bad calls to distance, quantify_interval, project_interval and the
       projections raise pinned errors in a pinned order: unknown events,
       chains and labels, an unfinalized network, missing projections,
@@ -260,6 +261,15 @@ class TestDecomposition:
         split = decompose(PairQuantification(2, -2))
         assert tuple(split.symmetric) == (0, 0)
         assert tuple(split.antisymmetric) == (2, -2)
+
+    @pytest.mark.parametrize(
+        "dp, match",
+        [(True, "booleans are not quantities"), ("1", "expected a number, got str")],
+        ids=["bool", "str"],
+    )
+    def test_pair_refuses_what_is_not_a_quantity(self, dp, match):
+        with pytest.raises(TypeError, match=match):
+            PairQuantification(dp, 1)
 
     @settings(max_examples=200)
     @given(rationals, rationals)

@@ -1,10 +1,12 @@
 """Rates of influence and the mass/energy/momentum analogues.
 
 Covered claims:
-    - rates come out as count/span, rejecting empty spans; rate pairs and
-      beta_consistency reject nan and infinite inputs
+    - rates come out as count/span, rejecting empty spans and counts that
+      are not positive; rate pairs and beta_consistency reject nan,
+      infinite and negative inputs
     - mass/energy/momentum satisfy m**2 = E**2 - p**2 identically
-    - the worked rate pair (0.5, 2) gives (m, E, p, beta) = (1, 1.25, 0.75, 0.6)
+    - the worked rate pair (0.5, 2) gives (m, E, p, beta) = (1, 1.25, 0.75, 0.6),
+      the mass exactly 1.0
     - frame changes leave the mass alone and boost (E, p) like (dt, dx),
       also for frames whose m underflows a float but whose root does not;
       a new rate is rounded once from the exact rational, so it is found
@@ -65,16 +67,25 @@ class TestRatesFromCounts:
         with pytest.raises(ValueError):
             RatePair(0.0, 0.0)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_not_positive_rejected(self, count):
+        with pytest.raises(ValueError, match="detection count must be positive"):
+            rates_from_counts(count, 1, 1)
+
     @pytest.mark.parametrize("r_p, r_q", [(math.inf, 1.0), (1.0, math.nan), (math.nan, math.nan)])
     def test_non_finite_rates_rejected(self, r_p, r_q):
         with pytest.raises(ValueError, match="finite"):
             RatePair(r_p, r_q)
 
+    def test_negative_rate_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            RatePair(-1.0, 1.0)
+
 
 class TestKinematicsFromRates:
     def test_worked_example(self):
         state = kinematics_from_rates(RatePair(0.5, 2.0))
-        assert state.mass == pytest.approx(1.0, rel=REL_TOL)
+        assert state.mass == 1.0  # sqrt(0.5) * sqrt(2.0) would be 1.0000000000000002
         assert state.energy == pytest.approx(1.25, rel=REL_TOL)
         assert state.momentum == pytest.approx(0.75, rel=REL_TOL)
         assert state.beta == pytest.approx(0.6, rel=REL_TOL)
@@ -200,6 +211,10 @@ class TestBetaConsistency:
     def test_non_finite_spans_rejected(self, dp, dq):
         with pytest.raises(ValueError, match="finite"):
             beta_consistency(dp, dq)
+
+    def test_negative_span_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            beta_consistency(-1, 2)
 
     def test_equals_momentum_over_energy(self):
         rng = random.Random(35)

@@ -53,6 +53,10 @@ Covered claims:
     - from_parts links consecutive chain members on any input
     - chain labels are order-isomorphic
     - acyclicity survives random legal edit sequences
+    - an unknown mode, a chain declared twice and a negative id given to
+      from_parts are refused
+    - hasse_svg draws an empty network as an empty picture and an empty
+      chain as no polyline
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+import xml.dom.minidom
 from pathlib import Path
 from unittest import mock
 
@@ -78,6 +83,7 @@ from infnet import (
     DuplicateEdgeError,
     FinalizedError,
     InfluenceNetwork,
+    NetworkError,
     NotFinalizedError,
     UnknownChainError,
     UnknownEventError,
@@ -783,6 +789,20 @@ def bfs_arrows(net: InfluenceNetwork, chains: dict) -> set[tuple[int, int]]:
     }
 
 
+class TestHasseDrawing:
+    def test_empty_network_draws_an_empty_picture(self):
+        net = InfluenceNetwork()
+        net.finalize()
+        root = xml.dom.minidom.parseString(hasse_svg(net)).documentElement
+        assert [node for node in root.childNodes if node.nodeType == node.ELEMENT_NODE] == []
+
+    def test_empty_chain_draws_no_polyline(self):
+        net = InfluenceNetwork.from_parts("general", {"E": [], "P": [0, 1]}, [])
+        drawing = hasse_svg(net)
+        assert drawing.count("<polyline") == 1
+        assert 'points=""' not in drawing
+
+
 class TestDrawnArrows:
     """hasse_svg's arrows are the BFS covering edges minus the chain links."""
 
@@ -997,6 +1017,27 @@ def test_random_edits_never_create_cycles(data):
             if a != b:
                 assert not (net.influences(a, b) and net.influences(b, a))
     assert not [v for v in net.validate() if v.rule == "cycle-would-form"]
+
+
+def add_chain_twice():
+    net = InfluenceNetwork()
+    net.add_chain("P")
+    net.add_chain("P")
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: InfluenceNetwork("bogus"), ValueError, "mode must be one of"),
+        (add_chain_twice, NetworkError, "chain 'P' already exists"),
+        (lambda: InfluenceNetwork.from_parts("general", {"P": [-1, 0]}, []), NetworkError,
+         "event ids are non-negative, got -1"),
+    ],
+    ids=["unknown-mode", "duplicate-chain", "negative-id"],
+)
+def test_bad_construction_is_refused(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 def test_queries_require_finalized_network():

@@ -9,12 +9,22 @@ Covered claims:
       beta = (n - m)/(m + n)  (FrameRelation.as_boost)
     - composing two rescalings multiplies their factors
     - interval_length is homogeneous of degree one
+    - one rounding rule for every root: k, sqrt(m/n), gamma, the mass and
+      the interval length are each the exact Fraction (sqrt(m/n) and the
+      length, of rational input, when the root is rational), else the float
+      nearest the root of the exact rational; beyond float range gamma is
+      inf and the others a ValueError naming the quantity.  Checked in
+      Fractions on 1000 seeded draws from 1e-400 to 1e400 and on float rates
+    - FrameRelation, beta_gamma and interval_length refuse nan and infinities
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,15 +34,30 @@ from infnet import (
     FrameRelation,
     LightlikeBoostError,
     PairQuantification,
+    RatePair,
     SpacelikeIntervalError,
     beta_gamma,
     interval_length,
+    kinematics_from_rates,
     lorentz_boost,
     minkowski_scalar,
     pair_transform,
 )
 
 REL_TOL = 1e-12
+
+
+# The least root that rounds past the largest float (a tie rounds up there,
+# since the largest float's last bit is odd).
+PAST_FLOATS = Fraction(sys.float_info.max) + Fraction(math.ulp(sys.float_info.max)) / 2
+
+
+def is_nearest_float(root: float, square: Fraction) -> bool:
+    """Whether root is the float nearest sqrt(square): the square lies strictly
+    between the squares of the midpoints to its neighbours."""
+    below = (Fraction(root) + Fraction(math.nextafter(root, 0))) / 2
+    above = Fraction(root) + Fraction(math.ulp(root)) / 2
+    return below * below < square < above * above
 
 
 def boosted_via_pairs(rel: FrameRelation, dt: float, dx: float) -> tuple[float, float]:
@@ -108,6 +133,11 @@ class TestPairTransform:
         with pytest.raises(ValueError):
             FrameRelation(3, -2)
 
+    @pytest.mark.parametrize("m, n", [(math.inf, 1), (1, math.nan), (math.nan, math.inf)])
+    def test_non_finite_frame_rejected(self, m, n):
+        with pytest.raises(ValueError, match="finite"):
+            FrameRelation(m, n)
+
     def test_composition_multiplies_factors(self):
         rng = random.Random(11)
         for _ in range(200):
@@ -144,6 +174,15 @@ class TestBetaGamma:
     def test_double_zero_rejected(self):
         with pytest.raises(ValueError):
             beta_gamma(0, 0)
+
+    @pytest.mark.parametrize("m, n", [(math.inf, 1), (1, math.nan), (math.inf, 0)])
+    def test_non_finite_projections_rejected(self, m, n):
+        with pytest.raises(ValueError, match="finite"):
+            beta_gamma(m, n)
+
+    def test_gamma_is_finite_where_beta_rounds_to_one(self):
+        # beta = (1 - 1e-20)/(1 + 1e-20) rounds to 1.0; gamma is 5e9 exactly.
+        assert beta_gamma(1, Fraction(1, 10**20)) == Boost(beta=1.0, gamma=5e9)
 
     def test_gamma_identity(self):
         rng = random.Random(5)
@@ -235,6 +274,24 @@ class TestIntervalLength:
     def test_spacelike_reported(self):
         with pytest.raises(SpacelikeIntervalError):
             interval_length(PairQuantification(2, -2))
+        # -1e-200 * 1e-200 underflows to -0.0; the exact product is negative.
+        with pytest.raises(SpacelikeIntervalError):
+            interval_length(PairQuantification(-1e-200, 1e-200))
+
+    @pytest.mark.parametrize("dp, dq", [(math.inf, 1.0), (1.0, math.nan), (math.inf, math.inf)])
+    def test_non_finite_pair_rejected(self, dp, dq):
+        with pytest.raises(ValueError, match="finite"):
+            interval_length(PairQuantification(dp, dq))
+
+    @pytest.mark.parametrize(
+        "dp, dq",
+        [(Fraction(2, 10**300), Fraction(1, 10**300)), (Fraction(2 * 10**300), 10**300), (1e200, 1e200)],
+        ids=["2e-300,1e-300", "2e300,1e300", "1e200,1e200"],
+    )
+    def test_length_whose_scalar_leaves_float_range(self, dp, dq):
+        # The scalar dp*dq underflows or overflows a float; its root does not.
+        length = interval_length(PairQuantification(dp, dq))
+        assert isinstance(length, float) and is_nearest_float(length, Fraction(dp) * Fraction(dq))
 
     def test_homogeneous_exact(self):
         pair = PairQuantification(Fraction(4), Fraction(9))
@@ -250,3 +307,63 @@ class TestIntervalLength:
             assert interval_length(pair.scaled(z)) == pytest.approx(
                 z * interval_length(pair), rel=REL_TOL
             )
+
+
+# == 5. One rounding rule =====================================================
+
+def check_root(compute, square: Fraction, name: str, exact: bool) -> str:
+    """Assert that compute() is the root of square by the one rule; name the branch taken."""
+    num, den = math.isqrt(square.numerator), math.isqrt(square.denominator)
+    if exact and num * num == square.numerator and den * den == square.denominator:
+        got = compute()
+        assert isinstance(got, Fraction) and got == Fraction(num, den), (name, square)
+        return "exact"
+    if square >= PAST_FLOATS**2:
+        if name == "gamma":
+            assert compute() == math.inf
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(name)} is too large for a float$"):
+                compute()
+        return "beyond"
+    got = compute()
+    assert isinstance(got, float) and is_nearest_float(got, square), (name, square, got)
+    return "rounded"
+
+
+def draw_rational(rng: random.Random) -> Fraction:
+    """A positive rational from about 1e-400 to 1e400; one in four a perfect square."""
+    if rng.random() < 0.25:
+        root = Fraction(rng.randint(1, 999), rng.randint(1, 999)) * Fraction(10) ** rng.randint(-200, 200)
+        return root * root
+    return Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) * Fraction(10) ** rng.randint(-400, 400)
+
+
+def test_every_root_is_exact_or_the_nearest_float():
+    rng = random.Random(20261020)
+    seen = Counter()
+    for _ in range(1000):
+        m, n = draw_rational(rng), draw_rational(rng)
+        rel, pair = FrameRelation(m, n), PairQuantification(m, n)
+        for compute, square, name, exact in [
+            (lambda: rel.k, m * n, "m*n", False),
+            (lambda: rel.multiplier, m / n, "m/n", True),
+            (lambda: beta_gamma(m, n).gamma, (m + n) ** 2 / (4 * m * n), "gamma", False),
+            (lambda: interval_length(pair), m * n, "interval length", True),
+        ]:
+            seen[name, check_root(compute, square, name, exact)] += 1
+    for _ in range(1000):
+        r_p, r_q = (rng.uniform(1, 10) * 10.0 ** rng.randint(-300, 300) for _ in range(2))
+        square = Fraction(r_p) * Fraction(r_q)
+        seen["mass", check_root(lambda: kinematics_from_rates(RatePair(r_p, r_q)).mass,
+                                square, "mass", False)] += 1
+        pair = PairQuantification(r_p, r_q)
+        seen["float length", check_root(lambda: interval_length(pair), square,
+                                        "interval length", False)] += 1
+    # Every branch of the rule was taken, so none of the checks is vacuous.
+    assert set(seen) == {
+        ("m*n", "rounded"), ("m*n", "beyond"),
+        ("m/n", "exact"), ("m/n", "rounded"), ("m/n", "beyond"),
+        ("gamma", "rounded"), ("gamma", "beyond"),
+        ("interval length", "exact"), ("interval length", "rounded"), ("interval length", "beyond"),
+        ("mass", "rounded"), ("float length", "rounded"),
+    }, seen
