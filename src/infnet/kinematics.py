@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Number
-from .transforms import FrameRelation, _sqrt
+from .transforms import FrameRelation, _scaled, _sqrt
 
 # Compton-scale size of one half-step for an electron: documentation values.
 COMPTON_TICK_SECONDS = 8e-21
@@ -90,21 +90,16 @@ def transform_rates(rel: FrameRelation, rates: RatePair) -> RatePair:
 
     Spans transform like pair components, so rates pick up the inverse
     factors: r_p * sqrt(n/m) and r_q * sqrt(m/n).  The product, hence the
-    mass, is untouched.  Each new rate is the root of the exact rational
-    r_p**2 * n/m (r_q**2 * m/n) rounded once, so a rate that fits in a
-    float is returned even where its factor does not; a zero rate stays
-    zero, and a rate beyond float range is a ValueError.
+    mass, is untouched.  Every rate is a float: the root of the exact
+    rational r_p**2 * n/m (r_q**2 * m/n) rounded once, so a rate that fits
+    in a float is returned even where its factor does not, and a rate
+    beyond float range is a ValueError.
     """
     ratio = Fraction(rel.n) / Fraction(rel.m)
     return RatePair(
-        _rescaled(rates.r_p, ratio, "r_p * sqrt(n/m)"),
-        _rescaled(rates.r_q, 1 / ratio, "r_q * sqrt(m/n)"),
+        _scaled(rates.r_p, ratio, False, "r_p * sqrt(n/m)"),
+        _scaled(rates.r_q, 1 / ratio, False, "r_q * sqrt(m/n)"),
     )
-
-
-def _rescaled(rate: float, ratio: Fraction, name: str) -> float:
-    """rate * sqrt(ratio), rounded once from the exact rational."""
-    return _sqrt(Fraction(rate) ** 2 * ratio, name) if rate else rate
 
 
 def beta_consistency(dp: Number, dq: Number) -> float:

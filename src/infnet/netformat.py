@@ -86,10 +86,6 @@ class ParsedNetwork:
             lines = self.edge_lines.items()
             return next((line for (s, t), line in lines if self.net.influences(t, s)), None)
         (event,) = violation.events
-        homes = self.net.chains_of(event)
-        if "lies on" in violation.detail and homes:
-            # On several chains: the first listing is legal, the second is not.
-            return self.chain_lines[homes[1]]
         edges = edges_of.get(event, [])
         if "cross-chain" in violation.detail:
             # A degree breach: the first cross edge is legal, the second is not.

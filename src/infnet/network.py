@@ -136,7 +136,7 @@ class ChainRef:
 class Violation:
     """One broken invariant: the rule name plus the offending events.
 
-    `chain` names the chain at fault for rules about one chain.
+    `chain` names the chain whose line breaks the rule, where one does.
     """
 
     rule: str
@@ -325,11 +325,13 @@ class InfluenceNetwork:
         if self._mode == RESTRICTED:
             chains_of = self._chains_of
             for event in [e for e in self._ids if len(chains_of.get(e, ())) != 1]:
-                homes = len(chains_of.get(event, ()))
+                homes = chains_of.get(event, ())
                 detail = (
-                    f"event {event} lies on {homes} chains; restricted mode requires exactly one"
+                    f"event {event} lies on {len(homes)} chains; "
+                    "restricted mode requires exactly one"
                 )
-                found.append(Violation("postulate-3", (event,), detail))
+                chain = homes[1] if homes else None  # the first listing is legal, the second is not
+                found.append(Violation("postulate-3", (event,), detail, chain))
             # Filter, then sort: a load fills _cross in hash order.
             for event, count in sorted(item for item in self._cross.items() if item[1] > 1):
                 detail = (

@@ -17,11 +17,10 @@ quantity (m - n)/(m + n) is the speed the new frame *attributes to* an
 interval at rest in the old one, so the coordinate boost runs with the
 opposite sign.  FrameRelation.as_boost() encodes the correspondence.
 
-Every root follows one rule.  sqrt(m/n), sqrt(n/m) and the length
-sqrt(dp*dq) of rational input are exact (Fraction) where the root is
-rational; any other root, k and gamma = sqrt((m+n)**2/(4*m*n)) included, is
-rounded once from its exact rational, so a root that fits in a float is
-returned even where the rational does not.  A gamma past float range is inf.
+Every root follows one rule: each transformed component and the length
+sqrt(dp*dq) are exact (Fraction) where the input and the root are rational,
+else rounded once from their exact rational, which may lie past float range;
+k and gamma are always floats rounded once, gamma inf past float range.
 """
 
 from __future__ import annotations
@@ -65,12 +64,16 @@ def _sqrt(value: Fraction, name: str) -> float:
         raise ValueError(f"{name} is too large for a float") from None
 
 
-def _root(value: Fraction, name: str) -> Union[Fraction, float]:
-    """The square root of a non-negative rational: exact when rational, else _sqrt's."""
-    num, den = math.isqrt(value.numerator), math.isqrt(value.denominator)
-    if num * num == value.numerator and den * den == value.denominator:
-        return Fraction(num, den)
-    return _sqrt(value, name)
+def _scaled(value: Number, ratio: Fraction, exact: bool, name: str) -> Union[Fraction, float]:
+    """value * sqrt(ratio): the root of the exact rational value**2 * ratio, with value's sign.
+
+    A Fraction when `exact` holds and that rational is a square, else rounded once by _sqrt.
+    """
+    square = Fraction(value) ** 2 * ratio
+    num, den = math.isqrt(square.numerator), math.isqrt(square.denominator)
+    exact = exact and num * num == square.numerator and den * den == square.denominator
+    root = Fraction(num, den) if exact else _sqrt(square, name)
+    return root if value >= 0 else -root
 
 
 @dataclass(frozen=True)
@@ -91,12 +94,6 @@ class FrameRelation:
         """Length of the unit interval in the original frame: sqrt(m*n)."""
         return _sqrt(Fraction(self.m) * Fraction(self.n), "m*n")
 
-    @property
-    def multiplier(self) -> Union[Fraction, float]:
-        """The factor sqrt(m/n) applied to the forward component."""
-        exact = isinstance(self.m, (int, Fraction)) and isinstance(self.n, (int, Fraction))
-        return (_root if exact else _sqrt)(Fraction(self.m) / Fraction(self.n), "m/n")
-
     def as_boost(self) -> "Boost":
         """The boost acting on (dt, dx) exactly as this rescaling does."""
         return beta_gamma(self.n, self.m)
@@ -111,15 +108,18 @@ class Boost:
 
     @property
     def is_lightlike(self) -> bool:
+        """|beta| = 1 in the float beta, which rounds there even where gamma is finite."""
         return abs(self.beta) == 1.0
 
 
 def pair_transform(rel: FrameRelation, pair: PairQuantification) -> PairQuantification:
     """Re-quantify a pair in the frame given by rel; the scalar is preserved."""
-    factor = rel.multiplier
-    if isinstance(factor, Fraction):
-        return PairQuantification(pair.dp * factor, pair.dq / factor)
-    return PairQuantification(pair.dp * factor, pair.dq * _sqrt(Fraction(rel.n) / Fraction(rel.m), "n/m"))
+    if not all(abs(x) < math.inf for x in pair):
+        raise ValueError(f"pair components must be finite, got ({pair.dp}, {pair.dq})")
+    exact = all(isinstance(x, (int, Fraction)) for x in (rel.m, rel.n, *pair))
+    ratio = Fraction(rel.m) / Fraction(rel.n)
+    return PairQuantification(_scaled(pair.dp, ratio, exact, "dp * sqrt(m/n)"),
+                              _scaled(pair.dq, 1 / ratio, exact, "dq * sqrt(n/m)"))
 
 
 def beta_gamma(m: Number, n: Number) -> Boost:
@@ -145,7 +145,11 @@ def beta_gamma(m: Number, n: Number) -> Boost:
 
 
 def lorentz_boost(boost: Boost, dt: Number, dx: Number) -> tuple[float, float]:
-    """Boost (dt, dx); preserves dt**2 - dx**2.  Rejects |beta| = 1."""
+    """Boost (dt, dx); preserves dt**2 - dx**2.  Rejects |beta| = 1.
+
+    The test reads the float beta, which rounds to +-1.0 even where gamma is
+    finite: a boost there maps (1, 0) to (g, -+g), with dt**2 - dx**2 = 0.
+    """
     if boost.is_lightlike or not math.isfinite(boost.gamma):
         raise LightlikeBoostError("cannot boost coordinates at |beta| = 1")
     g = boost.gamma
@@ -172,4 +176,4 @@ def interval_length(pair: PairQuantification) -> Union[Fraction, float]:
             "space-like separations have a distance, not a length"
         )
     exact = isinstance(dp, Fraction) and isinstance(dq, Fraction)
-    return (_root if exact else _sqrt)(scalar, "interval length")
+    return _scaled(1, scalar, exact, "interval length")

@@ -55,6 +55,13 @@ ROWS: list[tuple[str, int, Optional[str]]] = [
     # there and in transform.fast.out, whose gamma is 5e9.
     ("transform --m 2e-400 --n 1 --pair 1 1", 0, "transform.tiny.out"),
     ("transform --m 1 --n 1e-20 --pair 1 1", 0, "transform.fast.out"),
+    # Each component is the float nearest its exact root, 3*sqrt(2) and
+    # 5*sqrt(1/2) here and sqrt(2)*1e100 and sqrt(1/2)*1e-100 below, checked
+    # in Fractions against the midpoints to its neighbours when the file was
+    # made.  Below, m/n = 2e800 is far past float range, but the components
+    # and k = sqrt(2) are not; gamma is.
+    ("transform --m 2 --n 1 --pair 3 5", 0, "transform.sqrt2.out"),
+    ("transform --m 2e400 --n 1e-400 --pair 1e-300 1e300", 0, "transform.wide.out"),
     # The README's example: the mass is sqrt(0.5 * 2) = 1.0 exactly.
     ("kinematics --count 4 --dp 8 --dq 2", 0, "kinematics.readme.out"),
     ("propagate --steps 24 --theta 0.3 --initial Q --out {out}/propagate.csv --trace {out}/propagate.trace",

@@ -860,13 +860,14 @@ class TestNumericCommands:
 
     @pytest.mark.parametrize(
         "m, n, name",
-        [("1e700", "1", "m*n"), ("1", "1e700", "m*n"), ("2e700", "1", "m/n"), ("3", "1e700", "n/m")],
+        [("1e700", "1", "m*n"), ("1", "1e700", "m*n"),
+         ("2e700", "1", "dp * sqrt(m/n)"), ("3", "1e700", "dq * sqrt(n/m)")],
     )
     def test_transform_beyond_float_range_is_a_one_line_error(self, capsys, m, n, name):
         # Each root named here exceeds the largest float, about 1.8e308:
-        # sqrt(m*n) = 1e350 in the first two, sqrt(m/n) and sqrt(n/m) in the
-        # others.  sqrt(1e700) itself is exact, so 1e700 alone passes
-        # through sqrt(m/n) or sqrt(n/m).
+        # sqrt(m*n) = 1e350 in the first two, the components 1 * sqrt(m/n)
+        # and 1 * sqrt(n/m) in the others.  sqrt(1e700) itself is exact, so
+        # 1e700 alone passes through either component.
         argv = ["transform", "--m", m, "--n", n, "--pair", "1", "1"]
         assert run_cli(capsys, *argv) == (1, "", f"{name} is too large for a float\n")
 

@@ -9,9 +9,10 @@ Covered claims:
       the mass exactly 1.0
     - frame changes leave the mass alone and boost (E, p) like (dt, dx),
       also for frames whose m underflows a float but whose root does not;
-      a new rate is rounded once from the exact rational, so it is found
-      even where its factor sqrt(n/m) or sqrt(m/n) is beyond float range,
-      and a rate beyond that range is a ValueError
+      every new rate is a float rounded once from the exact rational, so it
+      is found even where its factor sqrt(n/m) or sqrt(m/n) is beyond float
+      range, and a rate beyond that range is a ValueError; rates move bit
+      for bit as a pair does in the inverse frame
     - beta from spans equals beta from rates, for any shared count
     - sampled words reproduce the expected beta within binomial error
 """
@@ -26,10 +27,12 @@ import pytest
 
 from infnet import (
     FrameRelation,
+    PairQuantification,
     RatePair,
     beta_consistency,
     kinematics_from_rates,
     lorentz_boost,
+    pair_transform,
     rates_from_counts,
     sample_sequences,
     transform_rates,
@@ -163,6 +166,21 @@ class TestTransformRates:
         # 1e-300 * 1e400 and 1e-300 / 1e-400 do fit, and the other one
         # underflows to 0.
         assert transform_rates(FrameRelation(m, 1), rates) == moved
+
+    def test_rates_move_as_a_pair_in_the_inverse_frame(self):
+        # Rates pick up the factors a pair does in the frame (n, m), rounded
+        # the same way, so the two agree bit for bit.
+        rng = random.Random(35)
+        for _ in range(1000):
+            r_p, r_q = (rng.uniform(1, 10) * 10.0 ** rng.randint(-100, 100) for _ in range(2))
+            rel = FrameRelation(math.exp(rng.uniform(-40, 40)), math.exp(rng.uniform(-40, 40)))
+            moved = transform_rates(rel, RatePair(r_p, r_q))
+            pair = pair_transform(FrameRelation(rel.n, rel.m), PairQuantification(r_p, r_q))
+            assert (moved.r_p.hex(), moved.r_q.hex()) == (pair.dp.hex(), pair.dq.hex())
+
+    def test_every_rate_is_a_float(self):
+        moved = transform_rates(FrameRelation(2, 1), RatePair(0, 5))
+        assert moved == RatePair(0.0, 7.0710678118654755) and isinstance(moved.r_p, float)
 
     def test_rate_beyond_float_range_is_refused(self):
         with pytest.raises(ValueError, match=r"^r_q \* sqrt\(m/n\) is too large for a float$"):

@@ -2,20 +2,25 @@
 
 Covered claims:
     - pair_transform scales components oppositely and preserves the scalar
-    - the rescaling is exact when m/n is a perfect-square rational
+    - the rescaling of a rational pair is exact when m/n is a perfect-square
+      rational
     - beta_gamma hits |beta| = 1 exactly when m or n vanishes
-    - lorentz_boost preserves dt**2 - dx**2 and rejects light-like boosts
+    - lorentz_boost preserves dt**2 - dx**2 and rejects light-like boosts,
+      including those whose float beta rounds to +-1 at a finite gamma
     - rescaling by (m, n) moves (dt, dx) exactly like the boost with
       beta = (n - m)/(m + n)  (FrameRelation.as_boost)
     - composing two rescalings multiplies their factors
     - interval_length is homogeneous of degree one
-    - one rounding rule for every root: k, sqrt(m/n), gamma, the mass and
-      the interval length are each the exact Fraction (sqrt(m/n) and the
-      length, of rational input, when the root is rational), else the float
-      nearest the root of the exact rational; beyond float range gamma is
-      inf and the others a ValueError naming the quantity.  Checked in
-      Fractions on 1000 seeded draws from 1e-400 to 1e400 and on float rates
-    - FrameRelation, beta_gamma and interval_length refuse nan and infinities
+    - one rounding rule for every root: k, gamma, the mass, the interval
+      length and each component of pair_transform are each the exact
+      Fraction (the length and the components, of rational input, when the
+      root is rational), else the float nearest the root of the exact
+      rational, with the component's sign; beyond float range gamma is inf
+      and the others a ValueError naming the quantity.  Checked in
+      Fractions on 1000 seeded draws from 1e-400 to 1e400, with a unit, a
+      rational and a float pair each, and on float rates
+    - FrameRelation, beta_gamma, pair_transform and interval_length refuse
+      nan and infinities
 """
 
 from __future__ import annotations
@@ -119,10 +124,33 @@ class TestPairTransform:
         assert isinstance(rel.k, float)
         for root, square in [
             (rel.k, Fraction(m) * n),
-            (rel.multiplier, Fraction(m) / n),
+            (moved.dp, Fraction(m) / n),
             (moved.dq, Fraction(n) / m),
         ]:
             assert abs(Fraction(root) ** 2 / square - 1) < 2e-12
+
+    @pytest.mark.parametrize(
+        "m, pair, moved",
+        [
+            (10**800, (1e-300, 1e300), (1e100, 1e-100)),
+            (Fraction(1, 10**800), (1e300, 1e-300), (1e-100, 1e100)),
+        ],
+        ids=["m-overflows", "m-underflows"],
+    )
+    def test_components_in_float_range_survive_factors_beyond_it(self, m, pair, moved):
+        # sqrt(m/n) is 1e400 or 1e-400, which no float holds; the components do fit.
+        assert tuple(pair_transform(FrameRelation(m, 1), PairQuantification(*pair))) == moved
+
+    def test_zero_component_of_a_rational_pair_is_exact(self):
+        # 0 * sqrt(2) is the rational 0, while 5 * sqrt(1/2) is rounded once.
+        moved = pair_transform(FrameRelation(2, 1), PairQuantification(0, 5))
+        assert isinstance(moved.dp, Fraction) and moved.dp == 0
+        assert moved.dq == 3.5355339059327378
+
+    @pytest.mark.parametrize("dp, dq", [(math.inf, 1.0), (1.0, math.nan)])
+    def test_non_finite_pair_rejected(self, dp, dq):
+        with pytest.raises(ValueError, match="finite"):
+            pair_transform(FrameRelation(2, 1), PairQuantification(dp, dq))
 
     def test_k_of_a_square_is_a_float(self):
         assert FrameRelation(4, 1).k == 2.0 and isinstance(FrameRelation(4, 1).k, float)
@@ -143,7 +171,9 @@ class TestPairTransform:
         for _ in range(200):
             first = FrameRelation(math.exp(rng.uniform(-3, 3)), math.exp(rng.uniform(-3, 3)))
             second = FrameRelation(math.exp(rng.uniform(-3, 3)), math.exp(rng.uniform(-3, 3)))
-            combined = FrameRelation((first.multiplier * second.multiplier) ** 2, 1)
+            unit = PairQuantification(1, 1)
+            factor = pair_transform(first, unit).dp * pair_transform(second, unit).dp
+            combined = FrameRelation(factor**2, 1)
             pair = PairQuantification(rng.uniform(-10, 10), rng.uniform(-10, 10))
             via_two = pair_transform(second, pair_transform(first, pair))
             via_one = pair_transform(combined, pair)
@@ -211,6 +241,14 @@ class TestLorentzBoost:
     def test_lightlike_rejected(self):
         with pytest.raises(LightlikeBoostError):
             lorentz_boost(beta_gamma(1, 0), 1.0, 0.0)
+
+    def test_beta_that_rounds_to_one_is_lightlike(self):
+        # gamma is 5e9, but the float beta is -1.0: a boost with it would map
+        # (1, 0) to (gamma, gamma), whose dt**2 - dx**2 is 0, not 1.
+        boost = FrameRelation(1, Fraction(1, 10**20)).as_boost()
+        assert boost == Boost(beta=-1.0, gamma=5e9) and boost.is_lightlike
+        with pytest.raises(LightlikeBoostError):
+            lorentz_boost(boost, 1.0, 0.0)
 
     def test_interval_preserved(self):
         rng = random.Random(99)
@@ -311,12 +349,18 @@ class TestIntervalLength:
 
 # == 5. One rounding rule =====================================================
 
-def check_root(compute, square: Fraction, name: str, exact: bool) -> str:
-    """Assert that compute() is the root of square by the one rule; name the branch taken."""
-    num, den = math.isqrt(square.numerator), math.isqrt(square.denominator)
-    if exact and num * num == square.numerator and den * den == square.denominator:
+def is_square(value: Fraction) -> bool:
+    num, den = math.isqrt(value.numerator), math.isqrt(value.denominator)
+    return num * num == value.numerator and den * den == value.denominator
+
+
+def check_root(compute, square: Fraction, name: str, exact: bool, sign: int = 1) -> str:
+    """Assert that compute() is sign times the root of square by the one rule;
+    name the branch taken."""
+    if exact and is_square(square):
         got = compute()
-        assert isinstance(got, Fraction) and got == Fraction(num, den), (name, square)
+        root = Fraction(math.isqrt(square.numerator), math.isqrt(square.denominator))
+        assert isinstance(got, Fraction) and got == sign * root, (name, square)
         return "exact"
     if square >= PAST_FLOATS**2:
         if name == "gamma":
@@ -326,7 +370,7 @@ def check_root(compute, square: Fraction, name: str, exact: bool) -> str:
                 compute()
         return "beyond"
     got = compute()
-    assert isinstance(got, float) and is_nearest_float(got, square), (name, square, got)
+    assert isinstance(got, float) and is_nearest_float(sign * got, square), (name, square, got)
     return "rounded"
 
 
@@ -338,6 +382,28 @@ def draw_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) * Fraction(10) ** rng.randint(-400, 400)
 
 
+def draw_float(rng: random.Random) -> float:
+    """A positive float from 1e-300 to 1e301."""
+    return rng.uniform(1, 10) * 10.0 ** rng.randint(-300, 300)
+
+
+def check_components(rel: FrameRelation, pair: PairQuantification, exact: bool) -> list[str]:
+    """Check pair_transform(rel, pair) by the one rule, one component at a time; the branches
+    taken.  A rounded component past float range refuses the pair, naming the first such one."""
+    ratio = Fraction(rel.m) / Fraction(rel.n)
+    parts = [(pair.dp, ratio, "dp * sqrt(m/n)"), (pair.dq, 1 / ratio, "dq * sqrt(n/m)")]
+    squares = [Fraction(value) ** 2 * factor for value, factor, _ in parts]
+    beyond = [name for (_, _, name), square in zip(parts, squares)
+              if square >= PAST_FLOATS**2 and not (exact and is_square(square))]
+    if beyond:
+        with pytest.raises(ValueError, match=f"^{re.escape(beyond[0])} is too large for a float$"):
+            pair_transform(rel, pair)
+        return ["beyond"]
+    moved = pair_transform(rel, pair)
+    return [check_root(lambda: got, square, name, exact, 1 if value > 0 else -1)
+            for got, square, (value, _, name) in zip(moved, squares, parts)]
+
+
 def test_every_root_is_exact_or_the_nearest_float():
     rng = random.Random(20261020)
     seen = Counter()
@@ -346,13 +412,24 @@ def test_every_root_is_exact_or_the_nearest_float():
         rel, pair = FrameRelation(m, n), PairQuantification(m, n)
         for compute, square, name, exact in [
             (lambda: rel.k, m * n, "m*n", False),
-            (lambda: rel.multiplier, m / n, "m/n", True),
             (lambda: beta_gamma(m, n).gamma, (m + n) ** 2 / (4 * m * n), "gamma", False),
             (lambda: interval_length(pair), m * n, "interval length", True),
         ]:
             seen[name, check_root(compute, square, name, exact)] += 1
+        # The unit pair, whose components are the factors sqrt(m/n) and
+        # sqrt(n/m), and pairs of either sign: a rational one, whose
+        # components may be exact, and a float one, always rounded.
+        rational = PairQuantification(*(rng.choice((1, -1)) * draw_rational(rng) for _ in range(2)))
+        floats = PairQuantification(*(rng.choice((1.0, -1.0)) * draw_float(rng) for _ in range(2)))
+        for tag, moving, exact in [
+            ("unit pair", PairQuantification(1, 1), True),
+            ("rational pair", rational, True),
+            ("float pair", floats, False),
+        ]:
+            for branch in check_components(rel, moving, exact):
+                seen[tag, branch] += 1
     for _ in range(1000):
-        r_p, r_q = (rng.uniform(1, 10) * 10.0 ** rng.randint(-300, 300) for _ in range(2))
+        r_p, r_q = draw_float(rng), draw_float(rng)
         square = Fraction(r_p) * Fraction(r_q)
         seen["mass", check_root(lambda: kinematics_from_rates(RatePair(r_p, r_q)).mass,
                                 square, "mass", False)] += 1
@@ -362,7 +439,9 @@ def test_every_root_is_exact_or_the_nearest_float():
     # Every branch of the rule was taken, so none of the checks is vacuous.
     assert set(seen) == {
         ("m*n", "rounded"), ("m*n", "beyond"),
-        ("m/n", "exact"), ("m/n", "rounded"), ("m/n", "beyond"),
+        ("unit pair", "exact"), ("unit pair", "rounded"), ("unit pair", "beyond"),
+        ("rational pair", "exact"), ("rational pair", "rounded"), ("rational pair", "beyond"),
+        ("float pair", "rounded"), ("float pair", "beyond"),
         ("gamma", "rounded"), ("gamma", "beyond"),
         ("interval length", "exact"), ("interval length", "rounded"), ("interval length", "beyond"),
         ("mass", "rounded"), ("float length", "rounded"),
