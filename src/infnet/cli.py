@@ -184,10 +184,11 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 def cmd_transform(args: argparse.Namespace) -> int:
     rel = transforms.FrameRelation(args.m, args.n)
-    moved = transforms.pair_transform(rel, PairQuantification(*args.pair))
+    pair = PairQuantification(*args.pair)
     boost = transforms.beta_gamma(args.m, args.n)
-    _emit(("pair", moved), ("k", rel.k), ("beta", boost.beta), ("gamma", boost.gamma),
-          ("scalar", moved.scalar))
+    # A frame change preserves dp*dq, so the exact input scalar is the invariant.
+    _emit(("pair", transforms.pair_transform(rel, pair)), ("k", rel.k), ("beta", boost.beta),
+          ("gamma", boost.gamma), ("scalar", pair.scalar))
     return 0
 
 

@@ -22,13 +22,19 @@ reused buffer of at most CHUNK_SYMBOLS float64 draws (2 MiB) so the draws
 stay in cache.  sample_masks() cuts it into boolean chunks of whole words;
 decode_words() turns a chunk into strings, and sample_sequences() is that
 decoding over every chunk.  Totals need only the count of True entries, so
-count_p() counts the same stream in pieces of CHUNK_SYMBOLS that ignore word
-boundaries: its memory does not grow with the word length.  These functions
-import numpy in their bodies, so importing this module does not load it.
+count_p() counts the same stream in pieces that ignore word boundaries: its
+memory does not grow with the word length.  It cuts the stream into
+contiguous spans, one per CPU the process may use, jumps each span's
+generator to its first draw and counts the spans at once, each in its own
+slice of the same 2 MiB; the total is the one stream's count however many
+CPUs run it.  These functions import numpy in their bodies, so importing
+this module does not load it.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,20 +148,26 @@ def _check_draws(n_steps: int, prob_p: float, count: int) -> None:
         raise ValueError("n_steps and count must be non-negative")
 
 
-def _draws(symbols: int, piece: int, prob_p: float, seed: int) -> Iterator[np.ndarray]:
-    """The first `symbols` symbols of the seeded stream as flat boolean masks.
+def _draws(
+    prob_p: float, seed: int, start: int, stop: int,
+    buffer: np.ndarray, mask: Optional[np.ndarray] = None,
+) -> Iterator[np.ndarray]:
+    """Symbols start..stop of the seeded stream as flat boolean masks.
 
-    Each mask holds `piece` symbols (the last one may hold fewer); the draws
-    land in one reused float64 buffer, and every mask is a fresh array.
+    The generator jumps straight to draw `start`: each float64 draw takes
+    one 64-bit output of the stream.  The draws land in `buffer`, a piece of
+    len(buffer) at a time (the last piece may hold fewer); each mask is a
+    fresh array, or a view of `mask` when one is given.
     """
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    buffer = np.empty(min(piece, symbols))
-    for start in range(0, symbols, piece):
-        draws = buffer[: min(piece, symbols - start)]
+    rng.bit_generator.advance(start)
+    for lo in range(start, stop, len(buffer)):
+        size = min(len(buffer), stop - lo)
+        draws = buffer[:size]
         rng.random(out=draws)
-        yield draws < prob_p
+        yield np.less(draws, prob_p, out=None if mask is None else mask[:size])
 
 
 def sample_masks(n_steps: int, prob_p: float, seed: int, count: int) -> Iterator[np.ndarray]:
@@ -169,29 +181,82 @@ def sample_masks(n_steps: int, prob_p: float, seed: int, count: int) -> Iterator
     anything is drawn.
     """
     _check_draws(n_steps, prob_p, count)
-    if not n_steps:
-        if count:  # empty words hold no symbols: one chunk carries them all
-            import numpy as np
+    import numpy as np
 
+    symbols = count * n_steps
+    if not symbols:
+        if count:  # empty words hold no symbols: one chunk carries them all
             yield np.zeros((count, 0), dtype=bool)
         return
-    rows = max(1, CHUNK_SYMBOLS // n_steps)
-    for mask in _draws(count * n_steps, rows * n_steps, prob_p, seed):
+    buffer = np.empty(min(max(1, CHUNK_SYMBOLS // n_steps) * n_steps, symbols))
+    for mask in _draws(prob_p, seed, 0, symbols, buffer):
         yield mask.reshape(-1, n_steps)
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def count_p(n_steps: int, prob_p: float, seed: int, count: int) -> int:
     """The P's among the words sample_masks() draws, counted without the words.
 
-    A count ignores word boundaries, so the same stream is drawn flat in
-    pieces of CHUNK_SYMBOLS: memory stays at one piece however long a word
-    is.
+    A count ignores word boundaries, so the same stream is drawn flat and
+    cut into contiguous spans, one per CPU the process may use but no more
+    than it has full pieces of CHUNK_SYMBOLS.  Each span jumps its own
+    generator to its first draw and counts in its own slice of one float64
+    buffer and one mask of CHUNK_SYMBOLS: memory stays at one piece however
+    long a word is.  The caller counts the first span; the others run on
+    threads, which numpy lets draw and compare at once.  Every thread is
+    joined before the call returns; the first error of any span stops the
+    others and is raised.
     """
     _check_draws(n_steps, prob_p, count)
     import numpy as np
 
-    pieces = _draws(count * n_steps, CHUNK_SYMBOLS, prob_p, seed)
-    return sum(int(np.count_nonzero(mask)) for mask in pieces)
+    symbols = count * n_steps
+    if not symbols:
+        return 0
+    spans = max(1, min(_cpus(), symbols // CHUNK_SYMBOLS))
+    cuts = [symbols * k // spans for k in range(spans + 1)]
+    piece = min(CHUNK_SYMBOLS, symbols) // spans
+    buffer, mask = np.empty(piece * spans), np.empty(piece * spans, dtype=bool)
+    totals = [0] * spans
+    errors: list[BaseException] = []
+    stop = threading.Event()
+
+    def count_span(k: int) -> None:
+        part = slice(k * piece, (k + 1) * piece)
+        for hits in _draws(prob_p, seed, cuts[k], cuts[k + 1], buffer[part], mask[part]):
+            if stop.is_set():
+                return
+            totals[k] += int(np.count_nonzero(hits))
+
+    def worker(k: int) -> None:
+        try:
+            count_span(k)
+        except BaseException as error:
+            errors.append(error)
+            stop.set()
+
+    started: list[threading.Thread] = []
+    try:
+        for k in range(1, spans):
+            thread = threading.Thread(target=worker, args=(k,))
+            thread.start()
+            started.append(thread)
+        count_span(0)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return sum(totals)
 
 
 def decode_words(mask: np.ndarray) -> list[str]:

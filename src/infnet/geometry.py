@@ -28,6 +28,7 @@ each chain's label tables once per call and index them by event.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -61,16 +62,24 @@ def _exact(value: Number) -> Union[Fraction, float]:
     raise TypeError(f"expected a number, got {type(value).__name__}")
 
 
+def _finite(value: Union[Fraction, float]) -> bool:
+    """Whether a component is finite; only a float can be infinite or nan."""
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class PairQuantification:
-    """An interval's projected lengths (dp, dq) onto a chain pair."""
+    """An interval's projected lengths (dp, dq) onto a chain pair; both finite."""
 
     dp: Union[Fraction, float]
     dq: Union[Fraction, float]
 
     def __init__(self, dp: Number, dq: Number):
-        object.__setattr__(self, "dp", _exact(dp))
-        object.__setattr__(self, "dq", _exact(dq))
+        dp, dq = _exact(dp), _exact(dq)
+        if not (_finite(dp) and _finite(dq)):
+            raise ValueError(f"pair components must be finite, got ({dp}, {dq})")
+        object.__setattr__(self, "dp", dp)
+        object.__setattr__(self, "dq", dq)
 
     @property
     def scalar(self) -> Union[Fraction, float]:

@@ -114,8 +114,6 @@ class Boost:
 
 def pair_transform(rel: FrameRelation, pair: PairQuantification) -> PairQuantification:
     """Re-quantify a pair in the frame given by rel; the scalar is preserved."""
-    if not all(abs(x) < math.inf for x in pair):
-        raise ValueError(f"pair components must be finite, got ({pair.dp}, {pair.dq})")
     exact = all(isinstance(x, (int, Fraction)) for x in (rel.m, rel.n, *pair))
     ratio = Fraction(rel.m) / Fraction(rel.n)
     return PairQuantification(_scaled(pair.dp, ratio, exact, "dp * sqrt(m/n)"),
@@ -167,8 +165,6 @@ def interval_length(pair: PairQuantification) -> Union[Fraction, float]:
     length; it is reported as the space-like case it is.
     """
     dp, dq = pair
-    if not (abs(dp) < math.inf and abs(dq) < math.inf):
-        raise ValueError(f"pair components must be finite, got ({dp}, {dq})")
     scalar = Fraction(dp) * Fraction(dq)
     if scalar < 0:
         raise SpacelikeIntervalError(

@@ -62,6 +62,10 @@ ROWS: list[tuple[str, int, Optional[str]]] = [
     # and k = sqrt(2) are not; gamma is.
     ("transform --m 2 --n 1 --pair 3 5", 0, "transform.sqrt2.out"),
     ("transform --m 2e400 --n 1e-400 --pair 1e-300 1e300", 0, "transform.wide.out"),
+    # The scalar printed is the input pair's exact dp*dq, which a frame change
+    # preserves: the product of the two rounded components, sqrt(3) and
+    # sqrt(1/3), is 0.9999999999999999.
+    ("transform --m 3 --n 1 --pair 1 1", 0, "transform.sqrt3.out"),
     # The README's example: the mass is sqrt(0.5 * 2) = 1.0 exactly.
     ("kinematics --count 4 --dp 8 --dq 2", 0, "kinematics.readme.out"),
     ("propagate --steps 24 --theta 0.3 --initial Q --out {out}/propagate.csv --trace {out}/propagate.trace",

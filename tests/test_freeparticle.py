@@ -8,7 +8,10 @@ Covered claims:
     - sampling is seed-deterministic with the right marginals; its chunks
       are one flat draw of the stream, each a fresh mask, drawn into one
       cache-sized buffer; count_p counts that stream in pieces that ignore
-      word boundaries, so one long word holds one small piece
+      word boundaries, so one long word holds one small piece, and in
+      contiguous spans on threads, one per reported CPU, whose total is
+      recount_p's however many CPUs are reported; a failing span raises
+      and stops the others, and no thread outlives the call
     - the fixture builder yields a valid restricted network whose
       consecutive particle intervals all carry a zero projection
 """
@@ -17,6 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -25,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import recount_p
 from infnet import (
     build_free_particle_fixture,
     consistent_orderings,
@@ -258,15 +264,88 @@ class TestCountP:
         assert freeparticle.count_p(n_steps, prob_p, 11, count) == expected
         assert sum(int(np.count_nonzero(mask)) for mask in masks) == expected
 
-    def test_one_word_of_ten_million_symbols_holds_one_small_piece(self):
-        # sample_masks holds the whole word: 80 MB of draws and its mask.
-        tracemalloc.start()
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize(
+        "n_steps, count, prob_p",
+        [
+            (3, 3 * (CHUNK // 3) + 1, 0.6),  # spans cut words apart
+            (2 * CHUNK, 1, 0.3),  # exactly two pieces: two spans at most
+            (1000, 5000, 0.45),  # spans cut pieces apart
+            (CHUNK + 3, 7, 0.5),  # seven pieces and 21 symbols
+            (1000, 5000, 0.0),
+            (1000, 5000, 1.0),
+        ],
+    )
+    def test_spans_on_any_cpu_count_total_the_one_stream(
+        self, monkeypatch, cpus, n_steps, count, prob_p
+    ):
+        monkeypatch.setattr(freeparticle, "_cpus", lambda: cpus)
+        expected = recount_p(11, prob_p, n_steps, count)
+        assert freeparticle.count_p(n_steps, prob_p, 11, count) == expected
+
+    def test_more_spans_than_cores_under_fast_thread_switches(self, monkeypatch):
+        # Eight threads on however few cores, switching every 10 us: no span's
+        # count is lost or counted twice.
+        monkeypatch.setattr(freeparticle, "_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            freeparticle.count_p(10_000_000, 0.3, 1, 1)
-            peak = tracemalloc.get_traced_memory()[1]
+            for seed in range(4):
+                expected = recount_p(seed, 0.5, 997, 9000)
+                assert freeparticle.count_p(997, 0.5, seed, 9000) == expected
         finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+            sys.setswitchinterval(interval)
+
+    def test_one_word_of_ten_million_symbols_holds_one_small_piece(self, monkeypatch):
+        # sample_masks holds the whole word: 80 MB of draws and its mask.  Four
+        # spans share the one piece, each in a slice of it.
+        for cpus in (freeparticle._cpus(), 4):
+            monkeypatch.setattr(freeparticle, "_cpus", lambda: cpus)
+            tracemalloc.start()
+            try:
+                freeparticle.count_p(10_000_000, 0.3, 1, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, cpus
+
+    @pytest.mark.parametrize("failing", [0, 1, 3], ids=["caller", "first-thread", "last-thread"])
+    def test_a_failing_span_raises_and_leaves_no_thread(self, monkeypatch, failing):
+        draws = freeparticle._draws
+        firsts = [2 * CHUNK * k for k in range(4)]  # the cuts of 8 pieces in 4 spans
+
+        def draws_failing_in_one_span(prob_p, seed, start, stop, buffer, mask=None):
+            if start == firsts[failing]:
+                raise RuntimeError(f"span {failing}")
+            return draws(prob_p, seed, start, stop, buffer, mask)
+
+        monkeypatch.setattr(freeparticle, "_cpus", lambda: 4)
+        monkeypatch.setattr(freeparticle, "_draws", draws_failing_in_one_span)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^span {failing}$"):
+            freeparticle.count_p(8 * CHUNK, 0.5, 3, 1)
+        assert threading.active_count() == before
+
+    def test_an_interrupt_in_the_callers_span_stops_the_others(self, monkeypatch):
+        pieces = []
+        started = threading.Event()
+
+        def endless_draws(prob_p, seed, start, stop, buffer, mask=None):
+            if start == 0:  # the caller's span, interrupted once the other one draws
+                started.wait(timeout=60)
+                raise KeyboardInterrupt
+            for piece in range(10**6):
+                pieces.append(piece)
+                started.set()
+                yield mask[:1]
+
+        monkeypatch.setattr(freeparticle, "_cpus", lambda: 2)
+        monkeypatch.setattr(freeparticle, "_draws", endless_draws)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            freeparticle.count_p(2 * CHUNK, 0.5, 3, 1)
+        assert threading.active_count() == before
+        assert 1 <= len(pieces) < 10**6
 
     @pytest.mark.parametrize("n_steps, prob_p, count", [(-1, 0.5, 1), (1, 0.5, -1), (1, 1.5, 1)])
     def test_bad_arguments_rejected(self, n_steps, prob_p, count):

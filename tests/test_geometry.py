@@ -11,7 +11,9 @@ Covered claims:
     - decompose splits into symmetric + antisymmetric parts that re-sum
     - dp*dq == dt**2 - dx**2 bit-exactly for random rationals
     - antisymmetric pairs have non-positive scalar, symmetric non-negative
-    - a pair refuses a bool or a value that is not a number as a component
+    - a pair refuses a bool or a value that is not a number as a component,
+      and a float component that is not finite, also when arithmetic on
+      finite pairs overflows to one
     - bad calls to distance, quantify_interval, project_interval and the
       projections raise pinned errors in a pinned order: unknown events,
       chains and labels, an unfinalized network, missing projections,
@@ -24,6 +26,7 @@ Covered claims:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -270,6 +273,17 @@ class TestDecomposition:
     def test_pair_refuses_what_is_not_a_quantity(self, dp, match):
         with pytest.raises(TypeError, match=match):
             PairQuantification(dp, 1)
+
+    @pytest.mark.parametrize("dp, dq", [(math.nan, 1.0), (1.0, -math.inf)])
+    def test_pair_refuses_a_component_that_is_not_finite(self, dp, dq):
+        with pytest.raises(ValueError, match="^pair components must be finite"):
+            PairQuantification(dp, dq)
+
+    def test_float_arithmetic_past_float_range_raises(self):
+        pair = PairQuantification(1e308, 1e308)
+        for overflow in (lambda: pair + pair, lambda: pair.scaled(10.0), lambda: decompose(pair)):
+            with pytest.raises(ValueError, match="^pair components must be finite"):
+                overflow()
 
     @settings(max_examples=200)
     @given(rationals, rationals)
