@@ -9,17 +9,17 @@
 Serialization is canonical: one mode line, chains sorted by name, edges
 sorted numerically, chain-implied edges omitted.
 
-A load reads the text in one scan: one compiled pattern matches each line.
-A plain influence line (ASCII digits, spaces or tabs, an optional comment)
-is read straight from its match; every other line (mode, chain, comment,
-or an influence in another form int() reads, such as `+1`, `1_0` or other
-digits and spaces) goes through per-record code.  An id that int() refuses,
-one past Python's int-string digit limit included, is a parse error at its
-line.  parse() keeps each chain's line; the lines of the influences are
-needed only to cite them, so ParsedNetwork finds them on first use, by
-scanning again.  load_path() validates what it reads and, unless forced,
-raises ViolationsError with the report `validate` prints: each violation
-citing the line that breaks its rule.
+A load reads the text in one scan.  Each maximal run of influence lines in
+exactly the form dumps() writes (`influence <id> -> <id>`, ASCII digits,
+single spaces, no comment) is read in bulk.  Every other line (mode, chain,
+comment, or an influence in another form int() reads, such as `+1`, `1_0`,
+other digits and spaces or a comment) goes through per-record code, in file
+order.  An id that int() refuses, one past Python's int-string digit limit
+included, is a parse error at its line.  parse() keeps each chain's line;
+the lines of the influences are needed only to cite them, so ParsedNetwork
+finds them on first use, by scanning again.  load_path() validates what it
+reads and, unless forced, raises ViolationsError with the report `validate`
+prints: each violation citing the line that breaks its rule.
 """
 
 from __future__ import annotations
@@ -101,35 +101,47 @@ def _check_ids(lineno: int, ids) -> None:
 
 _INFLUENCE_FORM = "expected 'influence <src> -> <dst>'"
 
-# One match per line of a text whose lines all end in \n, so findall's index
-# is the line number.  A plain influence line (ASCII digits, spaces or tabs,
-# an optional comment) fills the first two groups; any other line, blank
-# ones included, fills the third.
-_LINE = re.compile(
-    r"^[ \t]*influence[ \t]+([0-9]+)[ \t]*->[ \t]*([0-9]+)[ \t]*(?:#.*)?$|^(.*)$", re.M
-)
+# A maximal run of influence lines in exactly the form dumps() writes.  The
+# group makes re.split() return the text as [other, run, other, ..., other];
+# every piece but the last ends in \n or is empty.
+_RUN = re.compile(r"^((?:influence [0-9]+ -> [0-9]+\n)+)", re.M)
 
 
 def _scan(text: str, cite: bool = False):
-    """The records of a text whose lines all end in \\n, in one pass.
+    """The records of a text whose line ends are all \\n, in one pass.
 
     Returns the mode (None if unset), the chains, their lines, the
     influences in file order and, if `cite`, each influence's first line
-    (else an empty dict).  A plain influence line is read from its match;
-    every other line goes through the per-record code below.
+    (else an empty dict).  Each run of lines in dumps() form is read in
+    bulk: its ids go through int() as one list, and its k-th line is the
+    run's first line plus k.  Every other line goes through the per-record
+    code below, in file order, so the first bad line is the one reported;
+    so does a run holding an id int() refuses, to name that id's line.
     """
     mode = None
     chains: dict[str, list[int]] = {}
     chain_lines: dict[str, int] = {}
     influences: list[tuple[int, int]] = []
     edge_lines: dict[tuple[int, int], int] = {}
-    for lineno, (source, target, raw) in enumerate(_LINE.findall(text), start=1):
-        if source:
+    lineno = 1  # the line each piece starts on
+    for index, piece in enumerate(_RUN.split(text)):
+        if index % 2:
+            # Each line is exactly "influence <id> -> <id>\n": two ids a line.
+            ids = map(int, piece.replace("influence ", "").replace(" -> ", " ").split())
             try:
-                edge = int(source), int(target)
+                edges = list(zip(ids, ids))
             except ValueError:  # an id past Python's int-string digit limit
-                raise NetworkParseError(lineno, _INFLUENCE_FORM) from None
-        else:
+                pass
+            else:
+                influences += edges
+                if cite:
+                    for line, edge in enumerate(edges, start=lineno):
+                        edge_lines.setdefault(edge, line)
+                lineno += len(edges)
+                continue
+        # The piece ends in \n, is empty or ends the text, so its last item
+        # leaves lineno on the line the next piece starts on.
+        for lineno, raw in enumerate(piece.split("\n"), start=lineno):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -142,6 +154,9 @@ def _scan(text: str, cite: bool = False):
                 edge = source, target
                 if source < 0 or target < 0:
                     _check_ids(lineno, edge)
+                influences.append(edge)
+                if cite:
+                    edge_lines.setdefault(edge, lineno)
             elif keyword == "mode":
                 tokens = line.split()
                 if len(tokens) != 2 or tokens[1] not in (RESTRICTED, GENERAL):
@@ -149,7 +164,6 @@ def _scan(text: str, cite: bool = False):
                 if mode is not None:
                     raise NetworkParseError(lineno, "duplicate mode line")
                 mode = tokens[1]
-                continue
             elif keyword == "chain":
                 rest = line[len("chain") :].strip()
                 if ":" not in rest:
@@ -161,17 +175,13 @@ def _scan(text: str, cite: bool = False):
                 if name in chains:
                     raise NetworkParseError(lineno, f"duplicate chain {name!r}")
                 try:
-                    chains[name] = [int(tok) for tok in members.split()]
+                    chains[name] = list(map(int, members.split()))
                 except ValueError:
                     raise NetworkParseError(lineno, f"chain members must be integers: {members.strip()!r}") from None
                 _check_ids(lineno, chains[name])
                 chain_lines[name] = lineno
-                continue
             else:
                 raise NetworkParseError(lineno, f"unknown record {keyword!r}")
-        influences.append(edge)
-        if cite:
-            edge_lines.setdefault(edge, lineno)
     return mode, chains, chain_lines, influences, edge_lines
 
 

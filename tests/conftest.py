@@ -6,8 +6,9 @@ be checked against an independent path, `pairwise_consistent` is the
 plain all-pairs coordination test over those BFS labels, and `bfs_between`
 checks betweenness's four projection compositions on them.  The checkerboard
 kernel oracle counts words by their runs instead of stepping a field or
-enumerating words, and `fourier_kernel` diagonalizes the step by wave
-number, so neither shares code with infnet.checkerboard.
+enumerating words, `fourier_kernel` diagonalizes the step by wave number
+and `exact_field` steps Gaussian integers at pi/4, so none shares code with
+infnet.checkerboard.
 `recount_p` recounts sampled P's straight from numpy's stream, in pieces
 that ignore word boundaries, so it shares no chunking with the sampler.
 `density_rows`, `norm_of` and `mean_position_of` square amplitudes and sum
@@ -206,6 +207,34 @@ def fourier_kernel(initial: str, theta: float, steps: int) -> tuple[np.ndarray, 
     field = np.fft.ifft(column, axis=0)
     sites = np.arange(-steps, steps + 1, 2) % ring
     return field[sites, 0], field[sites, 1]
+
+
+def exact_field(initial: str, steps: int):
+    """The field at theta = pi/4 in exact arithmetic, step by step.
+
+    At pi/4 each step multiplies by 1/sqrt(2), so 2**(t/2) times the field
+    holds Gaussian integers a + bi: a P arrival takes p + i*q from its
+    site, a Q arrival i*p + q.  Yields, for t = 0 .. steps, (t, x2_lo,
+    nums_p, nums_q), where nums_* hold a*a + b*b per site in ascending x;
+    the probability there is that over 2**t, and the numerators of each t
+    sum to exactly 2**t.
+    """
+    p_re, p_im, q_re, q_im = ([1], [0], [0], [0]) if initial == "P" else ([0], [0], [1], [0])
+    for t in range(steps + 1):
+        yield (
+            t,
+            -t,
+            [a * a + b * b for a, b in zip(p_re, p_im)],
+            [a * a + b * b for a, b in zip(q_re, q_im)],
+        )
+        # (a + bi) + i (c + di) and i (a + bi) + (c + di); a P arrival moves
+        # half a site left, a Q arrival half a site right.
+        p_re, p_im, q_re, q_im = (
+            [a - d for a, d in zip(p_re, q_im)] + [0],
+            [b + c for b, c in zip(p_im, q_re)] + [0],
+            [0] + [c - b for c, b in zip(q_re, p_im)],
+            [0] + [a + d for a, d in zip(p_re, q_im)],
+        )
 
 
 # -- Sampled symbol counts -----------------------------------------------------

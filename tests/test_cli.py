@@ -5,8 +5,11 @@ Covered claims:
       bad lines carry numbers, and malformed influence and mode lines give
       pinned error text and exit codes, over-long ids included; parse reads
       what the former line loop (the oracle reference_parse) reads on drawn
-      files of plain and odd lines, errors included; influence lines are
-      scanned a second time only to cite them in a report
+      files of plain and odd lines, errors included; the scanner, which
+      reads runs of dumps-form influence lines in bulk, returns what the
+      former one-pattern-per-line scanner (reference_scan) returns, cited
+      lines and errors included; influence lines are scanned a second time
+      only to cite them in a report
     - validate exits 0/1/2 for clean/violating/unparseable files, on any
       one-line mutation of a valid file, and cites the breaking record: a
       repeated member's chain line, the first influence line on a cycle, a
@@ -45,6 +48,9 @@ Covered claims:
       trace equal a row-by-row reference read from the field's two arrays,
       through --out/--trace and on stdout, and the (x, p, q) row loops of
       conftest
+    - at theta = pi/4, every probP, probQ and total that propagate prints
+      over 1000 steps, from a P and from a Q source, lies within the float
+      error model's bound of conftest's exact Gaussian-integer field
     - every `infnet` line of the README's command block runs and exits 0,
       and the README's library example prints the line its comment gives
     - the names `import infnet` binds and the README's commands are pinned:
@@ -94,6 +100,7 @@ from infnet.netformat import NetworkParseError, ViolationsError
 import golden
 from conftest import (
     density_rows,
+    exact_field,
     mean_position_of,
     network_parts,
     norm_of,
@@ -387,6 +394,115 @@ def test_parse_reads_what_the_line_loop_reads_on_fixed_files(text):
     got = library_parse(text)
     assert got == reference_parse(text)
     assert got[4]  # every file above has influence lines to cite
+
+
+# The former scanner's pattern, kept for reference_scan: one match per line;
+# a plain influence line (ASCII digits, spaces or tabs, an optional comment)
+# fills the first two groups, any other line the third.
+_REFERENCE_LINE = re.compile(
+    r"^[ \t]*influence[ \t]+([0-9]+)[ \t]*->[ \t]*([0-9]+)[ \t]*(?:#.*)?$|^(.*)$", re.M
+)
+
+
+def reference_scan(text: str, cite: bool = False):
+    """netformat._scan's former loop, kept as an oracle for its bulk runs.
+
+    One pattern match per line, each plain influence line converted on its
+    own, so nothing is read as a run.  Returns what _scan returns, each dict
+    as its list of items (order counts), or raises its NetworkParseError.
+    """
+    mode = None
+    chains: dict[str, list[int]] = {}
+    chain_lines: dict[str, int] = {}
+    influences: list[tuple[int, int]] = []
+    edge_lines: dict[tuple[int, int], int] = {}
+    for lineno, (source, target, raw) in enumerate(_REFERENCE_LINE.findall(text), start=1):
+        if source:
+            try:
+                edge = int(source), int(target)
+            except ValueError:
+                raise NetworkParseError(lineno, "expected 'influence <src> -> <dst>'") from None
+        else:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            keyword = line.split(None, 1)[0]
+            if keyword == "influence":
+                try:
+                    source, target = map(int, line[9:].split("->"))
+                except ValueError:
+                    raise NetworkParseError(lineno, "expected 'influence <src> -> <dst>'") from None
+                edge = source, target
+                for event in edge:
+                    if event < 0:
+                        raise NetworkParseError(lineno, f"event ids are non-negative, got {event}")
+            elif keyword == "mode":
+                tokens = line.split()
+                if len(tokens) != 2 or tokens[1] not in ("restricted", "general"):
+                    raise NetworkParseError(lineno, f"expected 'mode restricted|general', got {raw.strip()!r}")
+                if mode is not None:
+                    raise NetworkParseError(lineno, "duplicate mode line")
+                mode = tokens[1]
+                continue
+            elif keyword == "chain":
+                rest = line[len("chain") :].strip()
+                if ":" not in rest:
+                    raise NetworkParseError(lineno, "expected 'chain <name>: <id> ...'")
+                name, _, members = rest.partition(":")
+                name = name.strip()
+                if not name:
+                    raise NetworkParseError(lineno, "chain name is empty")
+                if name in chains:
+                    raise NetworkParseError(lineno, f"duplicate chain {name!r}")
+                try:
+                    chains[name] = [int(tok) for tok in members.split()]
+                except ValueError:
+                    raise NetworkParseError(lineno, f"chain members must be integers: {members.strip()!r}") from None
+                for event in chains[name]:
+                    if event < 0:
+                        raise NetworkParseError(lineno, f"event ids are non-negative, got {event}")
+                chain_lines[name] = lineno
+                continue
+            else:
+                raise NetworkParseError(lineno, f"unknown record {keyword!r}")
+        influences.append(edge)
+        if cite:
+            edge_lines.setdefault(edge, lineno)
+    return mode, list(chains.items()), list(chain_lines.items()), influences, list(edge_lines.items())
+
+
+def library_scan(text: str, cite: bool = False):
+    """netformat._scan's records, in reference_scan's shape."""
+    mode, chains, chain_lines, influences, edge_lines = netformat._scan(text, cite)
+    return mode, list(chains.items()), list(chain_lines.items()), influences, list(edge_lines.items())
+
+
+_LONG_ID = "1" * 4301
+
+
+@st.composite
+def dumps_runs(draw) -> list[str]:
+    """Consecutive influence lines in exactly dumps()'s form, repeats and
+    ids past the 4300-digit limit included."""
+    ends = st.sampled_from([str(i) for i in range(13)] * 20 + ["007", _LONG_ID])
+    return [f"influence {draw(ends)} -> {draw(ends)}" for _ in range(draw(st.integers(1, 6)))]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.lists(st.one_of(dumps_runs(), record_lines().map(lambda line: [line])), max_size=8),
+    st.booleans(),
+)
+@example([["mode general"], ["influence 0 -> 1", "influence 2 -> 3", "influence 0 -> 1"], ["chain P: 0 1"]], True)
+@example([["chain P: 0 1"], ["influence 0 -> 1", f"influence 1 -> {_LONG_ID}", "influence 0 -> 1"]], True)
+@example([["influence 0 -> 1"], [f"influence {_LONG_ID} -> 1 # comment"], ["influence 1 -> 2"]], False)
+@example([["influence 3 -> 4", "influence 4 -> 5"], ["bogus"]], False)
+def test_scan_reads_what_the_former_line_pattern_reads(blocks, last_line_ends):
+    text = "\n".join(line for block in blocks for line in block) + ("\n" if last_line_ends else "")
+    for cite in (False, True):
+        assert parse_outcome(lambda t: library_scan(t, cite), text) == parse_outcome(
+            lambda t: reference_scan(t, cite), text
+        )
 
 
 # == 2. validate ==============================================================
@@ -1291,6 +1407,39 @@ class TestOutputCommands:
         assert run_cli(capsys, *argv, "--out", str(out), "--trace", str(trace_out)) == (0, "", "")
         assert first_difference(out.read_text(), csv) is None
         assert first_difference(trace_out.read_text(), trace) is None
+
+    @pytest.mark.parametrize("initial", ["P", "Q"])
+    def test_propagate_prints_the_exact_field_within_its_rounding(self, tmp_path, initial):
+        """Every probP, probQ and total of 1000 steps at pi/4 against the exact field.
+
+        The bounds are the float error model, fixed before any comparison:
+        each unitary step moves an amplitude by at most one machine epsilon
+        of the unit norm, so after t steps |phi - exact| <= D = t*eps, and a
+        probability e prints within 2*sqrt(e)*D + D**2 of its correctly
+        rounded exact value (a site whose exact probability is 0 may print
+        a tiny positive value).  Over the 2t + 2 values of a step, which sum
+        to 1, that is at most 2*D*sqrt(2t + 2) + (2t + 2)*D**2, and adding
+        them left to right rounds by at most (2t + 2)*eps more: the bound on
+        |total - 1|.  Both sources take about 3 s each on a 2-core VM;
+        the budget is 10 s each.
+        """
+        steps, eps = 1000, sys.float_info.epsilon
+        out = tmp_path / "field.csv"
+        assert main(["propagate", "--steps", str(steps), "--initial", initial, "--out", str(out)]) == 0
+        with open(out, encoding="utf-8") as handle:
+            assert next(handle) == "t,x,probP,probQ,total\n"
+            rows = map(str.split, handle, repeat(","))
+            for t, x2_lo, nums_p, nums_q in exact_field(initial, steps):
+                scale, reach = 1 << t, t * eps
+                sites = 2 * t + 2
+                total_bound = 2 * reach * math.sqrt(sites) + sites * (reach * reach + eps)
+                for k, (num_p, num_q, row) in enumerate(zip(nums_p, nums_q, rows)):
+                    assert row[:2] == [str(t), repr((x2_lo + 2 * k) / 2)]
+                    for num, text in ((num_p, row[2]), (num_q, row[3])):
+                        exact = num / scale  # int true division: correctly rounded
+                        assert abs(float(text) - exact) <= 2 * math.sqrt(exact) * reach + reach * reach
+                    assert abs(float(row[4]) - 1) <= total_bound
+            assert next(rows, None) is None
 
     def test_hasse_svg(self, capsys, tmp_path):
         target = tmp_path / "ladder.svg"

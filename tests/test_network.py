@@ -617,13 +617,29 @@ class TestBulkLoad:
         # hold the same bits in twice the bytes.  Each round times both
         # orders best of 3, interleaved; the median of 7 rounds drops a
         # round that a pause on a shared machine hit.
-        def load(members: list[int]) -> float:
-            start = time.perf_counter()
+        #
+        # A falling chain's bitsets are ints past pymalloc's 512-byte limit,
+        # so they come from the C heap, which may hand them back to the OS
+        # when they are freed; in a fresh process every falling load then
+        # pays about 170 page faults that a rising one does not.  So one
+        # untimed falling load comes first, and while it is alive a few
+        # objects of that size are made on top of it: its memory, once
+        # freed, stays below them, and every timed load reuses it, whatever
+        # ran earlier in the process.
+        def build(members: list[int]) -> InfluenceNetwork:
             net = InfluenceNetwork.from_parts("general", {"P": members}, []).finalize()
             assert net.influences(members[0], members[-1])  # the first read closes the chain
+            return net
+
+        def load(members: list[int]) -> float:
+            start = time.perf_counter()
+            net = build(members)  # freed once the clock has stopped
             return time.perf_counter() - start
 
         rising, falling = list(range(4000)), list(range(3999, -1, -1))
+        first = build(falling)
+        heap_top = [bytes(600) for _ in range(4)]  # alive until the test returns
+        del first
         ratios = []
         for _ in range(7):
             up = down = math.inf

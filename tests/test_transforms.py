@@ -21,6 +21,8 @@ Covered claims:
       rational and a float pair each, and on float rates
     - FrameRelation, beta_gamma, pair_transform and interval_length refuse
       nan and infinities
+    - a root just above a float tie rounds up, a zero float component comes
+      back as +0.0, and a pair of a rational and a float has a float length
 """
 
 from __future__ import annotations
@@ -151,6 +153,14 @@ class TestPairTransform:
     def test_non_finite_pair_rejected(self, dp, dq):
         with pytest.raises(ValueError, match="finite"):
             pair_transform(FrameRelation(2, 1), PairQuantification(dp, dq))
+
+    def test_zero_float_component_is_positive_zero(self):
+        # A float zero is scaled like any non-negative value: it comes back
+        # as +0.0, never -0.0.
+        for pair in [(0.0, 5.0), (5.0, 0.0)]:
+            moved = pair_transform(FrameRelation(2, 1), PairQuantification(*pair))
+            zero = moved.dp if pair[0] == 0 else moved.dq
+            assert zero == 0 and math.copysign(1.0, zero) == 1.0
 
     def test_k_of_a_square_is_a_float(self):
         assert FrameRelation(4, 1).k == 2.0 and isinstance(FrameRelation(4, 1).k, float)
@@ -308,6 +318,21 @@ class TestIntervalLength:
         assert interval_length(PairQuantification(4, 2)) == pytest.approx(
             math.sqrt(8), rel=REL_TOL
         )
+
+    def test_root_just_above_a_float_tie_rounds_up(self):
+        # The truncated quotient is the square of 2**66 + 2**13, exactly
+        # halfway between the floats 2**66 and 2**66 + 2**14, and the
+        # remainder is 1: the true root lies above the tie, so it rounds up,
+        # not to the even 2**66.
+        root = 2**66 + 2**13
+        length = interval_length(PairQuantification(Fraction(3 * root * root + 1, 3), Fraction(1)))
+        assert length == float(2**66 + 2**14)
+
+    @pytest.mark.parametrize("dp, dq", [(Fraction(4), 1.0), (1.0, Fraction(4))])
+    def test_mixed_pair_has_a_float_length(self, dp, dq):
+        # Only a pair of two rationals has an exact length.
+        length = interval_length(PairQuantification(dp, dq))
+        assert length == 2 and isinstance(length, float)
 
     def test_spacelike_reported(self):
         with pytest.raises(SpacelikeIntervalError):
