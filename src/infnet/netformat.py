@@ -83,8 +83,11 @@ class ParsedNetwork:
         if violation.chain is not None:
             return self.chain_lines[violation.chain]
         if violation.rule == "cycle-would-form":
-            lines = self.edge_lines.items()
-            return next((line for (s, t), line in lines if self.net.influences(t, s)), None)
+            # The first influence line on a cycle, else the first chain line with a link on one.
+            links = (((a, b), line) for name, line in self.chain_lines.items()
+                     for a, b in itertools.pairwise(self.net._members(name)) if a != b)
+            lines = itertools.chain(self.edge_lines.items(), links)
+            return next(line for (s, t), line in lines if self.net.influences(t, s))
         (event,) = violation.events
         edges = edges_of.get(event, [])
         if "cross-chain" in violation.detail:
@@ -214,10 +217,7 @@ def dumps(net: InfluenceNetwork) -> str:
         members = net._members(name)
         covered.update(members)
         lines.append(f"chain {name}: " + " ".join(map(str, members)))
-    links = net.chain_links()
-    edges = sorted(
-        [(s, t) for s, targets in net._succ.items() for t in targets if (s, t) not in links]
-    )
+    edges = sorted([(s, t) for s, targets in net._non_links() for t in targets])
     covered.update(itertools.chain.from_iterable(edges))
     lines += [f"influence {source} -> {target}" for source, target in edges]
     isolated = [e for e in net.event_ids() if e not in covered]

@@ -15,10 +15,12 @@ Two connectivity modes are supported:
   general -- events may lie on any number of chains or on none, and may
       connect freely.  Off-chain events are tracked as isolated.
 
-The edges are stored once, as each event's set of successors; nothing
-keeps the predecessors.  Event indices follow ids (`from_parts` indexes
-sorted ids, `add_event` appends the next one).  Reachability is kept as
-per-event ancestor bitsets, so `influences()` is O(1) after the first read.
+Only this module reads a network's storage; other modules and the tests
+go through its methods.  The edges are stored once, as each event's set of
+successors; nothing keeps the predecessors.  Event indices follow ids
+(`from_parts` indexes sorted ids, `add_event` appends the next one).
+Reachability is kept as per-event ancestor bitsets, so `influences()` is
+O(1) after the first read.
 
 Lifecycle.  `from_parts`, `add_event` and `add_influence` record edges in
 the successor sets; `finalize()` only freezes the network.  The first read
@@ -55,7 +57,9 @@ depths.  The bitsets also reduce: `_covering` ORs a source's successor
 bits into one mask, and an edge s -> t is redundant exactly when t's
 ancestors meet that mask without t's own bit.  `transitive_reduction` runs
 that rule on every edge, `hasse_svg` only on the edges that are not chain
-links.  `_is_cross` is the one test of whether an edge joins two chains.
+links.  `_non_links` is the one statement of which edges those are, exact
+for an event on several chains: `dumps` writes them and `hasse_svg` tests
+them.  `_is_cross` is the one test of whether an edge joins two chains.
 In restricted mode each event's count of cross-chain edges is kept where
 edges enter: `from_parts` counts over its distinct influences only,
 because a chain link joins two members of one chain and is never cross,
@@ -308,7 +312,7 @@ class InfluenceNetwork:
         An edge s -> t is redundant when another successor of s reaches t;
         `_covering` states the test.
         """
-        return set(self._covering((s, targets, targets) for s, targets in self._succ.items()))
+        return set(self._covering(self._succ.items()))
 
     def validate(self) -> list[Violation]:
         """Check every structural invariant; violations are data, not errors."""
@@ -522,22 +526,21 @@ class InfluenceNetwork:
                     depth[target] = deeper
         return depth
 
-    def _covering(
-        self, sources: Iterable[tuple[int, set[int], Iterable[int]]]
-    ) -> Iterator[tuple[int, int]]:
-        """The covering edges source -> t, for each (source, targets, among).
+    def _covering(self, sources: Iterable[tuple[int, Iterable[int]]]) -> Iterator[tuple[int, int]]:
+        """The covering edges source -> t, for each (source, among).
 
-        `targets` are all of the source's successors and `among` the ones
-        to test.  A source covers its successor t when no other successor
-        reaches t, so a source with one successor covers it without a test.
-        Otherwise, with `mask` the OR of the bits of all its successors, the
-        test is one AND per edge: t's ancestors miss `mask` without t's own
-        bit.  The bit is left out so that t's own successor bit does not
-        count when t lies on a cycle and is its own ancestor.
-        `transitive_reduction` and `hasse_svg` both test through here.
+        `among` are the source's successors to test.  A source covers its
+        successor t when no other successor reaches t, so a source with one
+        successor covers it without a test.  Otherwise, with `mask` the OR
+        of the bits of all its successors, the test is one AND per edge:
+        t's ancestors miss `mask` without t's own bit.  The bit is left out
+        so that t's own successor bit does not count when t lies on a cycle
+        and is its own ancestor.  `transitive_reduction` tests every edge
+        through here, `hasse_svg` those of `_non_links`.
         """
-        closure, index = self._closure(), self._index
-        for source, targets, among in sources:
+        closure, index, succ = self._closure(), self._index, self._succ
+        for source, among in sources:
+            targets = succ[source]
             if len(targets) == 1:
                 for target in among:
                     yield source, target
@@ -549,6 +552,30 @@ class InfluenceNetwork:
                 i = index[target]
                 if not closure[i] & (mask ^ 1 << i):
                     yield source, target
+
+    def _non_links(self) -> Iterator[tuple[int, list[int]]]:
+        """Each event with successors that are not chain links, and those successors.
+
+        While every event is listed once over all the chains, its only
+        possible link target is its next member, `nxt`.  An event listed
+        more than once may have several, or itself between equal
+        neighbours, which make no link: then the links are looked up.
+        """
+        chains = self._chains.values()
+        if len(self._chains_of) < sum(map(len, chains)):
+            links = self.chain_links()
+            for source, targets in self._succ.items():
+                rest = [target for target in targets if (source, target) not in links]
+                if rest:
+                    yield source, rest
+            return
+        nxt: dict[int, int] = {}
+        for members in chains:
+            nxt.update(zip(members, members[1:]))
+        for source, targets in self._succ.items():
+            link = nxt.get(source)
+            if len(targets) > (link in targets):  # a successor other than the link
+                yield source, [target for target in targets if target != link]
 
     def _is_cross(self, source: int, target: int) -> bool:
         """True when no chain holds both events: a cross-chain influence.

@@ -2,14 +2,16 @@
 
 Pure string generation, no plotting dependency.  Hasse diagrams draw each
 chain as a thick vertical polyline with influence running upward; the
-covering edges that are not chain links become arrows.  Only those edges
-take the network's covering test, the one `transitive_reduction` runs on
-every edge.  An event sits at its longest-path depth; the network's
-closure pass names the events on cycles when a network cannot be drawn.
+covering edges that are not chain links become arrows.  The network names
+those edges (`_non_links`, which `dumps` writes too), and only they take
+its covering test, the one `transitive_reduction` runs on every edge.  An
+event sits at its longest-path depth; the network's closure pass names the
+events on cycles when a network cannot be drawn.
 Each event takes the column of its first chain by name, or one of its own
 when it is on no chain, and its circle and label are put together from
 its column's and its row's text, each made once.  Path pictures put time
-upward and position across.
+upward and position across, from exact offsets to the lowest-left point,
+so a path starting far from 0 draws as one starting at (0, 0).
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def hasse_svg(net: InfluenceNetwork) -> str:
         x, y = xs[col_of[members[0]]], ys[depth[members[0]]]
         text = name.translate(_XML_TEXT)
         parts.append(f'<text x="{x - 6}" y="{y + 28}" font-size="16">{text}</text>')
-    for source, target in _arrows(net):
+    for source, target in sorted(net._covering(net._non_links())):
         parts.append(
             f'<line x1="{x_text[col_of[source]]}" y1="{y_text[depth[source]]}" '
             f'x2="{x_text[col_of[target]]}" y2="{y_text[depth[target]]}" stroke="#d06000" '
@@ -103,50 +105,19 @@ def hasse_svg(net: InfluenceNetwork) -> str:
     return "\n".join(parts)
 
 
-def _arrows(net: InfluenceNetwork) -> list[tuple[int, int]]:
-    """The covering edges of an acyclic network that are not chain links, sorted.
-
-    Only edges that are not chain links take the covering test (see
-    `InfluenceNetwork._covering`).  `nxt` maps each chain member to its
-    next member, the last chain listed winning for an event on several, so
-    a source whose one edge runs to its entry has nothing to draw.  For an
-    event on at most one chain the other targets are exactly its non-link
-    edges.  An event on several chains keeps its cross-chain targets
-    instead: an edge within one chain that is not a link is never covering,
-    since the source's next member on that chain lies between, so both
-    choices give the same arrows.
-    """
-    nxt: dict[int, int] = {}
-    for name in net.chain_names():
-        members = net._members(name)
-        nxt.update(zip(members, members[1:]))
-    chains_of = net._chains_of
-
-    def candidates():
-        for source, targets in net._succ.items():
-            link = nxt.get(source)
-            if len(targets) == 1 and link in targets:
-                continue
-            if len(chains_of.get(source, ())) > 1:
-                yield source, targets, [t for t in targets if net._is_cross(source, t)]
-            else:
-                yield source, targets, [t for t in targets if t != link]
-
-    return sorted(net._covering(candidates()))
-
-
 def path_svg(path: SpacetimePath) -> str:
     """Zig-zag spacetime picture of a path, time upward."""
+    # The picture depends only on offsets from the lowest-left corner, taken
+    # exactly, so a start past float range draws as a start at (0, 0).
     points = path.points()
-    xs = [float(x) for x, _ in points]
-    ts = [float(t) for _, t in points]
-    x_min, x_max = min(xs), max(xs)
-    t_min, t_max = min(ts), max(ts)
-    width = int((x_max - x_min) * _PATH_SCALE) + 2 * _MARGIN
-    height = int((t_max - t_min) * _PATH_SCALE) + 2 * _MARGIN
+    x_min, t_min = map(min, zip(*points))
+    xs = [float(x - x_min) for x, _ in points]
+    ts = [float(t - t_min) for _, t in points]
+    width = int(max(xs) * _PATH_SCALE) + 2 * _MARGIN
+    height = int(max(ts) * _PATH_SCALE) + 2 * _MARGIN
 
     def pos(x: float, t: float) -> tuple[float, float]:
-        return (_MARGIN + (x - x_min) * _PATH_SCALE, height - _MARGIN - (t - t_min) * _PATH_SCALE)
+        return (_MARGIN + x * _PATH_SCALE, height - _MARGIN - t * _PATH_SCALE)
 
     parts = [_HEADER.format(w=width, h=height)]
     svg_points = " ".join("{:g},{:g}".format(*pos(x, t)) for x, t in zip(xs, ts))

@@ -14,14 +14,19 @@ that ignore word boundaries, so it shares no chunking with the sampler.
 `density_rows`, `norm_of` and `mean_position_of` square amplitudes and sum
 a field's probabilities in plain Python loops, one (x, p, q) row at a time,
 sharing no code with SpinorField.probabilities or checkerboard.norm_and_mean.
+`spying` records the calls of one of the network's internal queries, so a
+test can watch the closure being built and walked without its storage.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
 from collections import deque
+from typing import Iterator
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -284,6 +289,28 @@ def mean_position_of(rows: list[tuple[float, float, float]]) -> float:
     for x, prob_p, prob_q in rows:
         total += x * (prob_p + prob_q)
     return total
+
+
+# -- Spies on the network's internal queries ---------------------------------
+
+
+@contextlib.contextmanager
+def spying(name: str) -> Iterator[list[tuple]]:
+    """Record each call of `InfluenceNetwork.<name>`, which still runs, by its arguments.
+
+    Each entry holds the arguments after the network.  Tests watch when the
+    closure is built, walked or read through these calls, not through the
+    network's storage.
+    """
+    calls: list[tuple] = []
+    method = getattr(InfluenceNetwork, name)
+
+    def spy(net, *args):
+        calls.append(args)
+        return method(net, *args)
+
+    with mock.patch.object(InfluenceNetwork, name, spy):
+        yield calls
 
 
 # -- Raw network parts ---------------------------------------------------------

@@ -25,6 +25,9 @@ OUT = "{out}/"
 ROWS: list[tuple[str, int, Optional[str]]] = [
     ("validate {data}/cyclic.net", 1, "cyclic.validate.out"),
     ("validate {data}/cycle_tail.net", 1, "cycle_tail.validate.out"),
+    # Only chain links lie on the cycle, so the report cites the first
+    # chain line with one.
+    ("validate {data}/link_cycle.net", 1, "link_cycle.validate.out"),
     ("validate {data}/degree.net", 1, "degree.validate.out"),
     ("validate {data}/repeated.net", 1, "repeated.validate.out"),
     ("validate {data}/two_chains.net", 1, "two_chains.validate.out"),

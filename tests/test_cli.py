@@ -1,8 +1,9 @@
 """The text format and the command-line front end.
 
 Covered claims:
-    - parse/dumps round-trip to a canonical form, broken networks included;
-      bad lines carry numbers, and malformed influence and mode lines give
+    - parse/dumps round-trip to a canonical form that keeps every edge,
+      broken networks and events on several chains included; bad lines
+      carry numbers, and malformed influence and mode lines give
       pinned error text and exit codes, over-long ids included; parse reads
       what the former line loop (the oracle reference_parse) reads on drawn
       files of plain and odd lines, errors included; the scanner, which
@@ -12,8 +13,9 @@ Covered claims:
       only to cite them in a report
     - validate exits 0/1/2 for clean/violating/unparseable files, on any
       one-line mutation of a valid file, and cites the breaking record: a
-      repeated member's chain line, the first influence line on a cycle, a
-      degree breach's second cross-edge line, the second chain line that
+      repeated member's chain line, the first influence line on a cycle
+      (else the first chain line with a link on one), a degree breach's
+      second cross-edge line, the second chain line that
       lists an event on several chains; a chain that lists an event twice
       still counts as one of its chains
     - quantify, distance, interval and hasse refuse a file that fails
@@ -44,6 +46,8 @@ Covered claims:
       chunk boundaries, and need no word strings; one word of 10**7 symbols
       holds under 4 MiB; --emit-words prints exactly sample_sequences()
       ahead of the same totals
+    - paths draws a start far from 0, past float range included, as a
+      start at (0, 0)
     - propagate CSV and SVG outputs are deterministic; the field CSV and the
       trace equal a row-by-row reference read from the field's two arrays,
       through --out/--trace and on stdout, and the (x, p, q) row loops of
@@ -238,11 +242,14 @@ class TestNetFormat:
     @given(st.sampled_from(["general", "restricted"]), network_parts())
     def test_round_trip_fixed_point_on_raw_parts(self, mode, parts):
         # No `events` argument, so every event is on a chain or an edge.
+        # Chains share events here, so an edge from an event on two chains
+        # is kept only if the non-link rule is exact for it.
         chains, edges, _ = parts
         net = InfluenceNetwork.from_parts(mode, chains, edges)
         text = netformat.dumps(net)
         reloaded = netformat.loads(text)
         assert netformat.dumps(reloaded) == text
+        assert reloaded.edges() == net.edges()
         assert reloaded.validate() == net.validate()
 
     def test_round_trip_keeps_self_loop_on_repeated_member(self):
@@ -669,6 +676,25 @@ class TestValidateCommand:
             "cycle-would-form: events on directed cycles: [0, 1, 2] (see line 5)"
         ]
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("chain P: 0 1\nchain Q: 1 0\n", 2),
+            ("chain P: 0 1 0\n", 2),
+            ("chain R: 5 6\nchain Q: 1 0 0\ninfluence 6 -> 0\nchain P: 0 1\n", 3),
+        ],
+        ids=["two-chains", "one-chain", "after-a-chain-off-the-cycle"],
+    )
+    def test_cycle_of_chain_links_cites_the_first_chain_line_with_one(self, capsys, tmp_path, text, line):
+        # No influence line lies on the cycle, only chain links do.  Q's
+        # equal neighbours make no link; line 4's edge 6 -> 0 enters the
+        # cycle and R's link 5 -> 6 lies off it.
+        source = tmp_path / "links.net"
+        source.write_text("mode general\n" + text)
+        code, out, _ = run_cli(capsys, "validate", str(source))
+        assert code == 1
+        assert out.splitlines()[0].endswith(f"[0, 1] (see line {line})")
+
     def test_degree_breach_cites_the_second_cross_edge(self, capsys, tmp_path):
         # Event 0's first cross edge (line 4) is legal; the second one is not.
         source = tmp_path / "degree.net"
@@ -722,7 +748,7 @@ class TestValidateCommand:
         code, out, _ = run_cli(capsys, "validate", str(source))
         assert code == 1
         assert out.splitlines() == [
-            "cycle-would-form: events on directed cycles: [0, 1]",
+            "cycle-would-form: events on directed cycles: [0, 1] (see line 2)",
             "postulate-4: chain 'P' lists an event more than once (see line 2)",
             *tail,
         ]
@@ -1504,6 +1530,16 @@ class TestOutputCommands:
     def test_paths_bad_word_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "paths", "--word", "PXQ")
         assert code == 1
+
+    @pytest.mark.parametrize("start", [10**17, int("7" * 400)], ids=["1e17", "400-digits"])
+    @pytest.mark.parametrize("option", ["--start-x", "--start-t"])
+    def test_paths_far_start_draws_as_a_start_at_zero(self, capsys, option, start):
+        # Only offsets from the lowest-left point reach the picture: at 1e17
+        # a float position loses the half-steps, and past float range the
+        # conversion raised OverflowError.
+        at_zero = run_cli(capsys, "paths", "--word", "PQ")
+        assert at_zero[0] == 0
+        assert run_cli(capsys, "paths", "--word", "PQ", option, str(start)) == at_zero
 
 
 # == 7. The README's commands and example =====================================

@@ -19,11 +19,12 @@ Covered claims:
       included, with no edge taking the per-edge walk
     - from_parts' bulk tables equal per-event references on raw parts:
       _upward holds exactly when every edge of edges() rises, and each
-      event's chains, key order included; repeated.net loads upward
+      event's chains_of() lists its chains in listing order; repeated.net
+      loads upward
     - an upward network closes in index order and the same parts with
-      falling ids in Kahn order, to the same BFS bitsets with no event
-      left unplaced; inserts after an upward load's first read keep every
-      bitset equal to BFS
+      falling ids in Kahn order, to the same BFS bitsets, with no event
+      left to the per-edge walk (no `_spread` call); inserts after an
+      upward load's first read keep every bitset equal to BFS
     - transitive reduction drops exactly the implied edges: on raw parts
       (cycles, self-loops, shared events, repeated members) it keeps an
       edge s -> t iff no other successor of s reaches t by BFS
@@ -32,20 +33,21 @@ Covered claims:
       on tests/data/restricted.net's parts
     - validate() reports rule names for broken invariants; a cross-chain
       degree counts each incident edge once, a self-loop included, and an
-      event a chain lists twice lies on that chain once; a restricted load's
-      per-event count equals a recount over edges(), and the load tests
-      crossness at most once per distinct influence, never on a chain link
-    - in a build by add_event and add_influence, inserts only record
-      their edges until the first read, which closes them all in one Kahn
-      pass reading each event's successors once, and every later insert
-      spreads from its target; the closure matches BFS between
-      inserts, after a downward edge, and at the benchmark's network-build
-      size; finalize() builds no bitsets, the first read builds them once
-      and later reads write nothing; validate() and dumps of an upward
-      load, and a build shaped as the network-build benchmark's, build none
+      event a chain lists twice lies on that chain once; an event of a
+      restricted load refuses a further cross edge exactly when a recount
+      over edges() gives it one, and the load tests crossness at most once
+      per distinct influence, never on a chain link
+    - in a build by add_event and add_influence, inserts call neither
+      `_closure` nor `_spread` until the first read, which closes them all
+      in one pass with no per-edge walk, and every later insert spreads
+      from its target; the closure matches BFS between inserts, after a
+      downward edge, and at the benchmark's network-build size; finalize()
+      calls no `_closure`, and later reads get the first read's bitsets,
+      unchanged; validate() and dumps of an upward load, and a build shaped
+      as the network-build benchmark's, call no `_closure`
     - eight threads racing first reads (influences on all pairs, chain())
-      of a finalized, never-read network get BFS's answers and one view
-      per chain, and leave edges() as it was
+      of a finalized network that no `_closure` call has read get BFS's
+      answers and one view per chain, and leave edges() as it was
     - the events on cycles are the closure's self bits among the events
       its Kahn pass could not place, read after a load or a build and
       between later inserts; index order (every edge upward) or ancestor
@@ -57,10 +59,17 @@ Covered claims:
       from_parts are refused
     - hasse_svg draws an empty network as an empty picture and an empty
       chain as no polyline
+    - only network.py reads the network's storage: an ast scan of the other
+      modules and of every test finds no attribute named after one of its
+      containers, except on `self`; the tests above watch the closure
+      through spies on `_closure`, `_spread`, `_view` and `_is_cross`
+      (conftest's `spying`), and the rule for the edges that are not chain
+      links lives in `InfluenceNetwork._non_links` alone
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import random
 import re
@@ -71,7 +80,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 import xml.dom.minidom
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +106,7 @@ from conftest import (
     network_parts,
     restricted_file_parts,
     restricted_parts,
+    spying,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -335,18 +344,6 @@ class TestInfluences:
         assert_closure_matches_bfs(net)
 
 
-class _ReadLog(dict):
-    """A dict that records the keys read by subscription, in order."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.read: list = []
-
-    def __getitem__(self, key):
-        self.read.append(key)
-        return super().__getitem__(key)
-
-
 class TestDeferredClosure:
     """Inserts only record edges until the first read, which closes them all; later inserts walk."""
 
@@ -434,50 +431,54 @@ class TestDeferredClosure:
         net = InfluenceNetwork()
         for _ in range(100):
             net.add_event()
-        net._succ = succ = _ReadLog(net._succ)
-        # Before the first read an insert reads only the entry it records in.
-        net.add_influence(10, 60)
-        net.add_influence(20, 50)
-        assert set(succ.read) == {10, 20}
-        # The first read closes the whole network in one pass, in index order.
-        succ.read.clear()
-        assert net.influences(20, 50)
-        assert sorted(succ.read) == list(range(100))
-        # After it, an insert walks down from its target: 99 has no successors.
-        succ.read.clear()
-        net.add_influence(50, 99)
-        assert set(succ.read) == {50, 99}
-        succ.read.clear()
-        assert net.influences(20, 99)
-        assert succ.read == []
+        with spying("_closure") as closures, spying("_spread") as walks:
+            # Before the first read an insert only records its edge.
+            net.add_influence(10, 60)
+            net.add_influence(20, 50)
+            assert closures == [] and walks == []
+            # The first read closes the whole network in one pass, in index
+            # order, with no per-edge walk.
+            assert net.influences(20, 50) and net._upward
+            assert len(closures) == 1 and walks == []
+            # After it, an insert walks from its target; ids are indices here.
+            net.add_influence(50, 99)
+            assert [(isrc, target) for _, _, isrc, target in walks] == [(50, 99)]
+        closure = net._closure()
+        assert closure == bfs_bitsets(net)
+        # A later read hands out the same bitsets and changes none.
+        assert net.influences(20, 99) and net._closure() is closure and closure == bfs_bitsets(net)
 
     def test_finalize_freezes_and_the_first_read_closes_once(self):
         net = InfluenceNetwork()
         a, b, c = (net.add_event() for _ in range(3))
         net.add_influence(a, b)
         net.add_influence(b, c)
-        assert net.finalize()._anc is None
-        assert net.influences(a, c) and net._anc == [0, 0b1, 0b11]
-        closure = net._anc
-        net._succ = log = _ReadLog(net._succ)
-        assert net.influences(a, c) and not net.influences(c, a) and net._cyclic() == ()
-        assert log.read == [] and net._anc is closure and closure == [0, 0b1, 0b11]
+        with spying("_closure") as closures:
+            net.finalize()
+        assert closures == []
+        assert net.influences(a, c)
+        closure = net._closure()
+        assert closure == [0, 0b1, 0b11]
+        with spying("_spread") as walks:
+            assert net.influences(a, c) and not net.influences(c, a) and net._cyclic() == ()
+        assert walks == [] and net._closure() is closure and closure == [0, 0b1, 0b11]
 
     def test_validate_and_dumps_of_an_upward_network_build_no_bitsets(self):
         text = (DATA / "restricted.net").read_text()
-        loaded = netformat.loads(text)
-        assert loaded._upward and loaded.validate() == [] and netformat.dumps(loaded) == text
-        # A build shaped as the network-build benchmark's: inserts, finalize, dumps.
         chains, cross, homes = restricted_parts(random.Random(500), 600, 8, 0.5)
-        built = InfluenceNetwork("restricted")
-        for name in sorted(chains):
-            built.add_chain(name)
-        for home in homes:
-            built.add_event(home)
-        for source, target in cross:
-            built.add_influence(source, target)
-        netformat.dumps(built.finalize())
-        assert loaded._anc is None and built._anc is None
+        with spying("_closure") as closures:
+            loaded = netformat.loads(text)
+            assert loaded._upward and loaded.validate() == [] and netformat.dumps(loaded) == text
+            # A build shaped as the network-build benchmark's: inserts, finalize, dumps.
+            built = InfluenceNetwork("restricted")
+            for name in sorted(chains):
+                built.add_chain(name)
+            for home in homes:
+                built.add_event(home)
+            for source, target in cross:
+                built.add_influence(source, target)
+            netformat.dumps(built.finalize())
+        assert closures == []
 
 
 def large_parts(shape: str, n: int, seed: int) -> tuple[dict, list]:
@@ -540,7 +541,7 @@ class TestBulkLoad:
             for event in members:
                 if name not in homes.get(event, ()):
                     homes[event] = homes.get(event, ()) + (name,)
-        assert list(net._chains_of.items()) == list(homes.items())
+        assert [net.chains_of(e) for e in range(n)] == [homes.get(e, ()) for e in range(n)]
 
     def test_repeated_member_file_loads_upward(self):
         # chain P: 0 1 1 2 links 0 -> 1 -> 2; its equal neighbours make no edge.
@@ -561,9 +562,10 @@ class TestBulkLoad:
         # Eight threads start together on a finalized network that no read
         # has closed; half ask for the chains first, half for reachability.
         chains, edges = large_parts(shape, 300, seed=7)
-        net = InfluenceNetwork.from_parts("general", chains, edges, events=range(300)).finalize()
+        with spying("_closure") as closures:
+            net = InfluenceNetwork.from_parts("general", chains, edges, events=range(300)).finalize()
         snapshot, expected, ids = net.edges(), bfs_bitsets(net), net.event_ids()
-        assert net._anc is None
+        assert closures == []
         start = threading.Barrier(8)
 
         def race(k: int) -> tuple[list[int], dict]:
@@ -586,7 +588,7 @@ class TestBulkLoad:
             assert {name: ref.events for name, ref in refs.items()} == {
                 name: tuple(members) for name, members in chains.items()
             }
-        assert net._anc == expected and net.edges() == snapshot
+        assert net._closure() == expected and net.edges() == snapshot
 
     def test_falling_ids_load_in_near_linear_time(self):
         # A 4000-event chain costs at most about 2.5 times a 2000-event
@@ -648,21 +650,14 @@ class TestBulkLoad:
             ratios.append(down / up)
         assert statistics.median(ratios) <= 1.5, sorted(ratios)
 
-    def test_falling_ids_load_runs_no_walk(self, monkeypatch):
+    def test_falling_ids_load_runs_no_walk(self):
         # The work the timings above bound, counted: a falling chain closes
         # in the one pass, and no edge takes the per-edge walk (before the
         # bulk load, each of its 3999 links did).
-        walks = []
-        spread = InfluenceNetwork._spread
-
-        def counting(net, *args):
-            walks.append(args)
-            spread(net, *args)
-
-        monkeypatch.setattr(InfluenceNetwork, "_spread", counting)
         falling = list(range(3999, -1, -1))
-        net = InfluenceNetwork.from_parts("general", {"P": falling}, []).finalize()
-        assert net.influences(3999, 0) and not net.influences(0, 3999)
+        with spying("_spread") as walks:
+            net = InfluenceNetwork.from_parts("general", {"P": falling}, []).finalize()
+            assert net.influences(3999, 0) and not net.influences(0, 3999)
         assert walks == []
 
 
@@ -687,7 +682,6 @@ class TestClosurePasses:
         chains, edges, n = parts
         net = InfluenceNetwork.from_parts("general", chains, edges, events=range(n))
         assert net._upward
-        assert net._closure() == bfs_bitsets(net) and net._unplaced == []
         # Relabelled by e -> n - 1 - e every edge runs downward, so the load
         # takes the Kahn pass; index i becomes n - 1 - i.
         falling = InfluenceNetwork.from_parts(
@@ -697,8 +691,12 @@ class TestClosurePasses:
             events=range(n),
         )
         assert falling._upward == (not net.edges())
-        flipped = [sum(1 << (n - 1 - i) for i in range(n) if bits >> i & 1) for bits in net._closure()]
-        assert falling._closure() == flipped[::-1] and falling._unplaced == []
+        # Neither pass leaves an event unplaced: none takes the per-edge walk.
+        with spying("_spread") as walks:
+            assert net._closure() == bfs_bitsets(net)
+            flipped = [sum(1 << (n - 1 - i) for i in range(n) if bits >> i & 1) for bits in net._closure()]
+            assert falling._closure() == flipped[::-1]
+        assert walks == []
 
     @settings(max_examples=60, deadline=None)
     @given(upward_parts(), st.randoms(use_true_random=False))
@@ -917,7 +915,6 @@ class TestValidate:
         for event in range(n):
             incident = [(s, t) for s, t in net.edges() if event in (s, t)]
             recount[event] = sum(not homes[s] & homes[t] for s, t in incident)
-            assert net._cross[event] == (recount[event] if mode == "restricted" else 0)
         breaches = [str(v) for v in net.validate() if "cross-chain" in v.detail]
         assert breaches == [
             f"postulate-3: event {e} takes part in {count} cross-chain influences; "
@@ -925,6 +922,16 @@ class TestValidate:
             for e, count in recount.items()
             if count > 1 and mode == "restricted"
         ]
+        # An event with a cross edge refuses another: probe each with an
+        # edge to a fresh event, which is cross and closes no cycle.
+        net.add_chain("fresh")
+        refused = []
+        for event in range(n):
+            try:
+                net.add_influence(event, net.add_event("fresh"))
+            except DegreeViolationError:
+                refused.append(event)
+        assert refused == [e for e in range(n) if mode == "restricted" and recount[e]]
 
     @settings(max_examples=100, deadline=None)
     @given(network_parts())
@@ -934,14 +941,7 @@ class TestValidate:
         chains, edges, n = parts
         links = [(a, b) for members in chains.values() for a, b in zip(members, members[1:])]
         influences = edges + links[::2] + edges
-        calls = []
-        is_cross = InfluenceNetwork._is_cross
-
-        def counted(net, *args):
-            calls.append(args)
-            return is_cross(net, *args)
-
-        with mock.patch.object(InfluenceNetwork, "_is_cross", counted):
+        with spying("_is_cross") as calls:
             InfluenceNetwork.from_parts("restricted", chains, influences, events=range(n))
         assert len(calls) <= len(set(influences))
 
@@ -1064,3 +1064,25 @@ def test_queries_require_finalized_network():
     net.add_event("P")
     with pytest.raises(NotFinalizedError):
         forward_project(net, 0, "P")
+
+
+# == 8. One module reads the network's storage ===============================
+
+STORAGE = {"_succ", "_anc", "_unplaced", "_views", "_cross", "_chains_of", "_chains", "_index", "_ids"}
+
+
+def test_only_network_py_reads_the_storage():
+    # Every other module and every test goes through the network's queries,
+    # so the storage can change behind them.
+    root = Path(__file__).parents[1]
+    paths = [path for path in sorted(root.glob("src/infnet/*.py")) if path.name != "network.py"]
+    paths += sorted(root.glob("tests/*.py"))
+    reads = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr in STORAGE
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert reads == []

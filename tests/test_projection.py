@@ -8,8 +8,9 @@ Covered claims:
       including from_parts networks with cycles and repeated chain members,
       and on ladders with midway events up to the benchmark's L = 256, in
       both id orders
-    - a finalized network builds a chain's view on the first query that
-      needs it, and reuses it; validate, dumps, hasse and loading build none
+    - a finalized network builds a chain's whole view on the first query
+      that needs it, and later queries get that same view; loading,
+      validate, transitive_reduction, dumps and hasse call no `_view`
     - projections are monotone along influence, and forward >= backward
     - interval projection preserves length on coordinated chains
 """
@@ -37,7 +38,7 @@ from infnet import (
 from infnet.netformat import dumps, loads
 from infnet.svg import hasse_svg
 
-from conftest import bfs_labels, brute_backward, brute_forward, ladder_parts, network_parts
+from conftest import bfs_labels, brute_backward, brute_forward, ladder_parts, network_parts, spying
 
 
 # == 1. Worked single-chain fixture ==========================================
@@ -221,34 +222,38 @@ def ladder_file() -> str:
 
 
 def test_reading_whole_networks_builds_no_view():
-    net = loads(ladder_file())
-    with pytest.raises(FinalizedError):
-        net.add_event()
-    net.validate()
-    net.transitive_reduction()
-    dumps(net)
-    hasse_svg(net)
-    assert net._views == {}
+    with spying("_view") as views:
+        net = loads(ladder_file())
+        with pytest.raises(FinalizedError):
+            net.add_event()
+        net.validate()
+        net.transitive_reduction()
+        dumps(net)
+        hasse_svg(net)
+    assert views == []
 
 
 def test_views_are_built_on_first_need_and_reused():
-    net = loads(ladder_file())
-    assert "Q" not in net._views
-    ref = net.chain("Q")
+    with spying("_view") as views:
+        net = loads(ladder_file())
+    assert views == []
+    with spying("_view") as views:
+        ref = net.chain("Q")
+    # The first use asks for that chain's view and no other chain's.
+    assert views == [("Q",)]
     assert net.chain("Q") is ref
-    # The first use builds that chain's whole view and no other chain's.
-    assert list(net._views) == ["Q"]
-    view = net._views["Q"]
+    # The first use builds that chain's whole view; later uses, by name or
+    # by ChainRef, get the same one.
+    view = net._view("Q")
     assert view.ref is ref
     assert len(view.forward) == len(view.backward) == len(net.event_ids())
     forward_project(net, 0, "Q")
     backward_project(net, 0, ref)
-    assert net._views["Q"] is view
-    assert list(net._views) == ["Q"]
+    assert net._view(ref) is view
     # A projection as the first use builds the whole view too.
     forward_project(net, 0, "P")
-    assert list(net._views) == ["Q", "P"]
-    assert len(net._views["P"].backward) == len(net.event_ids())
+    assert net._view("P") is not view
+    assert len(net._view("P").backward) == len(net.event_ids())
 
 
 def test_unknown_event_is_rejected_even_on_an_empty_chain():
