@@ -84,8 +84,9 @@ class ParsedNetwork:
             return self.chain_lines[violation.chain]
         if violation.rule == "cycle-would-form":
             # The first influence line on a cycle, else the first chain line with a link on one.
-            links = (((a, b), line) for name, line in self.chain_lines.items()
-                     for a, b in itertools.pairwise(self.net._members(name)) if a != b)
+            chain_links = self.net.chain_links()
+            links = ((pair, line) for name, line in self.chain_lines.items()
+                     for pair in itertools.pairwise(self.net._members(name)) if pair in chain_links)
             lines = itertools.chain(self.edge_lines.items(), links)
             return next(line for (s, t), line in lines if self.net.influences(t, s))
         (event,) = violation.events

@@ -15,7 +15,9 @@ that ignore word boundaries, so it shares no chunking with the sampler.
 a field's probabilities in plain Python loops, one (x, p, q) row at a time,
 sharing no code with SpinorField.probabilities or checkerboard.norm_and_mean.
 `spying` records the calls of one of the network's internal queries, so a
-test can watch the closure being built and walked without its storage.
+test can watch the closure being built and walked without its storage;
+`lines_run` counts the infnet source lines a call runs, so a test can bound
+the work inside one call, which no spy sees.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ import contextlib
 import itertools
 import math
 import random
+import sys
 from collections import deque
+from pathlib import Path
 from typing import Iterator
 from unittest import mock
 
@@ -32,6 +36,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import infnet
 from infnet import InfluenceNetwork
 
 
@@ -311,6 +316,34 @@ def spying(name: str) -> Iterator[list[tuple]]:
 
     with mock.patch.object(InfluenceNetwork, name, spy):
         yield calls
+
+
+_SRC = str(Path(infnet.__file__).parent)
+
+
+def lines_run(call) -> int:
+    """The number of infnet source lines `call()` runs, loop turns included.
+
+    A count of work that neither the heap nor the machine moves: equal
+    counts at two sizes show that a call's work does not grow with size.
+    """
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def enter(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(_SRC) else None
+
+    outer = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        call()
+    finally:
+        sys.settrace(outer)
+    return count
 
 
 # -- Raw network parts ---------------------------------------------------------

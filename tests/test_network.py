@@ -38,9 +38,12 @@ Covered claims:
       over edges() gives it one, and the load tests crossness at most once
       per distinct influence, never on a chain link
     - in a build by add_event and add_influence, inserts call neither
-      `_closure` nor `_spread` until the first read, which closes them all
-      in one pass with no per-edge walk, and every later insert spreads
-      from its target; the closure matches BFS between inserts, after a
+      `_closure` nor `_spread` until the first read, and each runs as many
+      lines at 4000 events as at 100, so it reads no other event's edges;
+      the first read closes them all in one pass with no per-edge walk, at
+      three lines per event without successors, so it reads each event's
+      successors once, and every later insert spreads from its target; the
+      closure matches BFS between inserts, after a
       downward edge, and at the benchmark's network-build size; finalize()
       calls no `_closure`, and later reads get the first read's bitsets,
       unchanged; validate() and dumps of an upward load, and a build shaped
@@ -63,8 +66,9 @@ Covered claims:
       modules and of every test finds no attribute named after one of its
       containers, except on `self`; the tests above watch the closure
       through spies on `_closure`, `_spread`, `_view` and `_is_cross`
-      (conftest's `spying`), and the rule for the edges that are not chain
-      links lives in `InfluenceNetwork._non_links` alone
+      (conftest's `spying`) and bound the work inside one call by the
+      source lines it runs (conftest's `lines_run`); the rule for the edges
+      that are not chain links lives in `InfluenceNetwork._non_links` alone
 """
 
 from __future__ import annotations
@@ -103,6 +107,7 @@ from conftest import (
     adjacency,
     bfs_descendants,
     bfs_reaches,
+    lines_run,
     network_parts,
     restricted_file_parts,
     restricted_parts,
@@ -447,6 +452,35 @@ class TestDeferredClosure:
         assert closure == bfs_bitsets(net)
         # A later read hands out the same bitsets and changes none.
         assert net.influences(20, 99) and net._closure() is closure and closure == bfs_bitsets(net)
+
+    @staticmethod
+    def _line_counts(sizes, call) -> list[int]:
+        """Lines `call(net)` runs on fresh general networks of `sizes` events.
+
+        Each network holds the two edges 10 -> 60 and 20 -> 50, recorded
+        before the count.
+        """
+        counts = []
+        for size in sizes:
+            net = InfluenceNetwork()
+            for _ in range(size):
+                net.add_event()
+            net.add_influence(10, 60)
+            net.add_influence(20, 50)
+            counts.append(lines_run(lambda: call(net)))
+        return counts
+
+    def test_inserts_before_the_first_read_touch_only_their_edge(self):
+        # An insert runs the same lines at 100 and at 4000 events: it reads
+        # no other event's edges.
+        small, large = self._line_counts([100, 4000], lambda net: net.add_influence(30, 40))
+        assert small == large
+
+    def test_the_first_read_is_one_pass_of_three_lines_per_event(self):
+        # Each 100 events more add the same lines, at most three for each
+        # event with no successor: the pass reads its successors and goes on.
+        counts = self._line_counts([100, 200, 300], lambda net: net.influences(20, 50))
+        assert counts[2] - counts[1] == counts[1] - counts[0] <= 3 * 100
 
     def test_finalize_freezes_and_the_first_read_closes_once(self):
         net = InfluenceNetwork()

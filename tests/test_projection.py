@@ -9,8 +9,11 @@ Covered claims:
       and on ladders with midway events up to the benchmark's L = 256, in
       both id orders
     - a finalized network builds a chain's whole view on the first query
-      that needs it, and later queries get that same view; loading,
-      validate, transitive_reduction, dumps and hasse call no `_view`
+      that needs it, and later queries get that same view; that first use
+      runs as many lines with five more empty chains, so it builds no other
+      chain's view; loading, validate, transitive_reduction, dumps and
+      hasse call no `_view` and build no view: the first chain() after
+      them runs more lines than the second
     - projections are monotone along influence, and forward >= backward
     - interval projection preserves length on coordinated chains
 """
@@ -38,7 +41,15 @@ from infnet import (
 from infnet.netformat import dumps, loads
 from infnet.svg import hasse_svg
 
-from conftest import bfs_labels, brute_backward, brute_forward, ladder_parts, network_parts, spying
+from conftest import (
+    bfs_labels,
+    brute_backward,
+    brute_forward,
+    ladder_parts,
+    lines_run,
+    network_parts,
+    spying,
+)
 
 
 # == 1. Worked single-chain fixture ==========================================
@@ -231,6 +242,11 @@ def test_reading_whole_networks_builds_no_view():
         dumps(net)
         hasse_svg(net)
     assert views == []
+    # Nor does any of them build a view without that call: a first chain()
+    # after them runs more lines than a second, which reuses the view.
+    for name in ("P", "Q"):
+        first, again = (lines_run(lambda: net.chain(name)) for _ in range(2))
+        assert first > again
 
 
 def test_views_are_built_on_first_need_and_reused():
@@ -254,6 +270,15 @@ def test_views_are_built_on_first_need_and_reused():
     forward_project(net, 0, "P")
     assert net._view("P") is not view
     assert len(net._view("P").backward) == len(net.event_ids())
+    # Five more chains, all empty, leave the lines of Q's first use as they
+    # are: it builds Q's view and no other.
+    chains, edges, _ = ladder_parts(16, 2, [3, 9])
+    counts = []
+    for extra in ({}, {f"R{k}": [] for k in range(5)}):
+        net = InfluenceNetwork.from_parts("general", chains | extra, edges).finalize()
+        net._closure()
+        counts.append(lines_run(lambda: net.chain("Q")))
+    assert counts[0] == counts[1]
 
 
 def test_unknown_event_is_rejected_even_on_an_empty_chain():
